@@ -3,28 +3,28 @@
 //! Requests are newline-delimited JSON objects (see
 //! [`tpn_service::protocol`]); responses come back one per line, in
 //! completion order, each echoing the request's `id` (and, for v2
-//! envelopes, its `"v"`). The front-end speaks stdin/stdout by default;
-//! with any number of `--socket PATH` (Unix-domain) and `--tcp ADDR`
-//! listeners it multiplexes every connection through one non-blocking
-//! poll loop — per-connection read buffers, bounded write buffers, and
-//! back-pressure that simply stops reading from a connection whose
-//! responses it cannot drain. `--store DIR` persists compiled artifacts
-//! across restarts, `--rate-limit`/`--burst`/`--max-in-flight` switch
-//! on per-client fairness, and `--self-test` runs the in-process soak
+//! envelopes, its `"v"`). The front-end speaks stdin/stdout by default,
+//! or any number of `--socket PATH` (Unix-domain) and `--tcp ADDR`
+//! listeners. Either way every connection runs through one non-blocking
+//! poll loop: per-connection read buffers with a request-line cap,
+//! bounded write buffers, and back-pressure that simply stops reading
+//! from a connection whose responses it cannot drain. Workers send each
+//! response into its connection's reply channel, so no thread waits on
+//! a request. `--store DIR` persists compiled artifacts across
+//! restarts, `--rate-limit`/`--burst`/`--max-in-flight` switch on
+//! per-client fairness, and `--self-test` runs the in-process soak
 //! client.
 
-use std::collections::HashMap;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::Serialize;
 use tpn_service::protocol::{self, ParseError, Request, Verb};
 use tpn_service::{
     journal_response_v, metrics_prometheus_response_v, metrics_response_v, Canceller, RateLimit,
-    Rejected, Service, ServiceConfig, Ticket,
+    Rejected, Response, Service, ServiceConfig,
 };
 
 use crate::output::{OutputFormat, Render};
@@ -39,14 +39,17 @@ const JOURNAL_RING: usize = 256;
 /// instead of unbounded buffering).
 const WRITE_BUF_CAP: usize = 256 * 1024;
 
+/// Request-line cap: a connection holding this many bytes with no
+/// newline gets one `bad_request`, and its input is discarded through
+/// the next newline.
+const MAX_LINE: usize = 1024 * 1024;
+
+/// Bytes taken per read, from a socket or from the stdin reader thread.
+const CHUNK: usize = 4096;
+
 /// The poll loop's sleep when a full pass over listeners, channels and
 /// connections made no progress.
 const IDLE_SLEEP: Duration = Duration::from_millis(1);
-
-/// The in-flight cancellation table, keyed by (connection, request id):
-/// a `cancel` verb can only reach requests submitted on its own
-/// connection (or stream).
-type Cancellers = Arc<Mutex<HashMap<(u64, u64), Canceller>>>;
 
 /// Builds the service configuration from the invocation's flags
 /// (`--jobs` workers, `--queue` capacity, `--cache` weight, `--store`
@@ -102,33 +105,22 @@ pub fn run(invocation: &Invocation) -> Result<(), String> {
     }
     let service = Service::try_start(config(invocation)?)
         .map_err(|e| format!("error starting service: {e}"))?;
-    let service = Arc::new(service);
     attach_journal_sink(&service, invocation)?;
     if invocation.sockets.is_empty() && invocation.tcp.is_empty() {
-        let stdin = std::io::stdin();
-        serve_stream(&service, stdin.lock(), std::io::stdout())
+        serve(&service, &[], Some(stdio()))
     } else {
-        let listeners = bind_listeners(invocation)?;
-        serve_sockets(&service, &listeners)
+        serve(&service, &bind_listeners(invocation)?, None)
     }
 }
 
-/// The outcome of routing one request line.
-enum Routed {
-    /// Answered synchronously: a front-end verb, a parse error, or a
-    /// typed admission rejection.
-    Immediate(String),
-    /// Accepted by the service: the ticket's waiter delivers the
-    /// response line (tagged with the request id) when it completes.
-    Ticket(Ticket, u64),
-}
-
-/// Parses and routes one request line arriving on connection `conn`.
-fn route_line(service: &Arc<Service>, cancellers: &Cancellers, conn: u64, line: &str) -> Routed {
+/// Routes one request line arriving on `conn`: front-end verbs and
+/// rejections are answered at once, everything else is submitted with
+/// the connection's reply channel.
+fn route_line(service: &Service, conn: &mut Conn, line: &str) {
     let request = match protocol::parse_request(line) {
         Ok(request) => request,
         Err(ParseError::UnsupportedVersion { id, v }) => {
-            return Routed::Immediate(protocol::error_envelope(
+            return conn.respond(&protocol::error_envelope(
                 1,
                 id.unwrap_or(0),
                 None,
@@ -148,7 +140,7 @@ fn route_line(service: &Arc<Service>, cancellers: &Cancellers, conn: u64, line: 
                     _ => None,
                 })
                 .unwrap_or(0);
-            return Routed::Immediate(protocol::error_line(
+            return conn.respond(&protocol::error_line(
                 id,
                 None,
                 "bad_request",
@@ -158,34 +150,26 @@ fn route_line(service: &Arc<Service>, cancellers: &Cancellers, conn: u64, line: 
         }
     };
     let (v, id) = (request.v, request.id);
-    match request.verb {
-        Verb::Metrics => Routed::Immediate(metrics_response_v(service, id, v).line),
-        Verb::MetricsPrometheus => {
-            Routed::Immediate(metrics_prometheus_response_v(service, id, v).line)
-        }
-        Verb::Journal => Routed::Immediate(journal_response_v(service, id, v).line),
+    let response = match request.verb {
+        Verb::Metrics => metrics_response_v(service, id, v).line,
+        Verb::MetricsPrometheus => metrics_prometheus_response_v(service, id, v).line,
+        Verb::Journal => journal_response_v(service, id, v).line,
         Verb::Cancel => {
             let target = request.target.expect("protocol validated cancel target");
-            let delivered = match cancellers
-                .lock()
-                .expect("in-flight table")
-                .get(&(conn, target))
-            {
-                Some(canceller) => {
-                    canceller.cancel();
-                    true
-                }
-                None => false,
-            };
-            Routed::Immediate(protocol::ok_envelope(
+            let mut delivered = false;
+            for (_, canceller) in conn.in_flight.iter().filter(|(id, _)| *id == target) {
+                canceller.cancel();
+                delivered = true;
+            }
+            protocol::ok_envelope(
                 v,
                 id,
                 Verb::Cancel,
                 &format!("{{\"target\":{target},\"in_flight\":{delivered}}}"),
-            ))
+            )
         }
-        _ => match service.submit(request) {
-            Err(Rejected::Overloaded(overloaded)) => Routed::Immediate(protocol::error_envelope(
+        _ => match service.submit(request, conn.reply.clone()) {
+            Err(Rejected::Overloaded(overloaded)) => protocol::error_envelope(
                 v,
                 id,
                 None,
@@ -193,8 +177,8 @@ fn route_line(service: &Arc<Service>, cancellers: &Cancellers, conn: u64, line: 
                 &overloaded.to_string(),
                 Some(overloaded.depth),
                 None,
-            )),
-            Err(Rejected::RateLimited(limited)) => Routed::Immediate(protocol::error_envelope(
+            ),
+            Err(Rejected::RateLimited(limited)) => protocol::error_envelope(
                 v,
                 id,
                 None,
@@ -202,83 +186,46 @@ fn route_line(service: &Arc<Service>, cancellers: &Cancellers, conn: u64, line: 
                 &limited.to_string(),
                 None,
                 Some(limited.retry_after_ms),
-            )),
-            Ok(ticket) => Routed::Ticket(ticket, id),
+            ),
+            Ok(canceller) => return conn.in_flight.push((id, canceller)),
         },
-    }
-}
-
-/// Serves one protocol stream: reads request lines from `reader` until
-/// EOF, writes response lines to `writer` in completion order. The
-/// stdin/stdout mode (and the unit tests' harness).
-fn serve_stream<R: BufRead, W: Write + Send + 'static>(
-    service: &Arc<Service>,
-    reader: R,
-    writer: W,
-) -> Result<(), String> {
-    let (tx, rx) = mpsc::channel::<String>();
-    let mut writer_thread = Some(std::thread::spawn(move || -> Result<(), String> {
-        let mut writer = writer;
-        for line in rx {
-            writeln!(writer, "{line}").map_err(|e| format!("error writing response: {e}"))?;
-            writer
-                .flush()
-                .map_err(|e| format!("error writing response: {e}"))?;
-        }
-        Ok(())
-    }));
-    let cancellers: Cancellers = Arc::new(Mutex::new(HashMap::new()));
-    let mut result = Ok(());
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(e) => {
-                result = Err(format!("error reading request: {e}"));
-                break;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let send = match route_line(service, &cancellers, 0, &line) {
-            Routed::Immediate(response) => tx.send(response),
-            Routed::Ticket(ticket, id) => {
-                cancellers
-                    .lock()
-                    .expect("in-flight table")
-                    .insert((0, id), ticket.canceller());
-                let tx = tx.clone();
-                let cancellers = cancellers.clone();
-                // In-flight count is bounded by the queue capacity
-                // plus the worker pool, so waiter threads are too.
-                std::thread::spawn(move || {
-                    let response = ticket.wait();
-                    cancellers.lock().expect("in-flight table").remove(&(0, id));
-                    let _ = tx.send(response.line);
-                });
-                Ok(())
-            }
-        };
-        if send.is_err() {
-            // The writer is gone (broken pipe); stop reading.
-            break;
-        }
-    }
-    drop(tx);
-    // In-flight requests drain through their waiter threads, which hold
-    // tx clones; the writer thread exits once the last one finishes.
-    if let Some(handle) = writer_thread.take() {
-        match handle.join() {
-            Ok(write_result) => result = result.and(write_result),
-            Err(_) => result = result.and(Err("response writer panicked".to_string())),
-        }
-    }
-    result
+    };
+    conn.respond(&response);
 }
 
 // ---------------------------------------------------------------------------
-// The non-blocking multi-socket poll loop.
+// The non-blocking poll loop: every connection, stdio included.
 // ---------------------------------------------------------------------------
+
+/// Stdin/stdout as one connection. Safe std cannot make stdin
+/// non-blocking, so one reader thread feeds it to the loop in chunks of
+/// at most [`CHUNK`] bytes; the bounded channel keeps it from reading
+/// ahead of a loop that has stopped reading. The thread is detached: it
+/// may sit in a read the loop cannot interrupt, and ends at EOF or with
+/// the process.
+fn stdio() -> Stream {
+    let (chunks, input) = mpsc::sync_channel(1);
+    std::thread::spawn(move || {
+        let mut stdin = io::stdin().lock();
+        let mut chunk = [0u8; CHUNK];
+        loop {
+            match stdin.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => {
+                    if chunks.send(Ok(chunk[..n].to_vec())).is_err() {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let _ = chunks.send(Err(e));
+                    break;
+                }
+            }
+        }
+    });
+    Stream::Stdio(input, Box::new(io::stdout()))
+}
 
 /// One bound, non-blocking listening socket.
 enum Listener {
@@ -289,13 +236,16 @@ enum Listener {
     Tcp(TcpListener),
 }
 
-/// One accepted connection's byte stream.
+/// One connection's byte stream.
 enum Stream {
     /// A Unix-domain connection.
     #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
     /// A TCP connection.
     Tcp(TcpStream),
+    /// Stdin chunks from the reader thread in; blocking, flushed writes
+    /// out.
+    Stdio(mpsc::Receiver<io::Result<Vec<u8>>>, Box<dyn Write>),
 }
 
 impl Listener {
@@ -325,6 +275,17 @@ impl Read for Stream {
             #[cfg(unix)]
             Stream::Unix(stream) => stream.read(buf),
             Stream::Tcp(stream) => stream.read(buf),
+            Stream::Stdio(input, _) => match input.try_recv() {
+                Ok(chunk) => {
+                    // The reader thread's chunks fit the loop's CHUNK
+                    // buffer.
+                    let chunk = chunk?;
+                    buf[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+                Err(mpsc::TryRecvError::Empty) => Err(io::ErrorKind::WouldBlock.into()),
+                Err(mpsc::TryRecvError::Disconnected) => Ok(0),
+            },
         }
     }
 }
@@ -335,6 +296,11 @@ impl Write for Stream {
             #[cfg(unix)]
             Stream::Unix(stream) => stream.write(buf),
             Stream::Tcp(stream) => stream.write(buf),
+            Stream::Stdio(_, output) => {
+                output.write_all(buf)?;
+                output.flush()?;
+                Ok(buf.len())
+            }
         }
     }
 
@@ -343,6 +309,7 @@ impl Write for Stream {
             #[cfg(unix)]
             Stream::Unix(stream) => stream.flush(),
             Stream::Tcp(stream) => stream.flush(),
+            Stream::Stdio(_, output) => output.flush(),
         }
     }
 }
@@ -392,28 +359,92 @@ struct Conn {
     stream: Stream,
     /// Bytes received but not yet terminated by a newline.
     read_buf: Vec<u8>,
+    /// Set by an over-long line until its newline arrives.
+    discarding: bool,
     /// Response bytes not yet accepted by the peer.
     write_buf: Vec<u8>,
     /// Cleared on EOF or a read error; the connection then only drains.
     reading: bool,
     /// Set on a write error; the connection is dropped outright.
     dead: bool,
-    /// Responses still owed to this connection by waiter threads.
-    outstanding: usize,
+    /// The sender goes with every request this connection submits; the
+    /// loop collects the responses from the receiver.
+    reply: mpsc::Sender<Response>,
+    replies: mpsc::Receiver<Response>,
+    /// Admitted requests not yet answered, by id: the `cancel` verb's
+    /// scope.
+    in_flight: Vec<(u64, Canceller)>,
 }
 
-/// The non-blocking poll loop multiplexing every listener and
-/// connection on one thread. Compilation itself runs on the service's
-/// worker pool and only short-lived waiter threads block, so one slow
-/// or stalled peer cannot starve the rest: its write buffer fills, the
-/// loop stops reading from it, and everyone else keeps flowing. Runs
-/// until the process is killed.
-fn serve_sockets(service: &Arc<Service>, listeners: &[Listener]) -> Result<(), String> {
-    let cancellers: Cancellers = Arc::new(Mutex::new(HashMap::new()));
-    let (tx, rx) = mpsc::channel::<(u64, String)>();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn: u64 = 0;
-    loop {
+impl Conn {
+    fn new(stream: Stream) -> Conn {
+        let (reply, replies) = mpsc::channel();
+        Conn {
+            stream,
+            read_buf: Vec::new(),
+            discarding: false,
+            write_buf: Vec::new(),
+            reading: true,
+            dead: false,
+            reply,
+            replies,
+            in_flight: Vec::new(),
+        }
+    }
+
+    /// Queues one response line for writing.
+    fn respond(&mut self, line: &str) {
+        self.write_buf.extend_from_slice(line.as_bytes());
+        self.write_buf.push(b'\n');
+    }
+
+    /// Feeds newly read bytes in: routes every line they complete, and
+    /// rejects a line that reaches [`MAX_LINE`] bytes with no newline.
+    fn feed(&mut self, service: &Service, mut bytes: &[u8]) {
+        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
+            if self.discarding {
+                self.discarding = false;
+            } else {
+                self.read_buf.extend_from_slice(&bytes[..pos]);
+                let raw = std::mem::take(&mut self.read_buf);
+                let line = String::from_utf8_lossy(&raw);
+                let line = line.trim();
+                if !line.is_empty() {
+                    route_line(service, self, line);
+                }
+            }
+            bytes = &bytes[pos + 1..];
+        }
+        if !self.discarding {
+            self.read_buf.extend_from_slice(bytes);
+        }
+        if self.read_buf.len() >= MAX_LINE {
+            self.read_buf = Vec::new();
+            self.discarding = true;
+            self.respond(&protocol::error_line(
+                0,
+                None,
+                "bad_request",
+                &format!("request line exceeds {MAX_LINE} bytes"),
+                None,
+            ));
+        }
+    }
+}
+
+/// The one request loop: multiplexes every listener and connection,
+/// stdio included, on one thread. Compilation runs on the service's
+/// worker pool, which sends each response into its connection's reply
+/// channel, so no thread blocks on a request, and one slow or stalled
+/// peer cannot starve the rest: its write buffer fills, the loop stops
+/// reading from it, and everyone else keeps flowing. Returns once no
+/// listener and no connection is left (stdio after EOF, with every
+/// reply written), failing with the last connection I/O error if there
+/// was one; with listeners it runs until the process is killed.
+fn serve(service: &Service, listeners: &[Listener], stdio: Option<Stream>) -> Result<(), String> {
+    let mut conns: Vec<Conn> = stdio.into_iter().map(Conn::new).collect();
+    let mut result = Ok(());
+    while !listeners.is_empty() || !conns.is_empty() {
         let mut progress = false;
 
         // Accept every pending connection on every listener.
@@ -421,18 +452,7 @@ fn serve_sockets(service: &Arc<Service>, listeners: &[Listener]) -> Result<(), S
             loop {
                 match listener.accept() {
                     Ok(stream) => {
-                        conns.insert(
-                            next_conn,
-                            Conn {
-                                stream,
-                                read_buf: Vec::new(),
-                                write_buf: Vec::new(),
-                                reading: true,
-                                dead: false,
-                                outstanding: 0,
-                            },
-                        );
-                        next_conn += 1;
+                        conns.push(Conn::new(stream));
                         progress = true;
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -442,80 +462,39 @@ fn serve_sockets(service: &Arc<Service>, listeners: &[Listener]) -> Result<(), S
             }
         }
 
-        // Collect completed responses from the waiter threads.
-        while let Ok((conn_id, line)) = rx.try_recv() {
-            progress = true;
-            // A connection that died mid-request just drops its line.
-            if let Some(conn) = conns.get_mut(&conn_id) {
-                conn.outstanding = conn.outstanding.saturating_sub(1);
-                conn.write_buf.extend_from_slice(line.as_bytes());
-                conn.write_buf.push(b'\n');
+        for conn in &mut conns {
+            // Collect the responses workers have sent.
+            while let Ok(response) = conn.replies.try_recv() {
+                progress = true;
+                if let Some(at) = conn.in_flight.iter().position(|(id, _)| *id == response.id) {
+                    conn.in_flight.swap_remove(at);
+                }
+                conn.respond(&response.line);
             }
-        }
 
-        // Read and dispatch, pausing any connection over its write cap.
-        for (&conn_id, conn) in conns.iter_mut() {
-            if !conn.reading || conn.dead || conn.write_buf.len() >= WRITE_BUF_CAP {
-                continue;
-            }
-            let mut chunk = [0u8; 4096];
-            loop {
+            // Read and route, pausing a connection over its write cap.
+            let mut chunk = [0u8; CHUNK];
+            while conn.reading && conn.write_buf.len() < WRITE_BUF_CAP {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
                         conn.reading = false;
-                        break;
+                        // The last line may end at EOF, not a newline.
+                        conn.feed(service, b"\n");
                     }
                     Ok(n) => {
                         progress = true;
-                        conn.read_buf.extend_from_slice(&chunk[..n]);
-                        if conn.write_buf.len() + conn.read_buf.len() >= WRITE_BUF_CAP {
-                            break;
-                        }
+                        conn.feed(service, &chunk[..n]);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    Err(e) => {
                         conn.reading = false;
-                        break;
+                        result = Err(format!("error reading request: {e}"));
                     }
                 }
             }
-            while let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') {
-                let raw: Vec<u8> = conn.read_buf.drain(..=pos).collect();
-                let line = String::from_utf8_lossy(&raw[..raw.len() - 1]);
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                progress = true;
-                match route_line(service, &cancellers, conn_id, line) {
-                    Routed::Immediate(response) => {
-                        conn.write_buf.extend_from_slice(response.as_bytes());
-                        conn.write_buf.push(b'\n');
-                    }
-                    Routed::Ticket(ticket, id) => {
-                        conn.outstanding += 1;
-                        cancellers
-                            .lock()
-                            .expect("in-flight table")
-                            .insert((conn_id, id), ticket.canceller());
-                        let tx = tx.clone();
-                        let cancellers = cancellers.clone();
-                        std::thread::spawn(move || {
-                            let response = ticket.wait();
-                            cancellers
-                                .lock()
-                                .expect("in-flight table")
-                                .remove(&(conn_id, id));
-                            let _ = tx.send((conn_id, response.line));
-                        });
-                    }
-                }
-            }
-        }
 
-        // Flush as much of every write buffer as the peers accept.
-        for conn in conns.values_mut() {
+            // Flush as much of the write buffer as the peer accepts.
             while !conn.write_buf.is_empty() {
                 match conn.stream.write(&conn.write_buf) {
                     Ok(0) => {
@@ -528,36 +507,28 @@ fn serve_sockets(service: &Arc<Service>, listeners: &[Listener]) -> Result<(), S
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
+                    Err(e) => {
                         conn.dead = true;
+                        result = Err(format!("error writing response: {e}"));
                         break;
                     }
                 }
             }
         }
 
-        // Reap finished and broken connections (and their cancellers).
-        let mut dropped = Vec::new();
-        conns.retain(|&conn_id, conn| {
-            let done =
-                conn.dead || (!conn.reading && conn.outstanding == 0 && conn.write_buf.is_empty());
-            if done {
-                dropped.push(conn_id);
-            }
-            !done
+        // Reap finished and broken connections; a dropped receiver
+        // discards any reply still owed to a dead one.
+        let open = conns.len();
+        conns.retain(|conn| {
+            !conn.dead && (conn.reading || !conn.in_flight.is_empty() || !conn.write_buf.is_empty())
         });
-        if !dropped.is_empty() {
-            progress = true;
-            cancellers
-                .lock()
-                .expect("in-flight table")
-                .retain(|(conn_id, _), _| !dropped.contains(conn_id));
-        }
+        progress |= conns.len() != open;
 
         if !progress {
             std::thread::sleep(IDLE_SLEEP);
         }
     }
+    result
 }
 
 // ---------------------------------------------------------------------------
@@ -725,10 +696,10 @@ fn self_test(invocation: &Invocation) -> Result<(), String> {
             .unwrap(),
     );
     let mut overloaded_typed = 0u64;
-    let mut tickets = Vec::new();
+    let (reply, replies) = mpsc::channel();
     for id in 0..16 {
-        match tiny.submit(soak_request(id, &pool)) {
-            Ok(ticket) => tickets.push(ticket),
+        match tiny.submit(soak_request(id, &pool), reply.clone()) {
+            Ok(_) => {}
             Err(Rejected::Overloaded(overloaded)) => {
                 assert!(overloaded.capacity == 1);
                 overloaded_typed += 1;
@@ -736,9 +707,10 @@ fn self_test(invocation: &Invocation) -> Result<(), String> {
             Err(other) => return Err(format!("burst tripped the wrong rejection: {other}")),
         }
     }
-    for ticket in tickets {
-        ticket.wait();
-    }
+    // Each admitted job holds a sender clone until it has replied, so
+    // the channel closes once every one of them is answered.
+    drop(reply);
+    for _response in replies {}
     if overloaded_typed == 0 {
         return Err("backpressure check: a 16-request burst never tripped Overloaded".into());
     }
@@ -846,16 +818,46 @@ fn self_test(invocation: &Invocation) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufRead;
+    use std::sync::{Arc, Mutex};
+
+    /// Collects everything the loop writes to a stdio connection.
+    struct SharedWriter(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for SharedWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().expect("writer lock").extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serves `input` as a stdio connection through the loop until EOF
+    /// and returns the response lines.
+    fn serve_stdio(service: &Service, input: &[u8]) -> Vec<String> {
+        let (chunks, stdin) = mpsc::channel();
+        for chunk in input.chunks(CHUNK) {
+            chunks.send(Ok(chunk.to_vec())).unwrap();
+        }
+        drop(chunks);
+        let output = Arc::new(Mutex::new(Vec::new()));
+        let stdout = Box::new(SharedWriter(output.clone()));
+        serve(service, &[], Some(Stream::Stdio(stdin, stdout))).expect("EOF ends the loop cleanly");
+        let text = String::from_utf8(output.lock().expect("writer lock").clone()).unwrap();
+        text.lines().map(str::to_string).collect()
+    }
 
     #[test]
-    fn serve_stream_round_trips_requests() {
-        let service = Arc::new(Service::start(
+    fn stdio_connection_round_trips_requests() {
+        let service = Service::start(
             ServiceConfig::builder()
                 .workers(2)
                 .journal(4)
                 .build()
                 .unwrap(),
-        ));
+        );
         let input = concat!(
             "{\"id\":1,\"verb\":\"analyze\",\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}\n",
             "\n",
@@ -867,23 +869,8 @@ mod tests {
             "{\"v\":2,\"id\":6,\"verb\":\"analyze\",\"client\":\"t\",\"body\":{\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}}\n",
             "{\"v\":9,\"id\":7,\"verb\":\"analyze\",\"source\":\"x\"}\n",
         );
-        let output = Arc::new(Mutex::new(Vec::new()));
-
-        struct SharedWriter(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedWriter {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().expect("writer lock").extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        serve_stream(&service, input.as_bytes(), SharedWriter(output.clone())).unwrap();
-        let written = output.lock().expect("writer lock").clone();
-        let text = String::from_utf8(written).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        let lines = serve_stdio(&service, input.as_bytes());
+        let text = lines.join("\n");
         assert_eq!(
             lines.len(),
             8,
@@ -923,18 +910,149 @@ mod tests {
     }
 
     #[test]
-    fn poll_loop_multiplexes_tcp_connections_with_pipelined_requests() {
+    fn hostile_lines_get_one_bad_request_each_and_serving_continues() {
+        let service = Service::start(ServiceConfig::builder().workers(1).build().unwrap());
+        let mut input = "[".repeat(200_000).into_bytes();
+        input.push(b'\n');
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE + CHUNK));
+        input.push(b'\n');
+        // The last request ends at EOF rather than with a newline.
+        input.extend_from_slice(
+            b"{\"id\":3,\"verb\":\"analyze\",\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}",
+        );
+        let lines = serve_stdio(&service, &input);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert!(
+            lines[0].contains("\"kind\":\"bad_request\""),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[0].contains("nesting"), "{}", lines[0]);
+        assert!(
+            lines[1].contains("\"kind\":\"bad_request\""),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[1].contains("request line exceeds"), "{}", lines[1]);
+        assert!(
+            lines[2].starts_with("{\"id\":3,\"ok\":true"),
+            "{}",
+            lines[2]
+        );
+    }
+
+    #[test]
+    fn cancel_reaches_only_its_own_connection() {
         use std::io::BufReader;
 
-        let service = Arc::new(Service::start(
-            ServiceConfig::builder().workers(2).build().unwrap(),
-        ));
+        /// A journal sink that holds the single worker inside its first
+        /// event until the test releases it: a plug that stays in place
+        /// exactly as long as the test needs.
+        struct Gate {
+            entered: mpsc::Sender<()>,
+            release: Option<mpsc::Receiver<()>>,
+        }
+        impl Write for Gate {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if let Some(release) = self.release.take() {
+                    self.entered.send(()).unwrap();
+                    release.recv().unwrap();
+                }
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let service = Service::start(
+            ServiceConfig::builder()
+                .workers(1)
+                .queue(8)
+                .journal(8)
+                .build()
+                .unwrap(),
+        );
+        let (entered, plugged) = mpsc::channel();
+        let (unplug, release) = mpsc::channel();
+        assert!(service.set_journal_sink(Box::new(Gate {
+            entered,
+            release: Some(release),
+        })));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
-        let loop_service = service.clone();
         std::thread::spawn(move || {
-            let _ = serve_sockets(&loop_service, &[Listener::Tcp(listener)]);
+            let _ = serve(&service, &[Listener::Tcp(listener)], None);
+        });
+
+        let analyze = |id: u64, k: u64| {
+            format!("{{\"id\":{id},\"verb\":\"analyze\",\"source\":\"do i from 2 to n {{ X[i] := X[i-1] + {k}; }}\"}}\n")
+        };
+        let connect = || {
+            let stream = TcpStream::connect(addr).unwrap();
+            (stream.try_clone().unwrap(), BufReader::new(stream))
+        };
+        let read = |reader: &mut BufReader<TcpStream>| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            line
+        };
+        let (mut a, mut a_replies) = connect();
+        let (mut b, mut b_replies) = connect();
+
+        // The plug: the single worker blocks in its journal event.
+        a.write_all(analyze(1, 1).as_bytes()).unwrap();
+        plugged.recv().unwrap();
+        // B's 7 is queued once B's metrics reply (answered in the loop,
+        // after the 7 was submitted) comes back.
+        b.write_all(format!("{}{{\"id\":8,\"verb\":\"metrics\"}}\n", analyze(7, 2)).as_bytes())
+            .unwrap();
+        assert!(read(&mut b_replies).starts_with("{\"id\":8,\"ok\":true"));
+        // A queues its own 7 and cancels it in the same write.
+        a.write_all(
+            format!(
+                "{}{{\"id\":9,\"verb\":\"cancel\",\"target\":7}}\n",
+                analyze(7, 3)
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+        let cancel = read(&mut a_replies);
+        assert!(cancel.contains("\"in_flight\":true"), "{cancel}");
+
+        unplug.send(()).unwrap();
+        let mut a_lines = [read(&mut a_replies), read(&mut a_replies)];
+        a_lines.sort();
+        assert!(
+            a_lines[0].starts_with("{\"id\":1,\"ok\":true"),
+            "{}",
+            a_lines[0]
+        );
+        assert!(
+            a_lines[1].starts_with("{\"id\":7,\"ok\":false"),
+            "{}",
+            a_lines[1]
+        );
+        assert!(
+            a_lines[1].contains("\"kind\":\"cancelled\""),
+            "{}",
+            a_lines[1]
+        );
+        let b7 = read(&mut b_replies);
+        assert!(b7.starts_with("{\"id\":7,\"ok\":true"), "{b7}");
+    }
+
+    #[test]
+    fn poll_loop_multiplexes_tcp_connections_with_pipelined_requests() {
+        use std::io::BufReader;
+
+        let service = Service::start(ServiceConfig::builder().workers(2).build().unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        listener.set_nonblocking(true).unwrap();
+        std::thread::spawn(move || {
+            let _ = serve(&service, &[Listener::Tcp(listener)], None);
         });
 
         fn client(addr: std::net::SocketAddr, offset: u64) -> Vec<u64> {

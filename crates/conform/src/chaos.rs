@@ -24,7 +24,7 @@
 //! the *fault plan* is fully deterministic in the seed.
 
 use std::panic;
-use std::sync::Once;
+use std::sync::{mpsc, Once};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -243,24 +243,28 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
     let mut id = 0u64;
     while id < config.requests {
         let upper = (id + flight).min(config.requests);
-        let mut tickets = Vec::new();
+        let mut in_flight = Vec::new();
         for i in id..upper {
             let fault = faults[i as usize];
             let request = apply_fault(plan_request(i, &pool), fault);
-            match chaos_service.submit(request) {
-                Ok(ticket) => {
+            let (reply, response) = mpsc::channel();
+            match chaos_service.submit(request, reply) {
+                Ok(canceller) => {
                     if fault == Fault::Cancel {
-                        ticket.canceller().cancel();
+                        canceller.cancel();
                     }
-                    tickets.push((i, fault, ticket));
+                    in_flight.push((i, fault, response));
                 }
                 Err(e) => report
                     .violations
                     .push(format!("chaos run overloaded at id {i}: {e}")),
             }
         }
-        for (i, fault, ticket) in tickets {
-            let line = ticket.wait().line;
+        for (i, fault, response) in in_flight {
+            let line = response
+                .recv()
+                .expect("a worker answers every admitted request")
+                .line;
             let expected = &reference[i as usize];
             match fault {
                 Fault::None => {

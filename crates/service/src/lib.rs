@@ -4,8 +4,8 @@
 //! Architecture (see DESIGN.md "Service layer"):
 //!
 //! ```text
-//! submit ──► bounded admission queue ──► worker pool ──► response slot
-//!                │ full: typed               │
+//! submit ──► bounded admission queue ──► worker pool ──► caller's reply
+//!                │ full: typed               │            channel
 //!                ▼ Overloaded                ▼
 //!           (rejected, depth)      sharded LRU cache of
 //!                                  Arc<CompiledLoop> (hit: reuse
@@ -23,8 +23,8 @@
 //! * **Deadlines**: a per-request wall-clock budget checked between
 //!   pipeline stages (admission → compile → artifact build), on top of
 //!   the engine's own [`tpn::CompileOptions::step_budget`].
-//! * **Cancellation**: cooperative — [`Ticket::cancel`] flips a flag the
-//!   worker re-checks at the same stage boundaries.
+//! * **Cancellation**: cooperative — [`Canceller::cancel`] flips a flag
+//!   the worker re-checks at the same stage boundaries.
 //! * **Panic isolation**: a request that panics mid-compile poisons only
 //!   itself (`panic` error response); the worker survives, mirroring
 //!   [`tpn::batch`]'s per-item isolation.
@@ -46,7 +46,7 @@ use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -385,81 +385,27 @@ pub struct Response {
     pub line: String,
 }
 
-struct Slot {
-    response: Mutex<Option<Response>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn fill(&self, response: Response) {
-        *self.response.lock().expect("slot lock") = Some(response);
-        self.ready.notify_all();
-    }
-}
-
-/// A handle to one in-flight request.
-pub struct Ticket {
-    id: u64,
-    slot: Arc<Slot>,
-    cancel: Arc<AtomicBool>,
-}
-
-/// A cancellation handle detached from its [`Ticket`]: the serve
-/// front-end keeps these in its in-flight table while a waiter thread
-/// owns the ticket itself.
+/// Cancels one admitted request cooperatively: the worker honours it at
+/// the next stage boundary (a request already past its last check
+/// still completes normally).
 #[derive(Clone)]
 pub struct Canceller(Arc<AtomicBool>);
 
 impl Canceller {
-    /// Requests cooperative cancellation (see [`Ticket::cancel`]).
+    /// Requests cancellation.
     pub fn cancel(&self) {
         self.0.store(true, Ordering::Relaxed);
     }
 }
 
-impl Ticket {
-    /// The request's correlation id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// A cancellation handle that outlives [`wait`](Self::wait).
-    pub fn canceller(&self) -> Canceller {
-        Canceller(self.cancel.clone())
-    }
-
-    /// Requests cooperative cancellation; the worker honours it at the
-    /// next stage boundary (a request already past its last check still
-    /// completes normally).
-    pub fn cancel(&self) {
-        self.cancel.store(true, Ordering::Relaxed);
-    }
-
-    /// Blocks until the response is ready.
-    pub fn wait(self) -> Response {
-        let mut guard = self.slot.response.lock().expect("slot lock");
-        loop {
-            if let Some(response) = guard.take() {
-                return response;
-            }
-            guard = self.slot.ready.wait(guard).expect("slot lock");
-        }
-    }
-
-    /// Polls for the response without blocking.
-    pub fn try_wait(&self) -> Option<Response> {
-        self.slot.response.lock().expect("slot lock").take()
-    }
-}
-
 struct Job {
     request: Request,
-    slot: Arc<Slot>,
+    reply: mpsc::Sender<Response>,
     cancel: Arc<AtomicBool>,
     admitted: Instant,
     deadline: Option<Instant>,
     /// The client's in-flight slot; released when the job is dropped
-    /// (after the response slot is filled).
+    /// (after the response is sent).
     _in_flight: Option<InFlightGuard>,
 }
 
@@ -602,14 +548,20 @@ impl Service {
         }
     }
 
-    /// Submits a request for asynchronous execution.
+    /// Submits a request for asynchronous execution. A worker sends the
+    /// [`Response`] to `reply` once it completes; a dropped receiver
+    /// just discards it.
     ///
     /// # Errors
     ///
     /// [`Rejected::Overloaded`] when the admission queue is full,
     /// [`Rejected::RateLimited`] when the client's token bucket is empty
     /// or its in-flight cap is reached; nothing was enqueued either way.
-    pub fn submit(&self, request: Request) -> Result<Ticket, Rejected> {
+    pub fn submit(
+        &self,
+        request: Request,
+        reply: mpsc::Sender<Response>,
+    ) -> Result<Canceller, Rejected> {
         let in_flight = match &self.inner.limiter {
             Some(limiter) => match limiter.acquire(request.client.as_deref().unwrap_or_default()) {
                 Ok(guard) => Some(guard),
@@ -624,10 +576,6 @@ impl Service {
             },
             None => None,
         };
-        let slot = Arc::new(Slot {
-            response: Mutex::new(None),
-            ready: Condvar::new(),
-        });
         let cancel = Arc::new(AtomicBool::new(false));
         let now = Instant::now();
         let deadline = request
@@ -636,14 +584,13 @@ impl Service {
             .or(self.inner.default_deadline)
             .map(|budget| now + budget);
         let job = Job {
-            slot: slot.clone(),
+            reply,
             cancel: cancel.clone(),
             admitted: now,
             deadline,
             request,
             _in_flight: in_flight,
         };
-        let id = job.request.id;
         let verb = job.request.verb;
         match self.inner.queue.push(job) {
             Ok(()) => {
@@ -653,7 +600,7 @@ impl Service {
                     .verb(verb)
                     .accepted
                     .fetch_add(1, Ordering::Relaxed);
-                Ok(Ticket { id, slot, cancel })
+                Ok(Canceller(cancel))
             }
             Err((job, overloaded)) => {
                 self.inner
@@ -672,7 +619,11 @@ impl Service {
     ///
     /// [`Rejected`] when admission turns the request away.
     pub fn call(&self, request: Request) -> Result<Response, Rejected> {
-        self.submit(request).map(Ticket::wait)
+        let (reply, response) = mpsc::channel();
+        self.submit(request, reply)?;
+        Ok(response
+            .recv()
+            .expect("a worker answers every admitted request"))
     }
 
     /// A snapshot of the service's counters (the `metrics` verb's
@@ -800,7 +751,8 @@ fn worker_loop(inner: &Inner) {
         let id = job.request.id;
         let verb = job.request.verb;
         let admitted = job.admitted;
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute(inner, &job)));
+        let key = protocol::cache_key(&job.request.source, &job.request.options);
+        let outcome = catch_unwind(AssertUnwindSafe(|| execute(inner, &job, key)));
         let exec = match outcome {
             Ok(exec) => {
                 if exec.ok {
@@ -833,10 +785,7 @@ fn worker_loop(inner: &Inner) {
                     verb,
                     Verb::Cancel | Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal
                 ) {
-                    inner.cache.remove(protocol::cache_key(
-                        &job.request.source,
-                        &job.request.options,
-                    ));
+                    inner.cache.remove(key);
                 }
                 Exec::failed(
                     error_envelope(
@@ -864,10 +813,7 @@ fn worker_loop(inner: &Inner) {
                 seq: 0,
                 id,
                 verb: verb.as_str().into(),
-                source_digest: format!(
-                    "{:016x}",
-                    protocol::cache_key(&job.request.source, &job.request.options)
-                ),
+                source_digest: format!("{key:016x}"),
                 cache: exec.tier.into(),
                 engine: exec.engine.clone(),
                 engine_reason: exec.engine_reason.clone(),
@@ -878,7 +824,7 @@ fn worker_loop(inner: &Inner) {
                 outcome: exec.outcome.into(),
             });
         }
-        job.slot.fill(Response {
+        let _ = job.reply.send(Response {
             id,
             verb,
             ok: exec.ok,
@@ -888,8 +834,9 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Runs one request to a rendered response line plus its audit fields.
-fn execute(inner: &Inner, job: &Job) -> Exec {
+/// Runs one request (whose cache key is `key`) to a rendered response
+/// line plus its audit fields.
+fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
     let req = &job.request;
     let id = req.id;
     let verb = req.verb;
@@ -900,8 +847,9 @@ fn execute(inner: &Inner, job: &Job) -> Exec {
     }
 
     if verb == Verb::Cancel {
-        // The serve front-end resolves cancel against its ticket table;
-        // a cancel that reaches a worker targets an unknown request.
+        // The serve front-end resolves cancel against its in-flight
+        // table; a cancel that reaches a worker targets an unknown
+        // request.
         let line = error_envelope(
             req.v,
             id,
@@ -934,7 +882,6 @@ fn execute(inner: &Inner, job: &Job) -> Exec {
         return Exec::failed(line, "bad_request");
     }
 
-    let key = protocol::cache_key(&req.source, &req.options);
     let compile_start = Instant::now();
     let lookup = inner.cache.get(key);
     // Tier (and the seen-key set behind warm/miss) is tracked only when
@@ -1321,7 +1268,13 @@ mod tests {
             .as_deref()
             .unwrap()
             .starts_with("auto:"));
-        assert_eq!(events[0].source_digest.len(), 16);
+        assert_eq!(
+            events[0].source_digest,
+            format!(
+                "{:016x}",
+                protocol::cache_key(SOURCE, &request(1, Verb::Analyze).options)
+            )
+        );
 
         // The sink saw all three as parseable NDJSON lines; the first
         // request was the first-ever key, so a miss.

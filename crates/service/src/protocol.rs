@@ -1065,15 +1065,23 @@ impl JsonValue {
     }
 }
 
+/// The deepest nesting of objects and arrays [`parse_json`] accepts. The
+/// deepest request has 3 levels (envelope, `body`, `options`) and the
+/// deepest response the router re-parses has 5 (in `explain`); the cap
+/// keeps a hostile line from overflowing the parsing thread's stack.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses a complete JSON document (rejects trailing garbage).
 ///
 /// # Errors
 ///
-/// A message with the byte offset of the first syntax error.
+/// A message with the byte offset of the first syntax error, or of the
+/// first object or array nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -1087,6 +1095,8 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -1124,8 +1134,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -1133,6 +1143,23 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one object or array a level deeper, up to [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -1337,6 +1364,26 @@ mod tests {
         assert!(parse_json("[1,2] trailing").is_err());
         assert!(parse_json("{\"a\" 1}").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn parser_caps_nesting_before_the_stack_runs_out() {
+        let deep = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| parse_json(&"[".repeat(100_000)).unwrap_err())
+            .unwrap()
+            .join()
+            .expect("a deep line fails to parse instead of overflowing the stack");
+        assert!(deep.contains("nesting deeper than"), "{deep}");
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&nest(MAX_DEPTH + 1)).is_err());
+        // parse_request reports it as a plain bad request.
+        let line = format!(
+            "{{\"id\":1,\"verb\":\"analyze\",\"source\":{}}}",
+            nest(MAX_DEPTH)
+        );
+        assert!(matches!(parse_request(&line), Err(ParseError::Bad(_))));
     }
 
     #[test]

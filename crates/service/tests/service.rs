@@ -4,7 +4,7 @@
 //! every protocol verb.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 use tpn_service::protocol::{self, Request, Verb};
@@ -137,11 +137,15 @@ fn overload_is_a_typed_rejection() {
             .build()
             .unwrap(),
     );
-    let mut tickets = Vec::new();
+    let (reply, replies) = mpsc::channel();
+    let mut admitted = 0;
     let mut rejections = 0;
     for id in 0..32 {
-        match service.submit(request(id, Verb::Schedule, source(3, id), Some(2))) {
-            Ok(ticket) => tickets.push(ticket),
+        match service.submit(
+            request(id, Verb::Schedule, source(3, id), Some(2)),
+            reply.clone(),
+        ) {
+            Ok(_) => admitted += 1,
             Err(Rejected::Overloaded(overloaded)) => {
                 assert_eq!(overloaded.capacity, 2);
                 assert!(overloaded.depth <= 2);
@@ -151,8 +155,8 @@ fn overload_is_a_typed_rejection() {
         }
     }
     assert!(rejections > 0, "a 32-burst must overflow capacity 2");
-    for ticket in tickets {
-        assert!(ticket.wait().ok);
+    for _ in 0..admitted {
+        assert!(replies.recv().unwrap().ok);
     }
     let counters = service.counters();
     assert_eq!(counters.rejected_overloaded, rejections);
@@ -217,26 +221,31 @@ fn cancellation_is_cooperative() {
             .build()
             .unwrap(),
     );
-    let plugs: Vec<_> = (0..3)
-        .map(|i| {
-            service
-                .submit(request(i, Verb::Trace, source(3, 11 + i), None))
-                .expect("not overloaded")
-        })
-        .collect();
-    let victim = service
-        .submit(request(9, Verb::Analyze, source(1, 12), None))
-        .expect("not overloaded");
-    victim.cancel();
-    let response = victim.wait();
-    assert!(!response.ok);
-    assert!(
-        response.line.contains("\"kind\":\"cancelled\""),
-        "{}",
-        response.line
-    );
-    for plug in plugs {
-        assert!(plug.wait().ok);
+    let (reply, replies) = mpsc::channel();
+    for i in 0..3 {
+        service
+            .submit(
+                request(i, Verb::Trace, source(3, 11 + i), None),
+                reply.clone(),
+            )
+            .expect("not overloaded");
+    }
+    service
+        .submit(request(9, Verb::Analyze, source(1, 12), None), reply)
+        .expect("not overloaded")
+        .cancel();
+    for _ in 0..4 {
+        let response = replies.recv().unwrap();
+        if response.id == 9 {
+            assert!(!response.ok);
+            assert!(
+                response.line.contains("\"kind\":\"cancelled\""),
+                "{}",
+                response.line
+            );
+        } else {
+            assert!(response.ok, "{}", response.line);
+        }
     }
     assert_eq!(service.counters().cancelled, 1);
 }
