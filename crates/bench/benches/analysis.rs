@@ -1,6 +1,6 @@
 //! Criterion benches for critical-cycle analysis: exhaustive enumeration
-//! versus the exact parametric (Lawler / Stern–Brocot) method, the
-//! polynomial alternative the paper alludes to via the LP formulation.
+//! versus Howard's policy iteration in exact arithmetic (bench id
+//! `parametric`), which stands in for the LP formulation the paper cites.
 
 use std::time::Duration;
 

@@ -21,6 +21,14 @@
 //! - malformed lines and unsupported envelope versions are answered by
 //!   the router itself, without touching a shard.
 //!
+//! Client lines are capped at [`MAX_LINE`] bytes, like `tpnc serve`'s:
+//! once a connection holds that many bytes with no newline, the router
+//! answers one `bad_request` and discards input through the next
+//! newline; the connection stays open. Lines decode lossily, so invalid
+//! UTF-8 gets a typed reply too. Shard replies are read uncapped: the
+//! shards are the router's own children, and a trace reply can run to
+//! hundreds of kilobytes.
+//!
 //! A monitor thread restarts any shard process that dies; forwarding
 //! reconnects transparently. Requests in flight on a killed shard lose
 //! their responses — clients retry — but every request accepted after
@@ -28,12 +36,12 @@
 //! byte-identical to before the kill.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use tpn_service::protocol::{self, ParseError, Request, Verb};
+use tpn_service::protocol::{self, ParseError, Request, Verb, MAX_LINE};
 
 use crate::Invocation;
 
@@ -171,10 +179,10 @@ pub fn run(_invocation: &Invocation) -> Result<(), String> {
     Err("route requires a Unix platform".to_string())
 }
 
-/// One client connection: parse each line, pick a shard, forward the
-/// original bytes, and stream every shard's response lines back through
-/// a shared writer. Shard links open lazily and reconnect after a shard
-/// restart.
+/// One client connection: read each line under the [`MAX_LINE`] cap,
+/// parse it, pick a shard, forward the line as parsed, and stream every
+/// shard's response lines back through a shared writer. Shard links open
+/// lazily and reconnect after a shard restart.
 #[cfg(unix)]
 fn handle_client(
     client: std::os::unix::net::UnixStream,
@@ -204,13 +212,39 @@ fn handle_client(
         }
     };
 
-    let reader = BufReader::new(client);
-    for line in reader.lines() {
-        let line = line.map_err(|e| format!("error reading request: {e}"))?;
-        if line.trim().is_empty() {
+    let mut reader = BufReader::new(client);
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        let read = (&mut reader)
+            .take(MAX_LINE as u64)
+            .read_until(b'\n', &mut raw)
+            .map_err(|e| format!("error reading request: {e}"))?;
+        if read == 0 {
+            break;
+        }
+        if read == MAX_LINE && raw.last() != Some(&b'\n') {
+            reply(
+                &writer,
+                &protocol::error_line(
+                    0,
+                    None,
+                    "bad_request",
+                    &format!("request line exceeds {MAX_LINE} bytes"),
+                    None,
+                ),
+            )?;
+            reader
+                .skip_until(b'\n')
+                .map_err(|e| format!("error reading request: {e}"))?;
             continue;
         }
-        let (v, id, shard) = match protocol::parse_request(&line) {
+        let line = String::from_utf8_lossy(&raw);
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        let (v, id, shard) = match protocol::parse_request(line) {
             Ok(request) => {
                 let shard = shard_for(&request, &routes.lock().expect("route table"), shards);
                 if !matches!(
@@ -379,6 +413,60 @@ mod tests {
         // Unknown target: shard 0 answers with in_flight:false.
         cancel.target = Some(99);
         assert_eq!(shard_for(&cancel, &routes, 4), 0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn over_cap_lines_are_answered_before_their_newline_and_serving_continues() {
+        use std::os::unix::net::{UnixListener, UnixStream};
+
+        let shard_path =
+            std::env::temp_dir().join(format!("tpnc-route-cap-{}", std::process::id()));
+        let _ = std::fs::remove_file(&shard_path);
+        let shard = UnixListener::bind(&shard_path).expect("bind stand-in shard");
+        // A stand-in shard that answers the one forwarded line with itself.
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = shard.accept().expect("router connects");
+            let mut line = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut line)
+                .expect("shard reads");
+            (&stream).write_all(line.as_bytes()).expect("shard writes");
+        });
+        let paths = Arc::new(vec![shard_path.to_string_lossy().into_owned()]);
+        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let router = std::thread::spawn(move || handle_client(server, &paths));
+        let mut replies = BufReader::new(client.try_clone().expect("clone client"));
+        let mut next = || {
+            let mut line = String::new();
+            replies.read_line(&mut line).expect("router replies");
+            line
+        };
+
+        // No newline yet: the cap alone triggers the reply.
+        client.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
+        let bad = next();
+        assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
+        assert!(bad.contains("request line exceeds"), "{bad}");
+        // The rest of the long line is discarded; invalid UTF-8 gets a
+        // typed reply; the next request is forwarded.
+        let request =
+            r#"{"id":7,"verb":"analyze","source":"do i from 2 to n { X[i] := X[i-1] + 1; }"}"#;
+        client
+            .write_all(b"tail of the long line\n\xff\xfe\n")
+            .unwrap();
+        client.write_all(format!("{request}\n").as_bytes()).unwrap();
+        let invalid = next();
+        assert!(invalid.contains("\"kind\":\"bad_request\""), "{invalid}");
+        assert_eq!(next().trim_end(), request);
+        // Closing both client handles ends the connection.
+        drop((client, replies));
+        router.join().unwrap().expect("the connection ends cleanly");
+        shard.join().unwrap();
+        let _ = std::fs::remove_file(&shard_path);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::mpsc;
 use std::time::Duration;
 
 use serde::Serialize;
-use tpn_service::protocol::{self, ParseError, Request, Verb};
+use tpn_service::protocol::{self, ParseError, Request, Verb, MAX_LINE};
 use tpn_service::{
     journal_response_v, metrics_prometheus_response_v, metrics_response_v, Canceller, RateLimit,
     Rejected, Response, Service, ServiceConfig,
@@ -38,11 +38,6 @@ const JOURNAL_RING: usize = 256;
 /// reading from the connection until its responses drain (back-pressure
 /// instead of unbounded buffering).
 const WRITE_BUF_CAP: usize = 256 * 1024;
-
-/// Request-line cap: a connection holding this many bytes with no
-/// newline gets one `bad_request`, and its input is discarded through
-/// the next newline.
-const MAX_LINE: usize = 1024 * 1024;
 
 /// Bytes taken per read, from a socket or from the stdin reader thread.
 const CHUNK: usize = 4096;

@@ -4,7 +4,7 @@
 //! `γ = min M(C)/Ω(C)` over simple cycles, the earliest-firing schedule
 //! attains it, and storage minimisation must not move it — and the
 //! codebase implements each claim along several independent paths
-//! (enumeration, parametric search, simulation, trace replay, storage
+//! (enumeration, policy iteration, simulation, trace replay, storage
 //! rewriting).  This crate turns that redundancy into a test instrument:
 //!
 //! * [`gen`] — a seeded generator of live, safe SDSP loop bodies biased

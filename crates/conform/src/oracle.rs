@@ -8,8 +8,8 @@
 //! * **liveness** — `check_live_safe` confirms the generator's contract;
 //! * **enumeration** — [`analyze_cycles`] (Johnson-style enumeration of
 //!   every simple cycle, max `Ω(C)/M(C)`);
-//! * **parametric** — [`critical_ratio`] (Lawler's parametric search,
-//!   no enumeration);
+//! * **parametric** — [`critical_ratio`] (Howard's policy iteration, no
+//!   enumeration);
 //! * **rate** — the earliest-firing frustum simulation's measured rate
 //!   ([`RateReport`]), which Theorem 4.2 says attains the optimum;
 //! * **trace** — the firing trace derived from the frustum, replayed
@@ -209,7 +209,7 @@ fn run_case(
         return report;
     }
 
-    // Oracle 1: Lawler's parametric search — the baseline every other
+    // Oracle 1: Howard's policy iteration — the baseline every other
     // oracle is compared against.
     let param = match critical_ratio(&pn.net, &pn.marking) {
         Ok(p) => p,

@@ -5,7 +5,7 @@
 //! simulated one:
 //!
 //! * `AnalyticSchedule::rate()` (simulation-free construction),
-//! * `critical_ratio` (Lawler's parametric search),
+//! * `critical_ratio` (Howard's policy iteration),
 //! * the frustum `RateReport` (earliest-firing simulation);
 //!
 //! and the analytic schedule's synthesized firing trace must replay

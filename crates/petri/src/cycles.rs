@@ -9,8 +9,8 @@
 //! Cycle counts can be exponential in the worst case (the paper cites
 //! Magott's observation to this effect), so enumeration takes an explicit
 //! `limit` and fails with [`PetriError::TooManyCycles`] rather than
-//! diverging; the parametric search in [`crate::ratio`] covers nets too
-//! large to enumerate.
+//! diverging; policy iteration in [`crate::ratio`] covers nets too large
+//! to enumerate.
 
 use crate::error::PetriError;
 use crate::ids::{PlaceId, TransitionId};

@@ -22,9 +22,8 @@
 //! * [`cycles`] — enumeration of simple cycles (Johnson's algorithm on the
 //!   transition multigraph).
 //! * [`ratio`] — critical cycles: maximisation of Ω(C)/M(C) over simple
-//!   cycles, both by enumeration and by an exact parametric search
-//!   (Lawler's method driven by a Stern–Brocot descent), yielding the
-//!   optimal computation rate of §A.7.
+//!   cycles, both by enumeration and by Howard's policy iteration in
+//!   exact arithmetic, yielding the optimal computation rate of §A.7.
 //! * [`rational`] — a small exact rational type used for cycle times and
 //!   computation rates.
 //!

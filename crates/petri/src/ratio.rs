@@ -17,15 +17,14 @@
 //!
 //! * [`analyze_cycles`] — exhaustive enumeration via [`crate::cycles`],
 //!   exact but potentially exponential; returns every cycle with its ratio.
+//!   It serves `explain`'s runner-up table and is the tests' oracle.
 //! * [`critical_ratio`] — Howard's policy iteration over the transition
-//!   multigraph: exact rational arithmetic throughout, near-linear in
-//!   practice, with the critical cycle read off the converged policy. If
-//!   policy iteration fails to settle within its sweep budget (never
-//!   observed; the bound exists for totality) the solver falls back to
-//!   Lawler's parametric method — an exact Stern–Brocot descent over
-//!   candidate ratios, each step a positive-cycle (Bellman–Ford) test —
-//!   which is the polynomial-time replacement the paper alludes to when it
-//!   cites the linear-programming formulation of the cycle-time problem.
+//!   multigraph, the one solver production uses: exact rational arithmetic
+//!   throughout, a handful of sweeps in practice, with the critical cycle
+//!   read off the converged policy. The same solve also yields every weakly
+//!   connected component's cycle time ([`critical_ratio_by_component`]).
+//!   Policy iteration always terminates (the argument is on the solver),
+//!   but no polynomial bound on its sweep count is known.
 //!
 //! The implicit self-loop of Assumption A.6.1 (a transition cannot overlap
 //! its own firings) contributes the candidate cycle time `τ(t)` for every
@@ -161,8 +160,7 @@ pub fn analyze_cycles(
     })
 }
 
-/// Exact polynomial-time critical-cycle analysis (Lawler's parametric
-/// method with a Stern–Brocot descent).
+/// Exact critical-cycle analysis by Howard's policy iteration.
 ///
 /// # Errors
 ///
@@ -196,39 +194,7 @@ pub fn analyze_cycles(
 /// # Ok::<(), tpn_petri::PetriError>(())
 /// ```
 pub fn critical_ratio(net: &PetriNet, marking: &Marking) -> Result<CriticalRatio, PetriError> {
-    if net.num_transitions() == 0 {
-        return Err(PetriError::NoCycle);
-    }
-    net.validate_times()?;
-    check_live(net, marking)?;
-    let graph = ParamGraph::new(net, marking);
-
-    let (self_loop_time, self_loop_t) = net
-        .transitions()
-        .map(|(id, t)| (t.time(), id))
-        .max()
-        .expect("nonempty net");
-
-    let self_ratio = Ratio::from_integer(self_loop_time);
-    let Some((cycle_ratio, witness)) = max_cycle_ratio(&graph) else {
-        return Ok(CriticalRatio {
-            cycle_time: self_ratio,
-            rate: self_ratio.recip(),
-            witness: CriticalWitness::SelfLoop(self_loop_t),
-        });
-    };
-    if self_ratio > cycle_ratio {
-        return Ok(CriticalRatio {
-            cycle_time: self_ratio,
-            rate: self_ratio.recip(),
-            witness: CriticalWitness::SelfLoop(self_loop_t),
-        });
-    }
-    Ok(CriticalRatio {
-        cycle_time: cycle_ratio,
-        rate: cycle_ratio.recip(),
-        witness: CriticalWitness::Cycle(witness),
-    })
+    Ok(solve(net, marking)?.0)
 }
 
 /// The full scheduling witness behind an `explain` request: the solver's
@@ -334,7 +300,7 @@ impl RateExplanation {
 }
 
 /// Critical-cycle analysis with an explicit, self-checkable witness: runs
-/// the polynomial-time solver ([`critical_ratio`]) and the exhaustive
+/// the policy-iteration solver ([`critical_ratio`]) and the exhaustive
 /// Johnson enumeration ([`analyze_cycles`]) side by side. Enumeration
 /// blowing the `limit` degrades the runner-up table to `None` instead of
 /// failing; every other enumeration error is a real input defect and is
@@ -382,11 +348,27 @@ pub fn component_cycle_times(
     net: &PetriNet,
     marking: &Marking,
 ) -> Result<Vec<ComponentRatio>, PetriError> {
-    if net.num_transitions() == 0 {
-        return Err(PetriError::NoCycle);
-    }
-    net.validate_times()?;
-    check_live(net, marking)?;
+    Ok(critical_ratio_by_component(net, marking)?.1)
+}
+
+/// [`critical_ratio`] and [`component_cycle_times`] from one solve.
+///
+/// Policy iteration leaves every transition `u` with the ratio `λ[u]` of
+/// the policy cycle it reaches. At the fixpoint no arc leads to a
+/// transition of higher `λ`, and summing the no-improvement inequality
+/// around any cycle bounds its ratio by its transitions' `λ`, so `λ[u]`
+/// is the best cycle ratio reachable from `u`. Every such cycle lies in
+/// `u`'s weakly connected component, so a component's cycle time is
+/// `max(max τ, max λ)` over its members.
+///
+/// # Errors
+///
+/// Same conditions as [`critical_ratio`].
+pub fn critical_ratio_by_component(
+    net: &PetriNet,
+    marking: &Marking,
+) -> Result<(CriticalRatio, Vec<ComponentRatio>), PetriError> {
+    let (critical, lambda) = solve(net, marking)?;
     let n = net.num_transitions();
     // Union-find over undirected edges.
     let mut parent: Vec<usize> = (0..n).collect();
@@ -403,244 +385,95 @@ pub fn component_cycle_times(
         let (a, b) = (find(&mut parent, from), find(&mut parent, to));
         parent[a] = b;
     }
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut members: Vec<Vec<TransitionId>> = vec![Vec::new(); n];
     for v in 0..n {
         let root = find(&mut parent, v);
-        members[root].push(v);
+        members[root].push(TransitionId::from_index(v));
     }
-    let mut out = Vec::new();
-    for component in &members {
-        if component.is_empty() {
-            continue;
-        }
-        let mut keep = vec![false; n];
-        for &v in component {
-            keep[v] = true;
-        }
-        let graph = ParamGraph::subset(net, marking, &keep);
-        let self_loop = component
-            .iter()
-            .map(|&v| net.transition(TransitionId::from_index(v)).time())
-            .max()
-            .map(Ratio::from_integer)
-            .unwrap_or(Ratio::ZERO);
-        let cycle_time = match max_cycle_ratio(&graph) {
-            Some((ratio, _)) => self_loop.max(ratio),
-            None => self_loop,
-        };
-        out.push(ComponentRatio {
-            transitions: component
+    let components = members
+        .into_iter()
+        .filter(|component| !component.is_empty())
+        .map(|transitions| ComponentRatio {
+            cycle_time: transitions
                 .iter()
-                .map(|&v| TransitionId::from_index(v))
-                .collect(),
-            cycle_time,
-        });
-    }
-    Ok(out)
+                .map(|&t| lambda[t.index()].max(Ratio::from_integer(net.transition(t).time())))
+                .max()
+                .expect("components are nonempty"),
+            transitions,
+        })
+        .collect();
+    Ok((critical, components))
 }
 
-/// Edge list of the transition multigraph annotated with (τ, tokens).
+/// Validates the net and runs policy iteration once: the net-wide
+/// critical ratio (explicit cycles against the implicit self-loops) and
+/// every transition's `λ`.
+fn solve(net: &PetriNet, marking: &Marking) -> Result<(CriticalRatio, Vec<Ratio>), PetriError> {
+    if net.num_transitions() == 0 {
+        return Err(PetriError::NoCycle);
+    }
+    net.validate_times()?;
+    check_live(net, marking)?;
+    let (lambda, best) = ParamGraph::new(net, marking).howard();
+    let (self_loop_time, self_loop_t) = net
+        .transitions()
+        .map(|(id, t)| (t.time(), id))
+        .max()
+        .expect("nonempty net");
+    let self_ratio = Ratio::from_integer(self_loop_time);
+    let (cycle_time, witness) = match best {
+        Some((ratio, cycle)) if ratio >= self_ratio => (ratio, CriticalWitness::Cycle(cycle)),
+        _ => (self_ratio, CriticalWitness::SelfLoop(self_loop_t)),
+    };
+    let critical = CriticalRatio {
+        cycle_time,
+        rate: cycle_time.recip(),
+        witness,
+    };
+    Ok((critical, lambda))
+}
+
+/// The transition multigraph in CSR form, as policy iteration walks it:
+/// one flat arc array and one offset array (the solver is
+/// allocation-bound otherwise). Node `v`'s arcs are
+/// `arcs[start[v]..start[v + 1]]`, its real edges first, in place order,
+/// and its artificial self-loop in the last slot.
 struct ParamGraph {
-    n: usize,
-    /// `(from, to, place, time_of_source, tokens)`
-    edges: Vec<(usize, usize, PlaceId, u64, u64)>,
+    start: Vec<usize>,
+    /// `(to, τ_from, tokens, place)`; the self-loop has no place.
+    arcs: Vec<(usize, u64, u64, Option<PlaceId>)>,
 }
 
 impl ParamGraph {
     fn new(net: &PetriNet, marking: &Marking) -> Self {
-        let mut edges = Vec::with_capacity(net.num_places());
-        for (pid, place) in net.places() {
+        let n = net.num_transitions();
+        let mut start = vec![0usize; n + 1];
+        for (_, place) in net.places() {
             // Marked graph (validated by the caller): exactly one
             // producer and one consumer per place.
-            let from = place.preset()[0];
-            let to = place.postset()[0].index();
-            edges.push((
-                from.index(),
-                to,
-                pid,
-                net.transition(from).time(),
-                marking.tokens(pid) as u64,
-            ));
+            start[place.preset()[0].index() + 1] += 1;
         }
-        ParamGraph {
-            n: net.num_transitions(),
-            edges,
+        for v in 0..n {
+            start[v + 1] += start[v] + 1; // +1 for the self-loop slot
         }
-    }
-
-    /// Like [`ParamGraph::new`] but keeping only edges whose source
-    /// transition is in `keep` (a weakly connected component keeps exactly
-    /// its own edges: both endpoints lie inside it).
-    fn subset(net: &PetriNet, marking: &Marking, keep: &[bool]) -> Self {
-        let mut edges = Vec::new();
+        let mut arcs = vec![(0, 0, 1, None); start[n]];
+        let mut fill: Vec<usize> = start[..n].to_vec();
         for (pid, place) in net.places() {
             let from = place.preset()[0];
-            if !keep[from.index()] {
-                continue;
-            }
             let to = place.postset()[0].index();
-            edges.push((
-                from.index(),
-                to,
-                pid,
-                net.transition(from).time(),
-                marking.tokens(pid) as u64,
-            ));
+            let tokens = u64::from(marking.tokens(pid));
+            arcs[fill[from.index()]] = (to, net.transition(from).time(), tokens, Some(pid));
+            fill[from.index()] += 1;
         }
-        ParamGraph {
-            n: net.num_transitions(),
-            edges,
+        for (v, &slot) in fill.iter().enumerate() {
+            arcs[slot] = (v, 0, 1, None);
         }
+        ParamGraph { start, arcs }
     }
 
-    fn has_any_cycle(&self) -> bool {
-        // Kahn's algorithm: cycle exists iff topological sort is partial.
-        let mut indeg = vec![0usize; self.n];
-        for &(_, to, ..) in &self.edges {
-            indeg[to] += 1;
-        }
-        let mut queue: Vec<usize> = (0..self.n).filter(|&v| indeg[v] == 0).collect();
-        let mut seen = 0;
-        let mut adj = vec![Vec::new(); self.n];
-        for &(from, to, ..) in &self.edges {
-            adj[from].push(to);
-        }
-        while let Some(v) = queue.pop() {
-            seen += 1;
-            for &w in &adj[v] {
-                indeg[w] -= 1;
-                if indeg[w] == 0 {
-                    queue.push(w);
-                }
-            }
-        }
-        seen < self.n
-    }
-
-    /// Is there a cycle with `q·Ω(C) − p·M(C) > 0`, i.e. `Ω/M > p/q`?
-    fn exists_cycle_above(&self, p: u64, q: u64) -> bool {
-        self.positive_cycle(|time, tokens| {
-            (q as i128) * (time as i128) - (p as i128) * (tokens as i128)
-        })
-    }
-
-    /// Is there a cycle with `q·Ω(C) − p·M(C) ≥ 0`, i.e. `Ω/M ≥ p/q`?
-    fn exists_cycle_at_least(&self, p: u64, q: u64) -> bool {
-        // Scale so that "≥ 0" becomes "> 0": with at most `m` edges per
-        // simple cycle, (m+1)·w + 1 per edge is positive for a cycle iff
-        // the original weight is ≥ 0. (Bellman–Ford positive-cycle
-        // detection finds a positive *closed walk*, which always contains a
-        // positive simple cycle when all other cycles are ≤ 0... and any
-        // closed walk decomposes into simple cycles, so a positive walk
-        // implies a positive simple cycle.)
-        let m = self.edges.len() as i128 + 1;
-        self.positive_cycle(|time, tokens| {
-            m * ((q as i128) * (time as i128) - (p as i128) * (tokens as i128)) + 1
-        })
-    }
-
-    /// Bellman–Ford detection of a positive-weight cycle under the edge
-    /// weight function `weight(τ_source, tokens)`.
-    fn positive_cycle(&self, weight: impl Fn(u64, u64) -> i128) -> bool {
-        // Longest-path relaxation from an implicit super-source (d ≡ 0).
-        let mut d = vec![0i128; self.n];
-        for pass in 0..=self.n {
-            let mut improved = false;
-            for &(from, to, _, time, tokens) in &self.edges {
-                let cand = d[from] + weight(time, tokens);
-                if cand > d[to] {
-                    d[to] = cand;
-                    improved = true;
-                }
-            }
-            if !improved {
-                return false;
-            }
-            if pass == self.n {
-                return true;
-            }
-        }
-        unreachable!("loop returns on the final pass")
-    }
-
-    /// Extracts a cycle attaining ratio exactly `p/q` (callers guarantee
-    /// `p/q` is the maximum ratio, so tight edges w.r.t. converged
-    /// longest-path potentials contain such a cycle).
-    fn tight_cycle(&self, p: u64, q: u64) -> Cycle {
-        let w =
-            |time: u64, tokens: u64| (q as i128) * (time as i128) - (p as i128) * (tokens as i128);
-        // Converge longest-path potentials (no positive cycles at p/q).
-        let mut d = vec![0i128; self.n];
-        for _ in 0..=self.n {
-            let mut improved = false;
-            for &(from, to, _, time, tokens) in &self.edges {
-                let cand = d[from] + w(time, tokens);
-                if cand > d[to] {
-                    d[to] = cand;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        // Tight subgraph: d[from] + w == d[to].
-        let mut tight: Vec<Vec<(usize, PlaceId)>> = vec![Vec::new(); self.n];
-        for &(from, to, place, time, tokens) in &self.edges {
-            if d[from] + w(time, tokens) == d[to] {
-                tight[from].push((to, place));
-            }
-        }
-        // Any cycle in the tight subgraph has total weight 0, i.e. ratio
-        // exactly p/q. Find one with an iterative DFS.
-        let mut colour = vec![0u8; self.n];
-        let mut parent: Vec<(usize, PlaceId)> = vec![(usize::MAX, PlaceId::from_index(0)); self.n];
-        for root in 0..self.n {
-            if colour[root] != 0 {
-                continue;
-            }
-            let mut stack: Vec<(usize, usize)> = vec![(root, 0)];
-            colour[root] = 1;
-            while let Some(&mut (v, ref mut ei)) = stack.last_mut() {
-                if *ei < tight[v].len() {
-                    let (to, place) = tight[v][*ei];
-                    *ei += 1;
-                    match colour[to] {
-                        0 => {
-                            colour[to] = 1;
-                            parent[to] = (v, place);
-                            stack.push((to, 0));
-                        }
-                        1 => {
-                            // Cycle to -> ... -> v -> to found.
-                            let mut transitions = vec![TransitionId::from_index(v)];
-                            let mut places = vec![place];
-                            let mut cur = v;
-                            while cur != to {
-                                let (prev, via) = parent[cur];
-                                transitions.push(TransitionId::from_index(prev));
-                                places.push(via);
-                                cur = prev;
-                            }
-                            // Collected back-to-front: reversing both lists
-                            // leaves places[i] as the edge out of
-                            // transitions[i].
-                            transitions.reverse();
-                            places.reverse();
-                            return Cycle::new(transitions, places);
-                        }
-                        _ => {}
-                    }
-                } else {
-                    colour[v] = 2;
-                    stack.pop();
-                }
-            }
-        }
-        unreachable!("a maximum-ratio cycle is always present in the tight subgraph")
-    }
-
-    /// Maximum cycle ratio by Howard's policy iteration.
+    /// Maximum cycle ratio by Howard's policy iteration: every node's `λ`
+    /// (the best cycle ratio reachable from it, zero if none) and, unless
+    /// the graph is acyclic, a cycle attaining the largest `λ`.
     ///
     /// Every node is given an artificial self-loop of ratio `0/1` (zero
     /// time, one token) so a policy always exists and cycle-free regions
@@ -652,36 +485,27 @@ impl ParamGraph {
     /// fixpoint is exact: summing the no-improvement inequality
     /// `q·τ − p·m + d[to] ≤ d[from]` around an arbitrary cycle `C` gives
     /// `q·Ω(C) − p·M(C) ≤ 0`, i.e. `Ω/M ≤ λ_max`, and `λ_max` is itself
-    /// attained by a policy cycle. Only termination within the sweep
-    /// budget is heuristic; on exhaustion the caller falls back to the
-    /// parametric method, so the budget affects speed, never the answer.
+    /// attained by a policy cycle.
     ///
-    /// Returns `Ok(None)` when the graph has no cycle at all.
-    fn howard(&self) -> Result<Option<(Ratio, Cycle)>, HowardDiverged> {
-        let n = self.n;
-        if n == 0 {
-            return Ok(None);
-        }
-        // CSR out-adjacency (one flat arc array, one offset array — the
-        // solver is allocation-bound otherwise): each node's real edges
-        // first, its artificial self-loop in the last slot.
-        // Arcs are (to, time, tokens, place).
-        let mut start = vec![0usize; n + 1];
-        for &(from, ..) in &self.edges {
-            start[from + 1] += 1;
-        }
-        for v in 0..n {
-            start[v + 1] += start[v] + 1; // +1 for the self-loop slot
-        }
-        let mut arcs: Vec<(usize, u64, u64, Option<PlaceId>)> = vec![(0, 0, 1, None); start[n]];
-        let mut fill: Vec<usize> = start[..n].to_vec();
-        for &(from, to, place, time, tokens) in &self.edges {
-            arcs[fill[from]] = (to, time, tokens, Some(place));
-            fill[from] += 1;
-        }
-        for v in 0..n {
-            arcs[fill[v]] = (v, 0, 1, None);
-        }
+    /// The loop terminates because each policy cycle is evaluated from a
+    /// fixed reference, its smallest-index node, where `d = 0`:
+    ///
+    /// * a policy cycle that persists across a sweep keeps its `λ` and `d`;
+    /// * a switch raises that node's `(λ, d)` lexicographically, and no
+    ///   node's pair falls;
+    /// * a cycle formed only by equal-`λ` switches that gain `d` has
+    ///   positive scaled weight, so its ratio exceeds the old `λ`.
+    ///
+    /// Every sweep that switches some node therefore raises the vector of
+    /// `(λ, d)` pairs, which is a function of the policy alone, so no
+    /// policy repeats and the finitely many policies run out. A reference
+    /// taken where the walk happens to enter the cycle can move while the
+    /// cycle persists, and with it `d`; that rule cycles forever on some
+    /// generated nets. No polynomial bound on the number of sweeps is
+    /// known (DESIGN.md records the counts measured on real inputs).
+    fn howard(&self) -> (Vec<Ratio>, Option<(Ratio, Cycle)>) {
+        let (start, arcs) = (&self.start, &self.arcs);
+        let n = start.len() - 1;
         // Start on the self-loops: λ ≡ 0, the first sweep bootstraps.
         // `policy[u]` indexes `arcs` directly.
         let mut policy: Vec<usize> = (0..n).map(|v| start[v + 1] - 1).collect();
@@ -690,7 +514,7 @@ impl ParamGraph {
         let mut state = vec![0u8; n];
         let mut path = Vec::with_capacity(n);
 
-        for _ in 0..HOWARD_SWEEPS {
+        loop {
             // Evaluate: resolve every node's reached policy cycle (λ) and
             // scaled value d by walking the functional graph once.
             state.fill(0); // 0 = unvisited, 1 = on the current walk, 2 = resolved
@@ -706,12 +530,15 @@ impl ParamGraph {
                     u = arcs[policy[u]].0;
                 }
                 let resolved_from = if state[u] == 1 {
-                    // New cycle: path[pos..] in policy order, closing at u,
-                    // with u as the d = 0 reference.
+                    // New cycle: path[pos..] in policy order, rotated to
+                    // start at its smallest-index node, the d = 0
+                    // reference.
                     let pos = path.iter().position(|&x| x == u).expect("u is on the walk");
-                    let cyc = &path[pos..];
+                    let cyc = &mut path[pos..];
+                    let least = (0..cyc.len()).min_by_key(|&i| cyc[i]).expect("nonempty");
+                    cyc.rotate_left(least);
                     let (mut time_sum, mut token_sum) = (0u64, 0u64);
-                    for &x in cyc {
+                    for &x in cyc.iter() {
                         let (_, time, tokens, _) = arcs[policy[x]];
                         time_sum += time;
                         token_sum += tokens;
@@ -720,9 +547,10 @@ impl ParamGraph {
                     // checked), artificial loops carry one token.
                     let ratio = Ratio::new(time_sum, token_sum);
                     let (p, q) = (ratio.numer() as i128, ratio.denom() as i128);
-                    lambda[u] = ratio;
-                    d[u] = 0;
-                    state[u] = 2;
+                    let reference = cyc[0];
+                    lambda[reference] = ratio;
+                    d[reference] = 0;
+                    state[reference] = 2;
                     for i in (pos + 1..path.len()).rev() {
                         let x = path[i];
                         let (to, time, tokens, _) = arcs[policy[x]];
@@ -768,140 +596,37 @@ impl ParamGraph {
                     improved = true;
                 }
             }
-            if improved {
-                continue;
+            if !improved {
+                break;
             }
-            // Converged. λ_max = 0 means the only cycles are artificial.
-            let best = (0..n).max_by_key(|&u| lambda[u]).expect("n > 0");
-            if lambda[best] == Ratio::ZERO {
-                return Ok(None);
-            }
-            // Walk from the best node onto its policy cycle and read the
-            // witness off the policy edges.
-            let mut mark = vec![false; n];
-            let mut u = best;
-            while !mark[u] {
-                mark[u] = true;
-                u = arcs[policy[u]].0;
-            }
-            let entry = u;
-            let mut transitions = Vec::new();
-            let mut places = Vec::new();
-            loop {
-                let (to, _, _, place) = arcs[policy[u]];
-                transitions.push(TransitionId::from_index(u));
-                places.push(place.expect("a positive-ratio cycle has no artificial edges"));
-                u = to;
-                if u == entry {
-                    break;
-                }
-            }
-            return Ok(Some((lambda[best], Cycle::new(transitions, places))));
         }
-        Err(HowardDiverged)
-    }
-}
-
-/// Sweep budget for Howard's policy iteration. Convergence on real nets
-/// takes a handful of sweeps; the cap only bounds the cost of the (never
-/// observed) divergent case before the exact fallback takes over.
-const HOWARD_SWEEPS: usize = 256;
-
-/// Marker: policy iteration hit [`HOWARD_SWEEPS`] without converging.
-struct HowardDiverged;
-
-/// Maximum cycle ratio `max Ω(C)/M(C)` with a witness cycle attaining it,
-/// or `None` for an acyclic graph. Howard's policy iteration answers in
-/// near-linear time; the Stern–Brocot parametric descent backs it up so
-/// the result is exact regardless of how policy iteration behaves.
-fn max_cycle_ratio(graph: &ParamGraph) -> Option<(Ratio, Cycle)> {
-    match graph.howard() {
-        Ok(answer) => answer,
-        Err(HowardDiverged) => {
-            if !graph.has_any_cycle() {
-                return None;
-            }
-            let (p, q) = stern_brocot(graph);
-            Some((Ratio::new(p, q), graph.tight_cycle(p, q)))
+        // Converged. λ_max = 0 means the only cycles are artificial.
+        let best = (0..n).max_by_key(|&u| lambda[u]).expect("n > 0");
+        if lambda[best] == Ratio::ZERO {
+            return (lambda, None);
         }
-    }
-}
-
-/// Exact Stern–Brocot descent for the maximum cycle ratio.
-///
-/// Maintains an open interval `(a/b, c/d)` of the Stern–Brocot tree that
-/// contains the answer, and walks continued-fraction steps with exponential
-/// galloping. Requires that the graph has at least one cycle and every
-/// cycle has positive token count.
-fn stern_brocot(graph: &ParamGraph) -> (u64, u64) {
-    // λ* ≥ smallest possible positive ratio, and test_ge(0,1) is trivially
-    // true; handle the exact-zero case first (cannot happen with τ ≥ 1, but
-    // keeps the function total).
-    if !graph.exists_cycle_above(0, 1) {
-        return (0, 1);
-    }
-    // Invariant: a/b < λ* < c/d (with c/d possibly 1/0 = ∞).
-    let (mut a, mut b, mut c, mut d) = (0u64, 1u64, 1u64, 0u64);
-    loop {
-        let (p, q) = (a + c, b + d);
-        if graph.exists_cycle_above(p, q) {
-            // λ* > mediant: gallop toward c/d. Find the largest k ≥ 1 with
-            // λ* > (a + k·c)/(b + k·d).
-            let above = |k: u64| graph.exists_cycle_above(a + k * c, b + k * d);
-            let mut hi_k = 2u64;
-            while above(hi_k) {
-                hi_k *= 2;
-            }
-            // Largest good k in [hi_k/2, hi_k).
-            let (mut lo_k, mut bad_k) = (hi_k / 2, hi_k);
-            while bad_k - lo_k > 1 {
-                let mid = lo_k + (bad_k - lo_k) / 2;
-                if above(mid) {
-                    lo_k = mid;
-                } else {
-                    bad_k = mid;
-                }
-            }
-            let (np, nq) = (a + bad_k * c, b + bad_k * d);
-            if graph.exists_cycle_at_least(np, nq) {
-                return (np, nq);
-            }
-            a += lo_k * c;
-            b += lo_k * d;
-            c = np;
-            d = nq;
-        } else if graph.exists_cycle_at_least(p, q) {
-            return (p, q);
-        } else {
-            // λ* < mediant: gallop toward a/b. Find the largest k ≥ 1 with
-            // λ* < (k·a + c)/(k·b + d).
-            let below = |k: u64| {
-                let (p, q) = (k * a + c, k * b + d);
-                !graph.exists_cycle_at_least(p, q)
-            };
-            let mut hi_k = 2u64;
-            while below(hi_k) {
-                hi_k *= 2;
-            }
-            let (mut lo_k, mut bad_k) = (hi_k / 2, hi_k);
-            while bad_k - lo_k > 1 {
-                let mid = lo_k + (bad_k - lo_k) / 2;
-                if below(mid) {
-                    lo_k = mid;
-                } else {
-                    bad_k = mid;
-                }
-            }
-            // λ* ≥ (bad_k·a + c)/(bad_k·b + d); equal?
-            let (np, nq) = (bad_k * a + c, bad_k * b + d);
-            if !graph.exists_cycle_above(np, nq) {
-                return (np, nq);
-            }
-            c += lo_k * a;
-            d += lo_k * b;
-            a = np;
-            b = nq;
+        // Walk from the best node onto its policy cycle and read the
+        // witness off the policy edges.
+        let mut mark = vec![false; n];
+        let mut u = best;
+        while !mark[u] {
+            mark[u] = true;
+            u = arcs[policy[u]].0;
         }
+        let entry = u;
+        let mut transitions = Vec::new();
+        let mut places = Vec::new();
+        loop {
+            let (to, _, _, place) = arcs[policy[u]];
+            transitions.push(TransitionId::from_index(u));
+            places.push(place.expect("a positive-ratio cycle has no artificial edges"));
+            u = to;
+            if u == entry {
+                break;
+            }
+        }
+        let ratio = lambda[best];
+        (lambda, Some((ratio, Cycle::new(transitions, places))))
     }
 }
 
@@ -1115,7 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_matches_parametric_on_two_cycle_net() {
+    fn enumeration_matches_policy_iteration_on_two_cycle_net() {
         // Ring of 3 (time 3, 1 token) plus chord creating 2-cycle with its
         // own token; ratios 3/1 vs 2/1.
         let (mut net, mut m) = ring(&[1, 1, 1], &[1, 0, 0]);
@@ -1175,8 +900,8 @@ mod tests {
     }
 
     #[test]
-    fn large_integer_ratio_galloping() {
-        // One cycle with Ω = 1000, M = 1: exercises the rightward gallop.
+    fn large_integer_ratio() {
+        // One cycle with Ω = 1000, M = 1.
         let times: Vec<u64> = vec![100; 10];
         let tokens = {
             let mut v = vec![0u32; 10];
@@ -1189,35 +914,34 @@ mod tests {
     }
 
     #[test]
-    fn howard_agrees_with_the_parametric_descent() {
-        let mut gallop_times = vec![1u64; 51];
-        gallop_times[7] = 9;
-        let mut gallop_tokens = vec![1u32; 51];
-        gallop_tokens[3] = 0;
+    fn howard_agrees_with_enumeration() {
+        let mut long_times = vec![1u64; 51];
+        long_times[7] = 9;
+        let mut long_tokens = vec![1u32; 51];
+        long_tokens[3] = 0;
         let fixtures = [
             ring(&[1, 1, 1], &[1, 0, 0]),
             ring(&[2, 3, 1], &[1, 1, 0]),
             ring(&[1, 1, 1, 1, 1], &[1, 0, 1, 0, 0]),
             ring(&[2, 1, 1, 3], &[1, 0, 1, 0]),
-            ring(&gallop_times, &gallop_tokens),
+            ring(&long_times, &long_tokens),
         ];
         for (net, m) in fixtures {
-            let graph = ParamGraph::new(&net, &m);
-            let Ok(Some((ratio, cycle))) = graph.howard() else {
-                panic!("policy iteration did not converge on a small ring");
-            };
-            let (p, q) = stern_brocot(&graph);
-            assert_eq!(ratio, Ratio::new(p, q));
+            let (_, best) = ParamGraph::new(&net, &m).howard();
+            let (ratio, cycle) = best.expect("a ring has a cycle");
+            let enumerated = analyze_cycles(&net, &m, 64).unwrap();
+            let best_cycle = enumerated.cycles.iter().map(|c| c.cycle_time).max();
+            assert_eq!(Some(ratio), best_cycle);
             // The witness really attains the ratio.
             assert_eq!(Ratio::new(cycle.time_sum(&net), cycle.token_sum(&m)), ratio);
         }
     }
 
     #[test]
-    fn near_unit_ratio_galloping() {
-        // Cycle with Ω = 51, M = 50 (ratio slightly above 1): exercises the
-        // leftward gallop. Build a ring of 50 unit transitions, one of time
-        // 2, with a token on every place.
+    fn near_unit_ratio() {
+        // Cycle with Ω = 51, M = 50 (ratio slightly above 1). Build a ring
+        // of 50 unit transitions, one of time 2, with a token on every
+        // place.
         let mut times = vec![1u64; 50];
         times[7] = 2;
         let tokens = vec![1u32; 50];

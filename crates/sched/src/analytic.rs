@@ -6,8 +6,8 @@
 //! instants in the worst case. For a pure marked graph (no SCP run place,
 //! no structural conflict) the steady state is already determined by the
 //! critical cycle time `α* = max Ω(C)/M(C)`, which
-//! [`tpn_petri::ratio::critical_ratio`] computes exactly in polynomial
-//! time. This module turns that rational directly into a periodic
+//! [`tpn_petri::ratio::critical_ratio`] computes exactly by policy
+//! iteration. This module turns that rational directly into a periodic
 //! schedule:
 //!
 //! 1. **Offsets.** With `α* = p/q` in lowest terms, every place
@@ -15,9 +15,8 @@
 //!    `σ_v ≥ σ_u + τ_u − m·α*` on fractional start offsets `σ`. Scaling
 //!    by `q` makes the weights integral (`q·τ_u − m·p`); the least
 //!    non-negative solution is the longest-path fixpoint from an implicit
-//!    super-source (`d ≡ 0`), exactly the relaxation the parametric
-//!    method itself uses. Because `α*` is the *maximum* cycle ratio, no
-//!    positive cycle exists and the relaxation converges.
+//!    super-source (`d ≡ 0`). Because `α*` is the *maximum* cycle ratio,
+//!    no positive cycle exists and the relaxation converges.
 //! 2. **Balanced words.** The `j`-th firing of transition `t` is placed
 //!    at `S_t(j) = ⌈(σ'_t + j·p) / q⌉`. Each transition's firing
 //!    pattern over the `p`-cycle period is therefore the *mechanical*
@@ -35,7 +34,7 @@
 
 use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
-use tpn_petri::ratio::{component_cycle_times, critical_ratio};
+use tpn_petri::ratio::{critical_ratio_by_component, ComponentRatio};
 use tpn_petri::rational::Ratio;
 use tpn_petri::timed::marking_digest;
 use tpn_petri::trace::{EventKind, FiringEvent};
@@ -84,12 +83,13 @@ impl AnalyticSchedule {
             return Err(SchedError::EmptyLoop);
         }
         let net = &pn.net;
-        let cr = critical_ratio(net, &pn.marking)?;
+        let (cr, components) = critical_ratio_by_component(net, &pn.marking)?;
+        check_uniform_components(pn, cr.cycle_time, &components)?;
         let (p, q) = (cr.cycle_time.numer(), cr.cycle_time.denom());
 
         // Edge list of the transition multigraph with scaled weights
-        // q·τ_u − m·p (critical_ratio validated the marked-graph shape,
-        // so every place has exactly one producer and one consumer).
+        // q·τ_u − m·p (the solve validated the marked-graph shape, so
+        // every place has exactly one producer and one consumer).
         let n = net.num_transitions();
         let mut edges: Vec<(usize, usize, i128)> = Vec::with_capacity(net.num_places());
         for (pid, place) in net.places() {
@@ -100,8 +100,6 @@ impl AnalyticSchedule {
             let w = (q as i128) * (tau as i128) - (m as i128) * (p as i128);
             edges.push((from.index(), to, w));
         }
-
-        check_uniform_components(pn, cr.cycle_time, &edges, n)?;
 
         // Longest-path fixpoint from the implicit super-source d ≡ 0.
         // α* being the maximum cycle ratio guarantees no positive cycle,
@@ -295,37 +293,10 @@ impl AnalyticSchedule {
 fn check_uniform_components(
     pn: &SdspPn,
     cycle_time: Ratio,
-    edges: &[(usize, usize, i128)],
-    n: usize,
+    comps: &[ComponentRatio],
 ) -> Result<(), SchedError> {
-    // Union-find over the undirected edge set.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut v: usize) -> usize {
-        while parent[v] != v {
-            parent[v] = parent[parent[v]];
-            v = parent[v];
-        }
-        v
-    }
-    for &(from, to, _) in edges {
-        let (a, b) = (find(&mut parent, from), find(&mut parent, to));
-        parent[a] = b;
-    }
-    let mut seen = vec![false; n];
-    let mut roots = 0usize;
-    for v in 0..n {
-        let r = find(&mut parent, v);
-        if !seen[r] {
-            seen[r] = true;
-            roots += 1;
-        }
-    }
-    if roots <= 1 {
-        return Ok(());
-    }
-    let comps = component_cycle_times(&pn.net, &pn.marking)?;
     let Some(slow) = comps.iter().find(|c| c.cycle_time != cycle_time) else {
-        return Ok(()); // equal rates: a uniform periodic schedule exists
+        return Ok(()); // one component, or equal rates: a uniform schedule exists
     };
     let fast = comps
         .iter()
@@ -334,12 +305,10 @@ fn check_uniform_components(
     // Representative loop node of a component: the first loop node whose
     // transition belongs to it (every component contains a loop node —
     // buffer transitions only arise on edges between nodes).
-    let node_in = |comp: &tpn_petri::ratio::ComponentRatio| -> NodeId {
-        let members: std::collections::HashSet<TransitionId> =
-            comp.transitions.iter().copied().collect();
+    let node_in = |comp: &ComponentRatio| -> NodeId {
         pn.transition_of
             .iter()
-            .position(|t| members.contains(t))
+            .position(|t| comp.transitions.binary_search(t).is_ok())
             .map(NodeId::from_index)
             .expect("every component contains a loop node")
     };

@@ -44,7 +44,7 @@ pub enum SchedError {
     /// bound `1/n`) are undefined.
     EmptyLoop,
     /// The net exceeds the exhaustive optimality checker's size gate
-    /// ([`crate::exact::EXACT_LIMIT`]); fall back to the polynomial
+    /// ([`crate::exact::EXACT_LIMIT`]); fall back to the scalable
     /// analyses.
     ExactTooLarge {
         /// Transitions in the offered net.

@@ -1071,6 +1071,11 @@ impl JsonValue {
 /// keeps a hostile line from overflowing the parsing thread's stack.
 pub const MAX_DEPTH: usize = 64;
 
+/// The request-line cap of `tpnc serve` and `tpnc route`: a connection
+/// holding this many bytes with no newline gets one `bad_request`, and
+/// its input is discarded through the next newline.
+pub const MAX_LINE: usize = 1024 * 1024;
+
 /// Parses a complete JSON document (rejects trailing garbage).
 ///
 /// # Errors
@@ -1079,6 +1084,7 @@ pub const MAX_DEPTH: usize = 64;
 /// first object or array nested deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let mut parser = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -1093,6 +1099,7 @@ pub fn parse_json(text: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Objects and arrays open around `pos`.
@@ -1291,12 +1298,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar from the source text.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash as one
+                    // slice: both are ASCII, so the run ends on a char
+                    // boundary of the source text.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -1355,6 +1364,16 @@ mod tests {
     fn parser_handles_unicode_escapes() {
         let value = parse_json(r#"{"s":"é😀"}"#).unwrap();
         assert_eq!(value.get("s"), Some(&JsonValue::Str("é😀".into())));
+    }
+
+    #[test]
+    fn parser_copies_long_and_multibyte_strings_whole() {
+        let long = "x".repeat(1 << 20);
+        let value = parse_json(&format!("{{\"s\":\"{long}\"}}")).unwrap();
+        assert_eq!(value.get("s"), Some(&JsonValue::Str(long)));
+        let text = "π ≈ 3.14 — naïve 😀 \\ \"q\"";
+        let value = parse_json(&serde_json::to_string(&text).unwrap()).unwrap();
+        assert_eq!(value, JsonValue::Str(text.into()));
     }
 
     #[test]

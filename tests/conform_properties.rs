@@ -1,13 +1,15 @@
 //! Workspace-level properties of the conformance harness: the generated
 //! population passes the full differential oracle stack, frustum
 //! detection on single-critical-cycle nets stays inside the proven §4
-//! polynomial bounds (with the bound constants pinned), and injected
-//! rate bugs are caught by at least two independent oracles.
+//! polynomial bounds (with the bound constants pinned), injected rate
+//! bugs are caught by at least two independent oracles, and per-component
+//! cycle times of a disjoint union match each part solved alone.
 
 use proptest::prelude::*;
 use tpn_conform::{check_mutated, check_sdsp, Mutation, MutationOutcome, OracleConfig, Shape};
 use tpn_dataflow::to_petri::to_petri;
-use tpn_petri::ratio::analyze_cycles;
+use tpn_petri::gen::MarkedGraphGen;
+use tpn_petri::ratio::{analyze_cycles, component_cycle_times, critical_ratio};
 use tpn_sched::bounds::{
     bd_sdsp, theoretical_steps_multiple_critical, theoretical_steps_single_critical, BoundCheck,
 };
@@ -82,6 +84,56 @@ proptest! {
             "n = {n}: repeat_time {} > n^3",
             check.repeat_time
         );
+    }
+
+    /// One solve of a disjoint union of generated nets lists every
+    /// component inside a single part, and each part's slowest component
+    /// runs at the part's own critical cycle time (a weakly connected
+    /// part is exactly one component).
+    #[test]
+    fn component_cycle_times_match_each_part_solved_alone(
+        seed in any::<u64>(),
+        parts in prop::collection::vec((0u64..256, shapes()), 1..5),
+    ) {
+        let mut union = MarkedGraphGen::new();
+        let mut expected = Vec::new();
+        let mut base = 0;
+        for (k, &(case, shape)) in parts.iter().enumerate() {
+            let sdsp = tpn_conform::generate(seed, case, shape);
+            let pn = to_petri(&sdsp);
+            let ts: Vec<_> = pn
+                .net
+                .transitions()
+                .map(|(_, t)| union.transition(format!("{k}.{}", t.name()), t.time()))
+                .collect();
+            for (pid, place) in pn.net.places() {
+                let (from, to) = (place.preset()[0].index(), place.postset()[0].index());
+                union.arc(ts[from], ts[to], pn.marking.tokens(pid));
+            }
+            let alone = critical_ratio(&pn.net, &pn.marking).unwrap().cycle_time;
+            expected.push((base..base + ts.len(), alone, sdsp.is_weakly_connected()));
+            base += ts.len();
+        }
+        let (net, marking) = union.finish();
+        let comps = component_cycle_times(&net, &marking).unwrap();
+        let listed: usize = comps.iter().map(|c| c.transitions.len()).sum();
+        prop_assert_eq!(listed, net.num_transitions());
+        for (part, (range, alone, connected)) in expected.iter().enumerate() {
+            let inside: Vec<_> = comps
+                .iter()
+                .filter(|c| range.contains(&c.transitions[0].index()))
+                .collect();
+            for c in &inside {
+                prop_assert!(c.transitions.iter().all(|t| range.contains(&t.index())));
+            }
+            if *connected {
+                prop_assert_eq!(inside.len(), 1, "part {} is one component", part);
+            }
+            let slowest = inside.iter().map(|c| c.cycle_time).max();
+            prop_assert_eq!(slowest, Some(*alone), "part {}", part);
+        }
+        let overall = expected.iter().map(|&(_, alone, _)| alone).max();
+        prop_assert_eq!(Some(critical_ratio(&net, &marking).unwrap().cycle_time), overall);
     }
 
     /// The mutation harness: a deliberately injected rate bug in the

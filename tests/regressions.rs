@@ -242,3 +242,17 @@ fn regression_scp_chain_depth1() {
     let steady = steady_state_net(&scp.net, &f);
     assert!(steady.net.is_marked_graph());
 }
+
+/// `tpnc fuzz --seed 0 --shape mixed`, case 55: policy iteration that
+/// evaluated each policy cycle from wherever its walk entered the cycle
+/// switched policies forever here. With the smallest-index node as every
+/// cycle's reference it converges, in agreement with Johnson enumeration.
+#[test]
+fn regression_howard_converges_on_mixed_seed0_case55() {
+    let sdsp = tpn_conform::generate(0, 55, tpn_conform::Shape::Mixed);
+    let pn = to_petri(&sdsp);
+    let solved = critical_ratio(&pn.net, &pn.marking).unwrap();
+    let enumerated = analyze_cycles(&pn.net, &pn.marking, 1 << 14).unwrap();
+    assert_eq!(solved.cycle_time, enumerated.cycle_time);
+    assert_eq!(solved.cycle_time, Ratio::from_integer(7));
+}
