@@ -706,15 +706,10 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
     Ok(invocation)
 }
 
-/// Compiles one source, transparently accepting A-code dumps. Live
-/// event recording is switched on whenever a trace will be consumed, so
-/// the exported timeline comes from the engine's own sink rather than a
-/// post-hoc derivation.
+/// Compiles one source, transparently accepting A-code dumps.
 fn compile(source: &str, invocation: &Invocation) -> Result<CompiledLoop, String> {
-    let wants_trace = invocation.command == Command::Trace || invocation.trace_path.is_some();
     let options = tpn::CompileOptions::new()
         .profile(invocation.profile || invocation.format == Format::Prometheus)
-        .trace(wants_trace)
         .engine(invocation.engine);
     if source.trim_start().starts_with(".sdsp") {
         let sdsp = tpn::dataflow::acode::read(source).map_err(|e| e.to_string())?;
@@ -1365,6 +1360,17 @@ mod tests {
         assert!(execute(&inv, L5).unwrap().contains("minimised"));
         let inv = parse_args(args("storage - --balance")).unwrap();
         assert!(execute(&inv, L5).unwrap().contains("balanced"));
+    }
+
+    #[test]
+    fn storage_text_reports_no_saving_without_locations() {
+        // Livermore loop 12 reads only inputs: no data arc, no location.
+        let inv = parse_args(args("storage -")).unwrap();
+        let out = execute(&inv, "doall k from 1 to n { X[k] := Y[k+1] - Y[k]; }").unwrap();
+        assert!(
+            out.contains("storage 0 -> 0 locations (saving 0)"),
+            "got: {out}"
+        );
     }
 
     #[test]

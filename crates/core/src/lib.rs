@@ -65,13 +65,9 @@ use tpn_dataflow::{DataflowError, Sdsp};
 use tpn_lang::LangError;
 use tpn_petri::ratio::{critical_ratio, explain_rate, CriticalWitness};
 use tpn_petri::rational::Ratio;
-use tpn_petri::timed::EagerPolicy;
-use tpn_petri::trace::RingRecorder;
 use tpn_petri::PetriError;
 use tpn_sched::analytic::AnalyticSchedule;
-use tpn_sched::frustum::{
-    detect_frustum, detect_frustum_eager, detect_frustum_with_sink, FrustumReport,
-};
+use tpn_sched::frustum::{detect_frustum, detect_frustum_eager, FrustumReport};
 pub use tpn_sched::policy::SchedulePolicy;
 use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
 use tpn_sched::rate::{RateReport, ScpRateReport};
@@ -175,15 +171,8 @@ pub struct CompileOptions {
     step_budget: Option<u64>,
     issue_policy: IssuePolicy,
     profile: bool,
-    trace: bool,
-    trace_capacity: Option<usize>,
     engine: SchedulePolicy,
 }
-
-/// Default ceiling on the live trace recorder's event buffer: enough for
-/// every example model's full run while keeping the preallocation tens of
-/// kilobytes, not tens of megabytes, on worst-case budgets.
-const TRACE_CAPACITY_CAP: usize = 1 << 16;
 
 impl CompileOptions {
     /// Defaults: unit node times, automatic budget, FIFO issue.
@@ -230,34 +219,6 @@ impl CompileOptions {
         self
     }
 
-    /// Enables live firing-event tracing (default off). When set, frustum
-    /// detection runs with a preallocated [`RingRecorder`] attached, and
-    /// [`CompiledLoop::firing_trace`] / [`CompiledLoop::scp_trace`] return
-    /// the recorded stream. When unset the engine's untraced fast path
-    /// runs (the trace can still be *derived* on demand from the stored
-    /// step records — recording only changes how the trace is obtained,
-    /// never its contents).
-    #[must_use]
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace = enabled;
-        self
-    }
-
-    /// Overrides the live recorder's event capacity (default: twice the
-    /// worst-case event count, capped at 64 Ki events). If a run outgrows
-    /// the ring the oldest events are dropped and the facade falls back to
-    /// deriving the complete trace from the step records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `events == 0`.
-    #[must_use]
-    pub fn trace_capacity(mut self, events: usize) -> Self {
-        assert!(events > 0, "trace capacity must be positive");
-        self.trace_capacity = Some(events);
-        self
-    }
-
     /// Selects the steady-state scheduling engine (default
     /// [`SchedulePolicy::Auto`]: analytic construction from the critical
     /// ratio on pure marked graphs, frustum simulation otherwise). The
@@ -295,16 +256,6 @@ impl CompileOptions {
         self.profile
     }
 
-    /// Whether live firing-event tracing is enabled.
-    pub fn get_trace(&self) -> bool {
-        self.trace
-    }
-
-    /// The configured recorder capacity, if any.
-    pub fn get_trace_capacity(&self) -> Option<usize> {
-        self.trace_capacity
-    }
-
     /// The configured scheduling engine.
     pub fn get_engine(&self) -> SchedulePolicy {
         self.engine
@@ -312,9 +263,8 @@ impl CompileOptions {
 
     /// A stable 64-bit fingerprint of every configuration field, for use
     /// in content-addressed cache keys: two option sets fingerprint
-    /// equally iff they compile loops identically (including whether a
-    /// live trace is recorded). FNV-1a over a canonical field encoding,
-    /// stable across processes and platforms.
+    /// equally iff they compile loops identically. FNV-1a over a canonical
+    /// field encoding, stable across processes and platforms.
     pub fn fingerprint(&self) -> u64 {
         fn eat(h: u64, byte: u8) -> u64 {
             (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -341,8 +291,12 @@ impl CompileOptions {
             },
         );
         h = eat(h, u8::from(self.profile));
-        h = eat(h, u8::from(self.trace));
-        h = eat_opt(h, self.trace_capacity.map(|v| v as u64));
+        // The bytes of two removed fields (a `false` flag and an absent
+        // capacity). The cache key names the artifact store's objects and
+        // picks the router's shard, so every option set keeps the key it
+        // had while those fields existed.
+        h = eat(h, 0);
+        h = eat_opt(h, None);
         h = eat(
             h,
             match self.engine {
@@ -461,17 +415,12 @@ pub struct Explanation {
 /// explanation instead of failing.
 const EXPLAIN_CYCLE_LIMIT: usize = 4096;
 
-/// The frustum cache entry: the report plus the trace recorded alongside
-/// it (present only when tracing was enabled *and* the ring kept every
-/// event).
-type FrustumEntry = (Arc<FrustumReport>, Option<Arc<FiringTrace>>);
-
 /// Memoized stage results. Every slot is filled at most once (per SCP
 /// depth for `scp`) and shared across calls and clones.
 #[derive(Default)]
 struct Caches {
     analysis: OnceLock<Result<Analysis, Error>>,
-    frustum: OnceLock<Result<FrustumEntry, Error>>,
+    frustum: OnceLock<Result<Arc<FrustumReport>, Error>>,
     trace: OnceLock<Result<Arc<FiringTrace>, Error>>,
     schedule: OnceLock<Result<Arc<LoopSchedule>, Error>>,
     rates: OnceLock<Result<RateReport, Error>>,
@@ -551,10 +500,9 @@ pub struct ScpRun {
     pub schedule: LoopSchedule,
     /// Rates and pipeline utilisation (Table 2's columns).
     pub rates: ScpRateReport,
-    /// The firing trace recorded during detection, when
-    /// [`CompileOptions::trace`] was set and the ring kept every event
-    /// (use [`CompiledLoop::scp_trace`] to get a trace unconditionally).
-    pub trace: Option<Arc<FiringTrace>>,
+    /// The run's firing trace, derived from `frustum` on the first
+    /// [`CompiledLoop::scp_trace`] call and shared after that.
+    trace: OnceLock<Arc<FiringTrace>>,
 }
 
 impl CompiledLoop {
@@ -850,61 +798,21 @@ impl CompiledLoop {
     ///
     /// [`Error::Sched`] if the budget is exhausted (or the net deadlocks).
     pub fn frustum(&self) -> Result<Arc<FrustumReport>, Error> {
-        self.frustum_entry().map(|(f, _)| f)
-    }
-
-    /// The effective recorder capacity for a net with `transitions`
-    /// transitions (see [`CompileOptions::trace_capacity`]).
-    fn effective_trace_capacity(&self, transitions: usize) -> usize {
-        self.options.trace_capacity.unwrap_or_else(|| {
-            // Worst case: every transition starts and completes once per
-            // instant of the budget. Cap the preallocation; overflow falls
-            // back to derivation.
-            2usize
-                .saturating_mul(transitions.saturating_add(1))
-                .saturating_mul((self.budget() as usize).saturating_add(1))
-                .min(TRACE_CAPACITY_CAP)
-        })
-    }
-
-    fn frustum_entry(&self) -> Result<FrustumEntry, Error> {
         self.caches
             .frustum
             .get_or_init(|| {
-                let mut recorder = self.options.trace.then(|| {
-                    RingRecorder::with_capacity(
-                        self.effective_trace_capacity(self.pn.net.num_transitions()),
-                    )
-                });
-                let report = self.span("frustum_detection", || match &mut recorder {
-                    Some(rec) => detect_frustum_with_sink(
-                        &self.pn.net,
-                        self.pn.marking.clone(),
-                        EagerPolicy,
-                        self.budget(),
-                        rec,
-                    ),
-                    None => {
-                        detect_frustum_eager(&self.pn.net, self.pn.marking.clone(), self.budget())
-                    }
+                let report = self.span("frustum_detection", || {
+                    detect_frustum_eager(&self.pn.net, self.pn.marking.clone(), self.budget())
                 })?;
-                let trace = recorder
-                    .map(|rec| FiringTrace::from_recorded(&self.pn.net, &report, rec))
-                    .filter(FiringTrace::is_complete)
-                    .map(Arc::new);
-                Ok((Arc::new(report), trace))
+                Ok(Arc::new(report))
             })
             .clone()
     }
 
     /// The loop's firing trace: the full start/complete event stream of
     /// the detection run with the frustum window annotated as spans (see
-    /// [`tpn_sched::trace`]). Memoized; reuses the shared frustum.
-    ///
-    /// With [`CompileOptions::trace`] set this is the stream recorded live
-    /// during detection; otherwise (or if the bounded recorder
-    /// overflowed) the identical stream is derived from the stored step
-    /// records. A zero-node loop yields the valid empty trace.
+    /// [`tpn_sched::trace`]), derived from the shared frustum's step
+    /// records. Memoized. A zero-node loop yields the valid empty trace.
     ///
     /// # Errors
     ///
@@ -916,21 +824,17 @@ impl CompiledLoop {
                 if self.size() == 0 {
                     return Ok(Arc::new(FiringTrace::empty()));
                 }
-                let (frustum, recorded) = self.frustum_entry()?;
-                Ok(match recorded {
-                    Some(trace) => trace,
-                    None => Arc::new(self.span("trace_derivation", || {
-                        FiringTrace::from_frustum(&self.pn.net, &self.pn.marking, &frustum)
-                    })),
-                })
+                let frustum = self.frustum()?;
+                Ok(Arc::new(self.span("trace_derivation", || {
+                    FiringTrace::from_frustum(&self.pn.net, &self.pn.marking, &frustum)
+                })))
             })
             .clone()
     }
 
     /// The firing trace of the depth-`depth` SCP run, with dummy
-    /// transitions marked as pipeline stages. Recorded live when
-    /// [`CompileOptions::trace`] is set, else derived from the run's
-    /// step records.
+    /// transitions marked as pipeline stages, derived from the run's step
+    /// records. Memoized per depth alongside the run.
     ///
     /// # Errors
     ///
@@ -941,12 +845,14 @@ impl CompiledLoop {
     /// Panics if `depth == 0`.
     pub fn scp_trace(&self, depth: u64) -> Result<Arc<FiringTrace>, Error> {
         let run = self.scp(depth)?;
-        Ok(match &run.trace {
-            Some(trace) => trace.clone(),
-            None => Arc::new(self.span("trace_derivation", || {
-                FiringTrace::from_scp_frustum(&run.model, &run.frustum)
-            })),
-        })
+        Ok(run
+            .trace
+            .get_or_init(|| {
+                Arc::new(self.span("trace_derivation", || {
+                    FiringTrace::from_scp_frustum(&run.model, &run.frustum)
+                }))
+            })
+            .clone())
     }
 
     /// Independently validates the loop's firing trace: replays markings
@@ -1132,40 +1038,17 @@ impl CompiledLoop {
             build_scp(&self.pn, depth)
         });
         let budget = self.budget().saturating_mul(depth.max(1));
-        let mut recorder = self.options.trace.then(|| {
-            RingRecorder::with_capacity(self.effective_trace_capacity(model.net.num_transitions()))
-        });
         let frustum = self.span(&format!("scp_detection[l={depth}]"), || {
             let marking = model.marking.clone();
-            match (&mut recorder, self.options.issue_policy) {
-                (None, IssuePolicy::Fifo) => {
+            match self.options.issue_policy {
+                IssuePolicy::Fifo => {
                     detect_frustum(&model.net, marking, FifoPolicy::new(&model), budget)
                 }
-                (None, IssuePolicy::Priority) => {
+                IssuePolicy::Priority => {
                     detect_frustum(&model.net, marking, PriorityPolicy::new(&model), budget)
                 }
-                (Some(rec), IssuePolicy::Fifo) => detect_frustum_with_sink(
-                    &model.net,
-                    marking,
-                    FifoPolicy::new(&model),
-                    budget,
-                    rec,
-                ),
-                (Some(rec), IssuePolicy::Priority) => detect_frustum_with_sink(
-                    &model.net,
-                    marking,
-                    PriorityPolicy::new(&model),
-                    budget,
-                    rec,
-                ),
             }
         })?;
-        let trace = recorder
-            .map(|rec| {
-                FiringTrace::from_recorded(&model.net, &frustum, rec).with_node_mask(&model.is_sdsp)
-            })
-            .filter(FiringTrace::is_complete)
-            .map(Arc::new);
         let schedule = LoopSchedule::from_scp_frustum(&self.sdsp, &model, &frustum)?;
         let rates = ScpRateReport::for_scp(&model, &frustum)?;
         Ok(ScpRun {
@@ -1173,7 +1056,7 @@ impl CompiledLoop {
             frustum,
             schedule,
             rates,
-            trace,
+            trace: OnceLock::new(),
         })
     }
 
@@ -1257,7 +1140,7 @@ impl CompiledLoop {
     /// [`batch::parallel_map_profiled`].
     pub fn metrics_report(&self) -> metrics::MetricsReport {
         let mut detections = Vec::new();
-        if let Some(Ok((f, _))) = self.caches.frustum.get() {
+        if let Some(Ok(f)) = self.caches.frustum.get() {
             detections.push(metrics::DetectionCounters::from_stats("frustum", &f.stats));
         }
         let scp = self.caches.scp.lock().expect("scp cache poisoned");
@@ -1411,6 +1294,10 @@ mod tests {
         let scp1 = lp.scp(8).unwrap();
         let scp2 = lp.scp(8).unwrap();
         assert!(Arc::ptr_eq(&scp1, &scp2));
+        // The SCP trace is derived on first request only, then shared.
+        assert!(scp1.trace.get().is_none(), "scp() derived a trace");
+        let t1 = lp.scp_trace(8).unwrap();
+        assert!(Arc::ptr_eq(&t1, &lp.scp_trace(8).unwrap()));
         // Clones share the already-computed results.
         let clone = lp.clone();
         assert!(Arc::ptr_eq(&f1, &clone.frustum().unwrap()));
@@ -1426,8 +1313,6 @@ mod tests {
             CompileOptions::new().step_budget(77),
             CompileOptions::new().issue_policy(IssuePolicy::Priority),
             CompileOptions::new().profile(true),
-            CompileOptions::new().trace(true),
-            CompileOptions::new().trace_capacity(8),
             CompileOptions::new().engine(SchedulePolicy::Analytic),
             CompileOptions::new().engine(SchedulePolicy::Frustum),
         ];
@@ -1444,14 +1329,10 @@ mod tests {
             .node_time(3)
             .step_budget(9)
             .issue_policy(IssuePolicy::Priority)
-            .trace(true)
-            .trace_capacity(4)
             .profile(true);
         assert_eq!(o.get_node_time(), Some(3));
         assert_eq!(o.get_step_budget(), Some(9));
         assert_eq!(o.get_issue_policy(), IssuePolicy::Priority);
-        assert!(o.get_trace());
-        assert_eq!(o.get_trace_capacity(), Some(4));
         assert!(o.get_profile());
         assert_eq!(o.get_engine(), SchedulePolicy::Auto);
         assert_eq!(

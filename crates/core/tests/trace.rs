@@ -1,9 +1,8 @@
 //! End-to-end checks of the firing-event tracing subsystem through the
-//! [`CompiledLoop`] facade: byte-level determinism, equality of the
-//! live-recorded and step-record-derived traces, and replay validation
+//! [`CompiledLoop`] facade: byte-level determinism and replay validation
 //! (safety, liveness, steady-state rate) over every Livermore kernel.
 
-use tpn::{CompileOptions, CompiledLoop};
+use tpn::CompiledLoop;
 use tpn_livermore::kernels;
 
 const L5: &str = "do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); }";
@@ -16,25 +15,6 @@ fn traces_are_deterministic_across_compilations() {
     let tb = b.firing_trace().unwrap();
     assert_eq!(ta.chrome_trace_json(), tb.chrome_trace_json());
     assert_eq!(ta.jsonl(), tb.jsonl());
-}
-
-#[test]
-fn recorded_and_derived_traces_are_byte_identical() {
-    for k in kernels() {
-        let recorded =
-            CompiledLoop::from_source_with(k.source, CompileOptions::new().trace(true)).unwrap();
-        let derived = CompiledLoop::from_source(k.source).unwrap();
-        let tr = recorded.firing_trace().unwrap();
-        let td = derived.firing_trace().unwrap();
-        assert!(tr.is_complete(), "{}: recording overflowed", k.name);
-        assert_eq!(
-            tr.chrome_trace_json(),
-            td.chrome_trace_json(),
-            "{}: recorded and derived Chrome exports differ",
-            k.name
-        );
-        assert_eq!(tr.jsonl(), td.jsonl(), "{}: JSONL exports differ", k.name);
-    }
 }
 
 #[test]
@@ -61,24 +41,6 @@ fn replay_validation_confirms_scp_runs() {
 }
 
 #[test]
-fn an_overflowed_recording_falls_back_to_the_derived_trace() {
-    // Two events of capacity cannot hold a whole detection run; the
-    // facade must discard the clipped ring and derive the full trace
-    // from the step records instead.
-    let clipped =
-        CompiledLoop::from_source_with(L5, CompileOptions::new().trace(true).trace_capacity(2))
-            .unwrap();
-    let reference = CompiledLoop::from_source(L5).unwrap();
-    let tc = clipped.firing_trace().unwrap();
-    assert!(tc.is_complete());
-    assert_eq!(
-        tc.chrome_trace_json(),
-        reference.firing_trace().unwrap().chrome_trace_json()
-    );
-    clipped.validate_trace().unwrap();
-}
-
-#[test]
 fn degenerate_loops_trace_and_validate() {
     // A zero-node body has nothing to fire: the trace is empty but well
     // formed, and validation accepts it trivially.
@@ -95,23 +57,4 @@ fn degenerate_loops_trace_and_validate() {
     let v = single.validate_trace().unwrap();
     assert!(v.is_safe());
     assert!(v.events_checked > 0);
-}
-
-#[test]
-fn tracing_does_not_change_analysis_results() {
-    for k in kernels().iter().take(4) {
-        let traced =
-            CompiledLoop::from_source_with(k.source, CompileOptions::new().trace(true)).unwrap();
-        let plain = CompiledLoop::from_source(k.source).unwrap();
-        let ft = traced.frustum().unwrap();
-        let fp = plain.frustum().unwrap();
-        assert_eq!(ft.start_time, fp.start_time, "{}", k.name);
-        assert_eq!(ft.repeat_time, fp.repeat_time, "{}", k.name);
-        assert_eq!(
-            traced.rate_report().unwrap().measured,
-            plain.rate_report().unwrap().measured,
-            "{}",
-            k.name
-        );
-    }
 }

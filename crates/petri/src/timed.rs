@@ -43,7 +43,6 @@ use crate::error::PetriError;
 use crate::ids::{PlaceId, TransitionId};
 use crate::marking::Marking;
 use crate::net::PetriNet;
-use crate::trace::{EventKind, FiringEvent, NullSink, TraceSink};
 
 /// Marking plus residual firing times: the full execution state at an
 /// instant.
@@ -167,7 +166,7 @@ pub fn state_digest(state: &InstantaneousState, policy_fingerprint: u64) -> u64 
 
 /// The additive hash of a marking alone (no residuals, no policy state).
 #[inline]
-fn marking_raw_digest(marking: &Marking) -> u64 {
+fn raw_marking_digest(marking: &Marking) -> u64 {
     let mut raw = 0u64;
     for (p, count) in marking.marked_places() {
         raw = raw.wrapping_add(place_word(p.index()).wrapping_mul(count as u64));
@@ -177,14 +176,51 @@ fn marking_raw_digest(marking: &Marking) -> u64 {
 
 /// Computes the 64-bit digest of a marking alone.
 ///
-/// This is the digest stamped on every [`FiringEvent`]: unlike the full
-/// state digest it ignores residual firing times and policy state, so the
+/// This is the digest stamped on every
+/// [`FiringEvent`](crate::trace::FiringEvent): unlike the full state
+/// digest it ignores residual firing times and policy state, so the
 /// marking — and hence this digest — changes only *at* start/complete
 /// events. A consumer replaying nothing but the event stream can therefore
 /// reproduce and verify it exactly (the trace-replay validator in
-/// `tpn-sched` does).
+/// `tpn-sched` does). [`MarkingHash`] maintains the same value across
+/// token moves.
 pub fn marking_digest(marking: &Marking) -> u64 {
-    mix64(marking_raw_digest(marking))
+    mix64(raw_marking_digest(marking))
+}
+
+/// A running [`marking_digest`]: the additive place words of a marking,
+/// updated per firing in O(arcs touched) instead of rehashed in
+/// O(places) per event.
+#[derive(Clone, Copy, Debug)]
+pub struct MarkingHash {
+    raw: u64,
+}
+
+impl MarkingHash {
+    /// Seeds the hash with `marking`.
+    pub fn new(marking: &Marking) -> Self {
+        MarkingHash {
+            raw: raw_marking_digest(marking),
+        }
+    }
+
+    /// Deposits one token on each output place of `t` (a completion) and
+    /// returns the digest of the resulting marking.
+    pub fn produce(&mut self, net: &PetriNet, t: TransitionId) -> u64 {
+        for &p in net.transition(t).outputs() {
+            self.raw = self.raw.wrapping_add(place_word(p.index()));
+        }
+        mix64(self.raw)
+    }
+
+    /// Takes one token from each input place of `t` (a start) and returns
+    /// the digest of the resulting marking.
+    pub fn consume(&mut self, net: &PetriNet, t: TransitionId) -> u64 {
+        for &p in net.transition(t).inputs() {
+            self.raw = self.raw.wrapping_sub(place_word(p.index()));
+        }
+        mix64(self.raw)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,9 +487,6 @@ pub struct Engine<'a, P> {
     /// Additive state hash, updated in lockstep with every token move and
     /// residual change (before policy-fingerprint folding).
     raw_digest: u64,
-    /// Additive hash of the marking alone, maintained unconditionally so
-    /// traced and untraced steps can interleave (see [`marking_digest`]).
-    marking_raw: u64,
     time: u64,
     policy: P,
     started: bool,
@@ -491,14 +524,10 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
 
     fn new_unchecked(net: &'a PetriNet, initial_marking: Marking, policy: P) -> Self {
         let state = InstantaneousState::initial(net, initial_marking);
-        let mut raw_digest = 0u64;
-        for (p, count) in state.marking.marked_places() {
-            raw_digest = raw_digest.wrapping_add(place_word(p.index()).wrapping_mul(count as u64));
-        }
+        let raw_digest = raw_marking_digest(&state.marking);
         Engine {
             net,
             state,
-            marking_raw: raw_digest,
             raw_digest,
             time: 0,
             policy,
@@ -513,7 +542,13 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     ///
     /// Panics if called twice, or after [`tick`](Self::tick).
     pub fn start(&mut self) -> StepRecord {
-        self.start_traced(&mut NullSink)
+        assert!(!self.started, "start() must be the first step");
+        self.started = true;
+        self.stats.instants += 1;
+        let completed = Vec::new();
+        let started = self.fire_phase();
+        self.policy.on_instant_end(self.net, &self.state, self.time);
+        self.record(completed, started)
     }
 
     /// Executes the next instant: completions, then earliest-rule starts.
@@ -522,41 +557,11 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     ///
     /// Panics if [`start`](Self::start) has not been called.
     pub fn tick(&mut self) -> StepRecord {
-        self.tick_traced(&mut NullSink)
-    }
-
-    /// [`start`](Self::start), narrating each firing event to `sink`.
-    ///
-    /// With [`NullSink`] this monomorphizes to exactly the untraced step
-    /// (`S::ENABLED` is a constant, so every recording branch folds away).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice, or after [`tick`](Self::tick).
-    pub fn start_traced<S: TraceSink>(&mut self, sink: &mut S) -> StepRecord {
-        assert!(!self.started, "start() must be the first step");
-        self.started = true;
-        self.stats.instants += 1;
-        let completed = Vec::new();
-        let started = self.fire_phase(sink);
-        self.policy.on_instant_end(self.net, &self.state, self.time);
-        self.record(completed, started)
-    }
-
-    /// [`tick`](Self::tick), narrating each firing event to `sink`.
-    ///
-    /// Traced and untraced steps may interleave freely on one engine; the
-    /// sink simply misses the events of untraced instants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`start`](Self::start) has not been called.
-    pub fn tick_traced<S: TraceSink>(&mut self, sink: &mut S) -> StepRecord {
         assert!(self.started, "call start() before tick()");
         self.time += 1;
         self.stats.instants += 1;
-        let completed = self.complete_phase(sink);
-        let started = self.fire_phase(sink);
+        let completed = self.complete_phase();
+        let started = self.fire_phase();
         self.policy.on_instant_end(self.net, &self.state, self.time);
         self.record(completed, started)
     }
@@ -572,7 +577,7 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     }
 
     /// Advances busy transitions by one cycle; completes those reaching 0.
-    fn complete_phase<S: TraceSink>(&mut self, sink: &mut S) -> Vec<TransitionId> {
+    fn complete_phase(&mut self) -> Vec<TransitionId> {
         let mut completed = Vec::new();
         for idx in 0..self.state.residual.len() {
             if self.state.residual[idx] > 0 {
@@ -582,20 +587,9 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
                     let t = TransitionId::from_index(idx);
                     self.state.marking.produce_outputs(self.net, t);
                     for &p in self.net.transition(t).outputs() {
-                        let w = place_word(p.index());
-                        self.raw_digest = self.raw_digest.wrapping_add(w);
-                        self.marking_raw = self.marking_raw.wrapping_add(w);
+                        self.raw_digest = self.raw_digest.wrapping_add(place_word(p.index()));
                     }
                     completed.push(t);
-                    if S::ENABLED {
-                        sink.record(FiringEvent {
-                            time: self.time,
-                            transition: t,
-                            kind: EventKind::Complete,
-                            residual: 0,
-                            marking_digest: mix64(self.marking_raw),
-                        });
-                    }
                 }
             }
         }
@@ -612,7 +606,7 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     /// removes `t` itself plus any candidate sharing a drained input place
     /// (found via the place postsets), instead of rescanning the whole net
     /// after every start.
-    fn fire_phase<S: TraceSink>(&mut self, sink: &mut S) -> Vec<TransitionId> {
+    fn fire_phase(&mut self) -> Vec<TransitionId> {
         let mut started = Vec::new();
         let mut startable = self.state.startable(self.net);
         // Counters accumulate in locals so the loop body below touches no
@@ -639,9 +633,7 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
             );
             self.state.marking.consume_inputs(self.net, t);
             for &p in self.net.transition(t).inputs() {
-                let w = place_word(p.index());
-                self.raw_digest = self.raw_digest.wrapping_sub(w);
-                self.marking_raw = self.marking_raw.wrapping_sub(w);
+                self.raw_digest = self.raw_digest.wrapping_sub(place_word(p.index()));
             }
             let tau = self.net.transition(t).time();
             self.state.residual[t.index()] = tau;
@@ -649,15 +641,6 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
                 .raw_digest
                 .wrapping_add(transition_word(t.index()).wrapping_mul(tau));
             started.push(t);
-            if S::ENABLED {
-                sink.record(FiringEvent {
-                    time: self.time,
-                    transition: t,
-                    kind: EventKind::Start,
-                    residual: tau,
-                    marking_digest: mix64(self.marking_raw),
-                });
-            }
             is_candidate[t.index()] = false;
             for &p in self.net.transition(t).inputs() {
                 for &u in self.net.place(p).postset() {
@@ -972,72 +955,6 @@ mod tests {
         let merged = stats.merged(stats);
         assert_eq!(merged.instants, 40);
         assert_eq!(merged.firings, 2 * stats.firings);
-    }
-
-    #[test]
-    fn traced_run_matches_step_records_and_marking_digests() {
-        use crate::trace::RingRecorder;
-        let (net, m, _) = diamond();
-        let mut traced = Engine::new(&net, m.clone(), EagerPolicy);
-        let mut plain = Engine::new(&net, m.clone(), EagerPolicy);
-        let mut rec = RingRecorder::with_capacity(4096);
-        let mut steps = vec![traced.start_traced(&mut rec)];
-        plain.start();
-        for _ in 0..30 {
-            let s = traced.tick_traced(&mut rec);
-            let p = plain.tick();
-            // Tracing must not perturb execution: digests stay identical.
-            assert_eq!(p.digest, s.digest);
-            steps.push(s);
-        }
-        assert_eq!(rec.dropped(), 0);
-        let events = rec.into_events();
-        // Events arrive in mutation order: per instant, completions in id
-        // order, then starts in start order — replay them onto a marking
-        // replica and check every stamped digest.
-        let mut replica = m;
-        let mut idx = 0;
-        for s in &steps {
-            for &t in &s.completed {
-                let e = events[idx];
-                idx += 1;
-                replica.produce_outputs(&net, t);
-                assert_eq!(
-                    (e.time, e.transition, e.kind, e.residual),
-                    (s.time, t, EventKind::Complete, 0)
-                );
-                assert_eq!(e.marking_digest, marking_digest(&replica));
-            }
-            for &t in &s.started {
-                let e = events[idx];
-                idx += 1;
-                replica.consume_inputs(&net, t);
-                assert_eq!(
-                    (e.time, e.transition, e.kind),
-                    (s.time, t, EventKind::Start)
-                );
-                assert_eq!(e.residual, net.transition(t).time());
-                assert_eq!(e.marking_digest, marking_digest(&replica));
-            }
-        }
-        assert_eq!(idx, events.len());
-        assert_eq!(&replica, &traced.state().marking);
-    }
-
-    #[test]
-    fn traced_and_untraced_instants_interleave() {
-        use crate::trace::RingRecorder;
-        let (net, m, _) = diamond();
-        let mut engine = Engine::new(&net, m, EagerPolicy);
-        let mut rec = RingRecorder::with_capacity(64);
-        engine.start();
-        engine.tick(); // untraced: sink misses these events...
-        let s = engine.tick_traced(&mut rec);
-        // ...but the digests stamped on later events are still correct.
-        if let Some(last) = rec.events().last() {
-            assert_eq!(last.marking_digest, marking_digest(&engine.state().marking));
-        }
-        assert_eq!(s.digest, state_digest(engine.state(), 0));
     }
 
     #[test]

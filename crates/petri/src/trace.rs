@@ -1,12 +1,11 @@
-//! Firing-event capture: the [`TraceSink`] trait and a preallocated
-//! ring-buffer recorder.
+//! Firing events: the unit of a firing trace.
 //!
-//! The timed engine ([`crate::timed::Engine`]) can narrate its execution as
-//! a stream of [`FiringEvent`]s — one per firing *start* and one per firing
-//! *completion* — through any [`TraceSink`]. The sink is a monomorphized
-//! type parameter with an associated `const ENABLED`, so the default
-//! [`NullSink`] compiles to nothing: the untraced `start()`/`tick()` entry
-//! points are byte-for-byte the pre-tracing engine.
+//! A run of the timed engine ([`crate::timed::Engine`]) narrates as a
+//! stream of [`FiringEvent`]s — one per firing *start* and one per firing
+//! *completion*. The engine itself records only per-instant
+//! [`StepRecord`](crate::timed::StepRecord)s; `tpn-sched` derives the event
+//! stream from them, stamping each event with a running
+//! [`MarkingHash`](crate::timed::MarkingHash).
 //!
 //! Each event carries the digest of the **marking alone** (no residuals,
 //! no policy state; see [`crate::timed::marking_digest`]). Unlike the full
@@ -26,7 +25,7 @@ pub enum EventKind {
     Complete,
 }
 
-/// One firing event observed by the engine.
+/// One firing event of an earliest-firing run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FiringEvent {
     /// The instant at which the event happened.
@@ -41,169 +40,4 @@ pub struct FiringEvent {
     /// Digest of the marking immediately after the event's token movement
     /// (see [`crate::timed::marking_digest`]).
     pub marking_digest: u64,
-}
-
-/// A consumer of engine firing events.
-///
-/// Implementations should be cheap: `record` is called on the engine's hot
-/// path once per start and once per completion. The associated
-/// [`ENABLED`](TraceSink::ENABLED) constant lets the engine skip event
-/// construction entirely when the sink provably discards everything —
-/// guard work with `if S::ENABLED` and the branch folds away at
-/// monomorphization time.
-pub trait TraceSink {
-    /// Whether this sink observes events at all. Sinks that set this to
-    /// `false` never have [`record`](TraceSink::record) called.
-    const ENABLED: bool = true;
-
-    /// Receives one firing event.
-    fn record(&mut self, event: FiringEvent);
-}
-
-/// The disabled sink: records nothing, costs nothing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn record(&mut self, _event: FiringEvent) {}
-}
-
-/// A bounded recorder keeping the **last** `capacity` events.
-///
-/// The buffer is allocated once up front (no growth on the hot path). When
-/// more events arrive than fit, the oldest are overwritten and
-/// [`dropped`](RingRecorder::dropped) counts them, so consumers can tell a
-/// complete trace from a truncated one.
-#[derive(Clone, Debug)]
-pub struct RingRecorder {
-    buf: Vec<FiringEvent>,
-    capacity: usize,
-    /// Index of the oldest event once the buffer has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl RingRecorder {
-    /// Creates a recorder holding at most `capacity` events (minimum 1).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingRecorder {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Events recorded and still held, oldest first.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether no event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The fixed buffer capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events that arrived after the buffer was full and overwrote older
-    /// ones. Zero means the trace is complete.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events in arrival order (oldest first).
-    pub fn events(&self) -> Vec<FiringEvent> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-
-    /// Consumes the recorder, yielding the retained events in arrival
-    /// order.
-    pub fn into_events(mut self) -> Vec<FiringEvent> {
-        self.buf.rotate_left(self.head);
-        self.buf
-    }
-}
-
-impl TraceSink for RingRecorder {
-    #[inline]
-    fn record(&mut self, event: FiringEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(event);
-        } else {
-            self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(i: u64) -> FiringEvent {
-        FiringEvent {
-            time: i,
-            transition: TransitionId::from_index(0),
-            kind: EventKind::Start,
-            residual: 1,
-            marking_digest: i,
-        }
-    }
-
-    #[test]
-    fn ring_keeps_everything_under_capacity() {
-        let mut r = RingRecorder::with_capacity(8);
-        for i in 0..5 {
-            r.record(ev(i));
-        }
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.dropped(), 0);
-        let times: Vec<u64> = r.events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![0, 1, 2, 3, 4]);
-        assert_eq!(r.into_events().len(), 5);
-    }
-
-    #[test]
-    fn ring_overwrites_oldest_and_counts_drops() {
-        let mut r = RingRecorder::with_capacity(4);
-        for i in 0..10 {
-            r.record(ev(i));
-        }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.dropped(), 6);
-        let times: Vec<u64> = r.events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
-        let times: Vec<u64> = r.into_events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let mut r = RingRecorder::with_capacity(0);
-        assert_eq!(r.capacity(), 1);
-        r.record(ev(0));
-        r.record(ev(1));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.dropped(), 1);
-        assert_eq!(r.events()[0].time, 1);
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        const { assert!(!NullSink::ENABLED) };
-        const { assert!(RingRecorder::ENABLED) };
-        NullSink.record(ev(0)); // no-op, must not panic
-    }
 }

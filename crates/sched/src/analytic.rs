@@ -36,13 +36,13 @@ use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
 use tpn_petri::ratio::{critical_ratio_by_component, ComponentRatio};
 use tpn_petri::rational::Ratio;
-use tpn_petri::timed::marking_digest;
+use tpn_petri::timed::MarkingHash;
 use tpn_petri::trace::{EventKind, FiringEvent};
 use tpn_petri::TransitionId;
 
 use crate::error::SchedError;
 use crate::schedule::LoopSchedule;
-use crate::trace::{FiringTrace, TraceSpan, TransitionInfo};
+use crate::trace::FiringTrace;
 
 pub use crate::policy::SchedulePolicy;
 
@@ -235,55 +235,24 @@ impl AnalyticSchedule {
         // Engine mutation order: by time, completions before starts, then
         // transition id.
         pending.sort_by_key(|&(time, kind, t)| (time, kind == EventKind::Start, t.index()));
-        let mut marking = pn.marking.clone();
-        let mut events = Vec::with_capacity(pending.len());
-        for (time, kind, t) in pending {
-            let residual = match kind {
-                EventKind::Start => {
-                    marking.consume_inputs(net, t);
-                    net.transition(t).time()
+        let mut hash = MarkingHash::new(&pn.marking);
+        let events = pending
+            .into_iter()
+            .map(|(time, kind, t)| {
+                let (residual, marking_digest) = match kind {
+                    EventKind::Start => (net.transition(t).time(), hash.consume(net, t)),
+                    EventKind::Complete => (0, hash.produce(net, t)),
+                };
+                FiringEvent {
+                    time,
+                    transition: t,
+                    kind,
+                    residual,
+                    marking_digest,
                 }
-                EventKind::Complete => {
-                    marking.produce_outputs(net, t);
-                    0
-                }
-            };
-            events.push(FiringEvent {
-                time,
-                transition: t,
-                kind,
-                residual,
-                marking_digest: marking_digest(&marking),
-            });
-        }
-        let transitions = net
-            .transitions()
-            .map(|(_, t)| TransitionInfo {
-                name: t.name().to_string(),
-                time: t.time(),
-                is_node: true,
             })
             .collect();
-        let spans = vec![
-            TraceSpan {
-                name: "prologue".to_string(),
-                begin: 0,
-                end: self.anchor,
-            },
-            TraceSpan {
-                name: "steady-state kernel".to_string(),
-                begin: self.anchor,
-                end: self.anchor + self.period,
-            },
-        ];
-        FiringTrace {
-            events,
-            transitions,
-            start_time: self.anchor,
-            repeat_time: self.anchor + self.period,
-            dropped: 0,
-            spans,
-        }
+        FiringTrace::assemble(net, events, self.anchor, self.anchor + self.period)
     }
 }
 

@@ -38,7 +38,6 @@ use tpn_petri::timed::{
     ChoicePolicy, EagerPolicy, Engine, EngineStats, InstantaneousState, PackedState, StateKey,
     StepRecord,
 };
-use tpn_petri::trace::{NullSink, TraceSink};
 use tpn_petri::{Marking, PetriNet, TransitionId};
 
 use crate::error::SchedError;
@@ -254,28 +253,6 @@ pub fn detect_frustum<P: ChoicePolicy>(
     policy: P,
     max_steps: u64,
 ) -> Result<FrustumReport, SchedError> {
-    detect_frustum_with_sink(net, marking, policy, max_steps, &mut NullSink)
-}
-
-/// [`detect_frustum`], additionally narrating every firing event of the
-/// simulated trace to `sink` (see [`tpn_petri::trace::TraceSink`]).
-///
-/// The sink observes the exact start/complete stream of the detection run
-/// — prologue and frustum window alike — without perturbing detection:
-/// with [`NullSink`] this *is* [`detect_frustum`], monomorphized back to
-/// the untraced engine loop. Events keep flowing up to and including the
-/// repeat instant; a bounded sink (a ring recorder) may drop the oldest.
-///
-/// # Errors
-///
-/// Same as [`detect_frustum`].
-pub fn detect_frustum_with_sink<P: ChoicePolicy, S: TraceSink>(
-    net: &PetriNet,
-    marking: Marking,
-    policy: P,
-    max_steps: u64,
-    sink: &mut S,
-) -> Result<FrustumReport, SchedError> {
     let mut engine = Engine::try_new(net, marking, policy)?;
     let initial = engine.packed_state();
     // Digest -> instants whose post-state hashed to it (collision chains).
@@ -284,7 +261,7 @@ pub fn detect_frustum_with_sink<P: ChoicePolicy, S: TraceSink>(
     let mut steps: Vec<StepRecord> = Vec::new();
     let mut stats = DetectionStats::default();
 
-    let first = engine.start_traced(sink);
+    let first = engine.start();
     seen.insert(first.digest, vec![first.time]);
     steps.push(first);
 
@@ -292,7 +269,7 @@ pub fn detect_frustum_with_sink<P: ChoicePolicy, S: TraceSink>(
         if steps.len() as u64 >= max_steps {
             return Err(SchedError::FrustumNotFound { max_steps });
         }
-        let step = engine.tick_traced(sink);
+        let step = engine.tick();
         let time = step.time;
         if step.started.is_empty() && step.completed.is_empty() && engine.state().all_idle() {
             return Err(diagnose_deadlock(net, &initial, time));

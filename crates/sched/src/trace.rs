@@ -7,14 +7,14 @@
 //! the detected frustum window as [`TraceSpan`]s, plus per-transition
 //! metadata (name, execution time, node-vs-dummy).
 //!
-//! Two equivalent sources produce a trace:
-//!
-//! * **recording** — a [`RingRecorder`] attached to
-//!   [`crate::frustum::detect_frustum_with_sink`] captures events live
-//!   (bounded memory; may drop the oldest events of very long runs);
-//! * **derivation** — [`FiringTrace::from_frustum`] replays the
-//!   [`StepRecord`]s already stored in a [`FrustumReport`] into the exact
-//!   same event stream (always complete, costs one marking replay).
+//! The engine records each instant as a [`StepRecord`], and a
+//! [`FrustumReport`] keeps every one of them, so the event stream is a
+//! view of those records: [`FiringTrace::from_frustum`] expands them in
+//! engine mutation order and stamps each event's marking digest with a
+//! running [`MarkingHash`]. The trace is always complete; the
+//! independent check of its digests is
+//! [`crate::validate::replay_trace`], which rehashes every marking from
+//! scratch.
 //!
 //! Exports are deterministic byte-for-byte: [`chrome_trace_json`]
 //! (Chrome trace-event JSON, loadable in Perfetto / `chrome://tracing`)
@@ -24,10 +24,9 @@
 //! [`chrome_trace_json`]: FiringTrace::chrome_trace_json
 //! [`jsonl`]: FiringTrace::jsonl
 //! [`StepRecord`]: tpn_petri::timed::StepRecord
-//! [`RingRecorder`]: tpn_petri::trace::RingRecorder
 
-use tpn_petri::timed::marking_digest;
-use tpn_petri::trace::{EventKind, FiringEvent, RingRecorder};
+use tpn_petri::timed::MarkingHash;
+use tpn_petri::trace::{EventKind, FiringEvent};
 use tpn_petri::{Marking, PetriNet, TransitionId};
 
 use crate::frustum::FrustumReport;
@@ -69,8 +68,6 @@ pub struct FiringTrace {
     pub start_time: u64,
     /// Second occurrence (frustum repeat).
     pub repeat_time: u64,
-    /// Events lost to a bounded recorder; `0` means the trace is complete.
-    pub dropped: u64,
     /// Timeline annotations: the prologue and the steady-state kernel.
     pub spans: Vec<TraceSpan>,
 }
@@ -84,17 +81,15 @@ impl FiringTrace {
             transitions: Vec::new(),
             start_time: 0,
             repeat_time: 0,
-            dropped: 0,
             spans: Vec::new(),
         }
     }
 
-    /// Derives the complete event stream from the [`StepRecord`]s of a
-    /// detection run by replaying token movements onto `initial_marking`.
-    ///
-    /// Produces exactly the events a live recorder attached to the same
-    /// run observes (the engine stamps identical marking digests), so
-    /// recorded and derived traces are interchangeable — and tested to be.
+    /// Derives the complete event stream of a detection run from its
+    /// [`StepRecord`]s: per instant, one completion event per completed
+    /// transition, then one start event per started transition, each
+    /// stamped with the digest of the marking after its token movement
+    /// (tracked incrementally from `initial_marking`).
     ///
     /// [`StepRecord`]: tpn_petri::timed::StepRecord
     pub fn from_frustum(
@@ -102,7 +97,7 @@ impl FiringTrace {
         initial_marking: &Marking,
         frustum: &FrustumReport,
     ) -> Self {
-        let mut marking = initial_marking.clone();
+        let mut hash = MarkingHash::new(initial_marking);
         let mut events = Vec::with_capacity(
             frustum
                 .steps
@@ -112,34 +107,25 @@ impl FiringTrace {
         );
         for step in &frustum.steps {
             for &t in &step.completed {
-                marking.produce_outputs(net, t);
                 events.push(FiringEvent {
                     time: step.time,
                     transition: t,
                     kind: EventKind::Complete,
                     residual: 0,
-                    marking_digest: marking_digest(&marking),
+                    marking_digest: hash.produce(net, t),
                 });
             }
             for &t in &step.started {
-                marking.consume_inputs(net, t);
                 events.push(FiringEvent {
                     time: step.time,
                     transition: t,
                     kind: EventKind::Start,
                     residual: net.transition(t).time(),
-                    marking_digest: marking_digest(&marking),
+                    marking_digest: hash.consume(net, t),
                 });
             }
         }
-        Self::assemble(net, frustum, events, 0)
-    }
-
-    /// Wraps the events captured live by a [`RingRecorder`] during
-    /// [`crate::frustum::detect_frustum_with_sink`] on the same run.
-    pub fn from_recorded(net: &PetriNet, frustum: &FrustumReport, recorder: RingRecorder) -> Self {
-        let dropped = recorder.dropped();
-        Self::assemble(net, frustum, recorder.into_events(), dropped)
+        Self::assemble(net, events, frustum.start_time, frustum.repeat_time)
     }
 
     /// [`from_frustum`](Self::from_frustum) for an SCP run: dummy
@@ -158,11 +144,14 @@ impl FiringTrace {
         self
     }
 
-    fn assemble(
+    /// Wraps `events` with `net`'s transition table (every transition a
+    /// node) and the prologue `[0, start_time]` and steady-state kernel
+    /// `[start_time, repeat_time]` spans.
+    pub(crate) fn assemble(
         net: &PetriNet,
-        frustum: &FrustumReport,
         events: Vec<FiringEvent>,
-        dropped: u64,
+        start_time: u64,
+        repeat_time: u64,
     ) -> Self {
         let transitions = net
             .transitions()
@@ -176,20 +165,19 @@ impl FiringTrace {
             TraceSpan {
                 name: "prologue".to_string(),
                 begin: 0,
-                end: frustum.start_time,
+                end: start_time,
             },
             TraceSpan {
                 name: "steady-state kernel".to_string(),
-                begin: frustum.start_time,
-                end: frustum.repeat_time,
+                begin: start_time,
+                end: repeat_time,
             },
         ];
         FiringTrace {
             events,
             transitions,
-            start_time: frustum.start_time,
-            repeat_time: frustum.repeat_time,
-            dropped,
+            start_time,
+            repeat_time,
             spans,
         }
     }
@@ -197,11 +185,6 @@ impl FiringTrace {
     /// The frustum length `repeat_time − start_time`.
     pub fn period(&self) -> u64 {
         self.repeat_time - self.start_time
-    }
-
-    /// Whether no events were lost to a bounded recorder.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
     }
 
     /// Whether any transition is a pipeline-stage dummy (an SCP trace).
@@ -274,18 +257,17 @@ impl FiringTrace {
         format!("{{\"traceEvents\":[{}]}}", items.join(","))
     }
 
-    /// Exports the trace as compact JSONL: one `meta` line (window,
-    /// transition table, drop count), one line per span, then one line per
-    /// event with the marking digest in hex. Deterministic byte-for-byte.
+    /// Exports the trace as compact JSONL: one `meta` line (window and
+    /// transition table), one line per span, then one line per event with
+    /// the marking digest in hex. Deterministic byte-for-byte.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"kind\":\"meta\",\"start_time\":{},\"repeat_time\":{},\"period\":{},\
-             \"dropped\":{},\"transitions\":[",
+             \"transitions\":[",
             self.start_time,
             self.repeat_time,
-            self.period(),
-            self.dropped
+            self.period()
         ));
         for (i, info) in self.transitions.iter().enumerate() {
             if i > 0 {
@@ -369,12 +351,11 @@ pub(crate) fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frustum::{detect_frustum_eager, detect_frustum_with_sink};
+    use crate::frustum::detect_frustum_eager;
     use crate::policy::FifoPolicy;
     use crate::scp::build_scp;
     use tpn_dataflow::to_petri::{to_petri, SdspPn};
     use tpn_dataflow::{OpKind, Operand, SdspBuilder};
-    use tpn_petri::timed::EagerPolicy;
 
     fn l2_pn() -> SdspPn {
         let mut b = SdspBuilder::new();
@@ -385,20 +366,6 @@ mod tests {
         let e = b.node("E", OpKind::Add, [Operand::env("W", 0), Operand::node(d)]);
         b.set_operand(c, 1, Operand::feedback(e, 1));
         to_petri(&b.finish().unwrap())
-    }
-
-    #[test]
-    fn recorded_and_derived_traces_are_identical() {
-        let pn = l2_pn();
-        let mut rec = RingRecorder::with_capacity(65536);
-        let f = detect_frustum_with_sink(&pn.net, pn.marking.clone(), EagerPolicy, 1_000, &mut rec)
-            .unwrap();
-        let recorded = FiringTrace::from_recorded(&pn.net, &f, rec);
-        let derived = FiringTrace::from_frustum(&pn.net, &pn.marking, &f);
-        assert!(recorded.is_complete());
-        assert_eq!(recorded, derived);
-        assert_eq!(recorded.chrome_trace_json(), derived.chrome_trace_json());
-        assert_eq!(recorded.jsonl(), derived.jsonl());
     }
 
     #[test]
@@ -509,7 +476,6 @@ mod tests {
     fn empty_trace_exports_valid_skeletons() {
         let t = FiringTrace::empty();
         assert_eq!(t.period(), 0);
-        assert!(t.is_complete());
         let json = t.chrome_trace_json();
         assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"));
         assert_eq!(t.jsonl().lines().count(), 1); // just the meta line

@@ -13,7 +13,7 @@
 //! * [`replay_semantics`] — executes the loop *in schedule order* against
 //!   real inputs and compares every produced value with the reference
 //!   interpreter, demonstrating semantics preservation end to end.
-//! * [`replay_trace`] — reconstructs markings from a recorded
+//! * [`replay_trace`] — reconstructs markings from a
 //!   [`FiringTrace`]'s event stream *alone* (no engine, no residual
 //!   vectors, no frustum machinery) and independently confirms safety
 //!   (boundedness), liveness over the recorded window, firing latencies,
@@ -257,12 +257,6 @@ pub fn replay_semantics(
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceViolation {
-    /// The trace was recorded through a bounded ring that overflowed, so
-    /// replay from the initial marking is impossible.
-    Incomplete {
-        /// Events lost.
-        dropped: u64,
-    },
     /// An event's instant precedes its predecessor's.
     TimeRegression {
         /// Index of the offending event.
@@ -328,7 +322,7 @@ pub enum TraceViolation {
         bound: u32,
     },
     /// The marking reconstructed from the events disagrees with the digest
-    /// the engine stamped on an event.
+    /// stamped on an event.
     DigestMismatch {
         /// Index of the offending event.
         index: usize,
@@ -356,9 +350,6 @@ pub enum TraceViolation {
 impl std::fmt::Display for TraceViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TraceViolation::Incomplete { dropped } => {
-                write!(f, "trace is incomplete: {dropped} events were dropped")
-            }
             TraceViolation::TimeRegression { index, time, prev } => {
                 write!(f, "event {index} at instant {time} precedes instant {prev}")
             }
@@ -475,11 +466,12 @@ impl TraceValidation {
 /// `initial` and applying only recorded token movements — and checks, per
 /// event: monotone time, enabledness at starts, non-reentrance, exact
 /// firing latency `τ`, boundedness against the initial marking's maximum,
-/// and the engine-stamped marking digest. After replay, liveness over the
-/// window: every transition must fire in `(start_time, repeat_time]`.
+/// and the stamped marking digest, rehashed from scratch. After replay,
+/// liveness over the window: every transition must fire in
+/// `(start_time, repeat_time]`.
 ///
-/// No engine, residual vector, or frustum machinery is consulted, so this
-/// is an independent oracle for all three (contrast
+/// No engine, residual vector, frustum machinery or incremental hash is
+/// consulted, so this is an independent oracle for all of them (contrast
 /// [`crate::frustum::detect_frustum_reference`], which re-runs the same
 /// engine with a different repetition index).
 ///
@@ -491,11 +483,6 @@ pub fn replay_trace(
     initial: &Marking,
     trace: &FiringTrace,
 ) -> Result<TraceValidation, TraceViolation> {
-    if trace.dropped > 0 {
-        return Err(TraceViolation::Incomplete {
-            dropped: trace.dropped,
-        });
-    }
     let initial_max = (0..net.num_places())
         .map(|i| initial.tokens(PlaceId::from_index(i)))
         .max()
@@ -729,14 +716,6 @@ mod tests {
             })
         );
 
-        // A truncated ring recording refuses replay outright.
-        let mut partial = good.clone();
-        partial.dropped = 7;
-        assert_eq!(
-            replay_trace(&pn.net, &pn.marking, &partial),
-            Err(TraceViolation::Incomplete { dropped: 7 })
-        );
-
         // Shifting an event's time breaks latency accounting.
         let mut late = good;
         let idx = late
@@ -753,8 +732,6 @@ mod tests {
 
     #[test]
     fn trace_violations_display() {
-        let v = TraceViolation::Incomplete { dropped: 3 };
-        assert!(v.to_string().contains("3 events"));
         let v = TraceViolation::DeadTransition {
             transition: tpn_petri::TransitionId::from_index(1),
         };

@@ -16,7 +16,7 @@
 //! {"id":1,"verb":"analyze","source":"do i from 2 to n { X[i] := X[i-1] + 1; }"}
 //! {"id":2,"verb":"schedule","source":"...","depth":2,"deadline_ms":500,
 //!  "options":{"node_time":3,"step_budget":100000,"issue_policy":"priority",
-//!             "trace":true,"trace_capacity":4096}}
+//!             "engine":"frustum","profile":true}}
 //! {"id":3,"verb":"metrics"}
 //! {"id":4,"verb":"cancel","target":2}
 //! ```
@@ -395,14 +395,8 @@ pub fn options_to_json(options: &CompileOptions) -> String {
     if let Some(b) = options.get_step_budget() {
         push(&mut out, format!("\"step_budget\":{b}"));
     }
-    if let Some(c) = options.get_trace_capacity() {
-        push(&mut out, format!("\"trace_capacity\":{c}"));
-    }
     if options.get_profile() {
         push(&mut out, "\"profile\":true".into());
-    }
-    if options.get_trace() {
-        push(&mut out, "\"trace\":true".into());
     }
     if options.get_issue_policy() != IssuePolicy::Fifo {
         push(&mut out, "\"issue_policy\":\"priority\"".into());
@@ -436,11 +430,7 @@ fn parse_options(obj: &[(String, JsonValue)]) -> Result<CompileOptions, String> 
         match key.as_str() {
             "node_time" => options = options.node_time(expect_u64(key, value)?),
             "step_budget" => options = options.step_budget(expect_u64(key, value)?),
-            "trace_capacity" => {
-                options = options.trace_capacity(expect_u64(key, value)? as usize);
-            }
             "profile" => options = options.profile(expect_bool(key, value)?),
-            "trace" => options = options.trace(expect_bool(key, value)?),
             "issue_policy" => match value {
                 JsonValue::Str(s) if s == "fifo" => {
                     options = options.issue_policy(IssuePolicy::Fifo);
@@ -1410,7 +1400,7 @@ mod tests {
         let req = parse_request(
             r#"{"id":7,"verb":"schedule","source":"do i from 2 to n { X[i] := X[i-1]; }",
                "depth":2,"deadline_ms":100,
-               "options":{"node_time":3,"issue_policy":"priority","trace":true}}"#,
+               "options":{"node_time":3,"issue_policy":"priority"}}"#,
         )
         .unwrap();
         assert_eq!(req.id, 7);
@@ -1418,7 +1408,13 @@ mod tests {
         assert_eq!(req.depth, Some(2));
         assert_eq!(req.deadline_ms, Some(100));
         assert_eq!(req.options.get_node_time(), Some(3));
-        assert!(req.options.get_trace());
+        assert_eq!(req.options.get_issue_policy(), IssuePolicy::Priority);
+        // The removed recorder switch is unknown, like any other key.
+        assert_eq!(
+            parse_request(r#"{"id":1,"verb":"schedule","source":"x","options":{"trace":true}}"#)
+                .unwrap_err(),
+            ParseError::Bad("unknown option \"trace\"".into())
+        );
 
         assert!(parse_request(r#"{"verb":"analyze","source":"x"}"#).is_err());
         assert!(parse_request(r#"{"id":1,"verb":"warp","source":"x"}"#).is_err());
@@ -1495,9 +1491,7 @@ mod tests {
         let options = CompileOptions::new()
             .node_time(3)
             .step_budget(1_000)
-            .trace_capacity(64)
             .profile(true)
-            .trace(true)
             .issue_policy(IssuePolicy::Priority)
             .engine(SchedulePolicy::Frustum);
         let json = options_to_json(&options);
@@ -1509,6 +1503,37 @@ mod tests {
         assert_eq!(options_to_json(&CompileOptions::new()), "{}");
         let empty = options_from_json(&parse_json("{}").unwrap()).unwrap();
         assert_eq!(empty, CompileOptions::new());
+    }
+
+    #[test]
+    fn cache_keys_are_pinned() {
+        // Keys name the artifact store's objects and pick the router's
+        // shard, so they must not move between releases.
+        let source = "do i from 2 to n { X[i] := X[i-1] + 1; }";
+        let cases = [
+            (CompileOptions::new(), 0x2034_6c93_e521_2f50),
+            (
+                CompileOptions::new().engine(SchedulePolicy::Frustum),
+                0x7540_5677_05a7_0cfc,
+            ),
+            (
+                CompileOptions::new().engine(SchedulePolicy::Analytic),
+                0xf8fe_e0ef_f043_549c,
+            ),
+            (CompileOptions::new().node_time(3), 0x8d05_bbbf_cfc1_9375),
+            (
+                CompileOptions::new().step_budget(100_000),
+                0xc20c_6186_ee44_d0f4,
+            ),
+            (
+                CompileOptions::new().issue_policy(IssuePolicy::Priority),
+                0x0426_21ce_30c0_78c9,
+            ),
+            (CompileOptions::new().profile(true), 0xc52b_2874_723d_ec6a),
+        ];
+        for (options, key) in cases {
+            assert_eq!(cache_key(source, &options), key, "{options:?}");
+        }
     }
 
     #[test]

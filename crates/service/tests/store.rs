@@ -132,6 +132,28 @@ fn corrupted_payload_fails_the_checksum_and_is_quarantined() {
 }
 
 #[test]
+fn entry_naming_a_removed_option_is_quarantined() {
+    // Older servers accepted a `trace` option and stored it in the
+    // header; it no longer parses, so such an entry is never served.
+    let dir = temp_store("removed-option");
+    let (key, lp) = compiled(3);
+    {
+        let store = ArtifactStore::open(&dir).unwrap();
+        store.spill(key, &lp, &CompileOptions::new()).unwrap();
+    }
+    let path = object_path(&dir, key);
+    let entry = std::fs::read_to_string(&path).unwrap();
+    let patched = entry.replacen("\"options\":{}", "\"options\":{\"trace\":true}", 1);
+    assert_ne!(patched, entry, "header carries an options object");
+    std::fs::write(&path, patched).unwrap();
+
+    let store = ArtifactStore::open(&dir).unwrap();
+    assert!(store.load().is_empty());
+    assert_eq!(store.counters().quarantined, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deleted_index_self_heals_from_the_objects() {
     let dir = temp_store("heal");
     let mut keys = Vec::new();

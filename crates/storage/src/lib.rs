@@ -149,8 +149,12 @@ impl StorageReport {
         self.before - self.after
     }
 
-    /// Fraction of storage saved (the paper reports 1/6 for L2).
+    /// Fraction of storage saved (the paper reports 1/6 for L2); `0` for a
+    /// loop with no locations to save.
     pub fn saving_fraction(&self) -> Ratio {
+        if self.before == 0 {
+            return Ratio::ZERO;
+        }
         Ratio::new(self.saved() as u64, self.before as u64)
     }
 }
