@@ -31,9 +31,16 @@
 //! parser and [`usage`] are derived. All logic lives here so it can be
 //! unit-tested; `main.rs` only forwards `std::env::args` and prints.
 
+#![deny(unsafe_code)]
+
 pub mod fuzz;
 pub mod output;
+#[cfg(unix)]
+#[allow(unsafe_code)]
+mod poll;
+#[cfg(unix)]
 pub mod route;
+#[cfg(unix)]
 pub mod serve;
 
 use std::fmt::Write as _;

@@ -11,26 +11,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if invocation.command == tpn_cli::Command::Serve {
-        return match tpn_cli::serve::run(&invocation) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if invocation.command == tpn_cli::Command::Route {
-        return match tpn_cli::route::run(&invocation) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if invocation.command == tpn_cli::Command::Fuzz {
-        return match tpn_cli::fuzz::run(&invocation) {
+    type Subcommand = fn(&tpn_cli::Invocation) -> Result<(), String>;
+    let subcommand: Option<Subcommand> = match invocation.command {
+        #[cfg(unix)]
+        tpn_cli::Command::Serve => Some(tpn_cli::serve::run),
+        #[cfg(unix)]
+        tpn_cli::Command::Route => Some(tpn_cli::route::run),
+        #[cfg(not(unix))]
+        tpn_cli::Command::Serve => Some(|_| Err("serve requires a Unix platform".into())),
+        #[cfg(not(unix))]
+        tpn_cli::Command::Route => Some(|_| Err("route requires a Unix platform".into())),
+        tpn_cli::Command::Fuzz => Some(tpn_cli::fuzz::run),
+        _ => None,
+    };
+    if let Some(run) = subcommand {
+        return match run(&invocation) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("error: {msg}");

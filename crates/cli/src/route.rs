@@ -21,38 +21,48 @@
 //! - malformed lines and unsupported envelope versions are answered by
 //!   the router itself, without touching a shard.
 //!
-//! Client lines are capped at [`MAX_LINE`] bytes, like `tpnc serve`'s:
-//! once a connection holds that many bytes with no newline, the router
-//! answers one `bad_request` and discards input through the next
-//! newline; the connection stays open. Lines decode lossily, so invalid
-//! UTF-8 gets a typed reply too. Shard replies are read uncapped: the
-//! shards are the router's own children, and a trace reply can run to
-//! hundreds of kilobytes.
+//! The router runs on one thread, in the loop shape of `tpnc serve`: it
+//! blocks in `poll(2)` on the front socket, every client connection and
+//! every shard link. Each client has one lazily opened link per shard,
+//! so replies need no id rewriting: forwarding appends the request line
+//! to the link's write buffer, and each reply line read from a link is
+//! appended to its client's write buffer. Client lines are framed
+//! exactly as `tpnc serve` frames them, under the same [`MAX_LINE`] cap.
+//! Shard replies are read uncapped: the shards are the router's own
+//! children, and a trace reply can run to hundreds of kilobytes.
+//! Back-pressure works as in serve: a client whose write buffer is over
+//! the cap stops being read, and so do its links, so a slow reader backs
+//! up into its shard rather than into router memory.
 //!
-//! A monitor thread restarts any shard process that dies; forwarding
-//! reconnects transparently. Requests in flight on a killed shard lose
-//! their responses — clients retry — but every request accepted after
-//! the restart is served from the shard's warm-started store,
-//! byte-identical to before the kill.
+//! Startup binds the front socket first, then spawns the shards and
+//! waits (up to 5 s) until each accepts a connection; any error from
+//! then on kills and reaps every shard. Once serving, the loop never
+//! sleeps or retries a connect: a link that cannot connect is answered
+//! at once with a typed `unavailable` error carrying `retry_after_ms`,
+//! and a link whose write shows its shard restarted is reopened once.
+//! On every 100 ms tick (the poll timeout) the router checks its
+//! children with `try_wait` and restarts any shard that died. Requests
+//! in flight on a killed shard lose their responses — clients retry —
+//! but every request accepted after the restart is served from the
+//! shard's warm-started store, byte-identical to before the kill.
+//!
+//! [`MAX_LINE`]: tpn_service::protocol::MAX_LINE
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::process::{Command, Stdio};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::io::{self, Read};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
-use tpn_service::protocol::{self, ParseError, Request, Verb, MAX_LINE};
+use tpn_service::protocol::{self, ParseError, Request, Verb};
 
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
+use crate::serve::{accept_pending, bind_unix, drain, Wire, CHUNK, TICK};
 use crate::Invocation;
 
-/// How long a forward waits for a (re)spawned shard socket to accept.
+/// How long startup waits for every spawned shard to accept.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The pause between shard-connect attempts.
-const CONNECT_RETRY: Duration = Duration::from_millis(50);
-
-/// The monitor thread's poll interval for dead shard processes.
-const MONITOR_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Selects the shard for a parsed request. Compile verbs route by
 /// cache-key digest; observability verbs pin to shard 0; cancel follows
@@ -101,270 +111,366 @@ fn shard_command(invocation: &Invocation, index: usize, path: &str) -> Result<Co
     Ok(cmd)
 }
 
-/// Entry point of `tpnc route`. Spawns the shard fleet, restarts dead
-/// shards, and serves the front socket until the process is killed.
+/// The shard processes and how to restart them. Dropping the fleet
+/// kills and reaps every shard, so a router that fails never leaves its
+/// shards running.
+struct Fleet {
+    invocation: Invocation,
+    /// Shard `i`'s socket path.
+    paths: Vec<String>,
+    children: Vec<Child>,
+}
+
+impl Fleet {
+    fn spawn(&mut self, index: usize) -> Result<Child, String> {
+        shard_command(&self.invocation, index, &self.paths[index])?
+            .spawn()
+            .map_err(|e| format!("error spawning shard {index}: {e}"))
+    }
+
+    /// Waits until every shard accepts a connection, within
+    /// [`CONNECT_TIMEOUT`].
+    fn wait_ready(&mut self) -> Result<(), String> {
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        for (i, path) in self.paths.iter().enumerate() {
+            while UnixStream::connect(path).is_err() {
+                if let Ok(Some(status)) = self.children[i].try_wait() {
+                    return Err(format!("shard {i} exited during startup ({status})"));
+                }
+                if Instant::now() >= deadline {
+                    return Err(format!(
+                        "shard {i} accepted no connection within {CONNECT_TIMEOUT:?}"
+                    ));
+                }
+                // Startup only: the loop itself never sleeps.
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        Ok(())
+    }
+
+    /// Restarts every shard whose process has exited. The shard rebinds
+    /// its socket itself (serve removes the stale file), and its store
+    /// warm-starts the cache, so post-restart responses stay
+    /// byte-identical. A failed respawn is retried on the next tick.
+    fn respawn_dead(&mut self) {
+        for i in 0..self.children.len() {
+            if let Ok(Some(status)) = self.children[i].try_wait() {
+                eprintln!("tpnc route: shard {i} exited ({status}); restarting");
+                match self.spawn(i) {
+                    Ok(child) => self.children[i] = child,
+                    Err(e) => eprintln!("tpnc route: {e}"),
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Entry point of `tpnc route`. Binds the front socket, spawns the shard
+/// fleet, and serves until the process is killed.
 ///
 /// # Errors
 ///
-/// Spawn and bind failures; per-connection I/O errors are logged and
-/// drop only that connection.
-#[cfg(unix)]
+/// Bind, spawn and startup failures, and a failed `poll`; every shard is
+/// killed and reaped first. Per-connection I/O errors drop only that
+/// connection.
 pub fn run(invocation: &Invocation) -> Result<(), String> {
-    use std::os::unix::net::UnixListener;
-
     let front = invocation
         .sockets
         .first()
         .ok_or("route requires --socket PATH")?;
     let shards = invocation.shards.unwrap_or(2);
-    let paths: Arc<Vec<String>> =
-        Arc::new((0..shards).map(|i| format!("{front}.shard-{i}")).collect());
-
-    let mut children = Vec::new();
-    for (i, path) in paths.iter().enumerate() {
-        let child = shard_command(invocation, i, path)?
-            .spawn()
-            .map_err(|e| format!("error spawning shard {i}: {e}"))?;
-        children.push(Mutex::new(child));
-    }
-    let children = Arc::new(children);
-
-    // The monitor: respawn any shard whose process exits. The shard
-    // rebinds its socket itself (serve removes the stale file), and its
-    // store warm-starts the cache, so post-restart responses stay
-    // byte-identical.
-    {
-        let children = children.clone();
-        let paths = paths.clone();
-        let invocation = invocation.clone();
-        std::thread::spawn(move || loop {
-            for (i, slot) in children.iter().enumerate() {
-                let mut child = slot.lock().expect("shard table");
-                if let Ok(Some(status)) = child.try_wait() {
-                    eprintln!("tpnc route: shard {i} exited ({status}); restarting");
-                    match shard_command(&invocation, i, &paths[i]).and_then(|mut cmd| {
-                        cmd.spawn()
-                            .map_err(|e| format!("error respawning shard {i}: {e}"))
-                    }) {
-                        Ok(respawned) => *child = respawned,
-                        Err(e) => eprintln!("tpnc route: {e}"),
-                    }
-                }
-            }
-            std::thread::sleep(MONITOR_INTERVAL);
-        });
-    }
-
-    if std::fs::metadata(front.as_str()).is_ok() {
-        std::fs::remove_file(front.as_str())
-            .map_err(|e| format!("error removing stale {front}: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(front.as_str()).map_err(|e| format!("error binding {front}: {e}"))?;
-    eprintln!("tpnc route: {shards} shards behind {front}");
-    for stream in listener.incoming() {
-        let stream = stream.map_err(|e| format!("error accepting connection: {e}"))?;
-        let paths = paths.clone();
-        std::thread::spawn(move || {
-            if let Err(e) = handle_client(stream, &paths) {
-                eprintln!("tpnc route: connection error: {e}");
-            }
-        });
-    }
-    Ok(())
-}
-
-#[cfg(not(unix))]
-pub fn run(_invocation: &Invocation) -> Result<(), String> {
-    Err("route requires a Unix platform".to_string())
-}
-
-/// One client connection: read each line under the [`MAX_LINE`] cap,
-/// parse it, pick a shard, forward the line as parsed, and stream every
-/// shard's response lines back through a shared writer. Shard links open
-/// lazily and reconnect after a shard restart.
-#[cfg(unix)]
-fn handle_client(
-    client: std::os::unix::net::UnixStream,
-    paths: &Arc<Vec<String>>,
-) -> Result<(), String> {
-    use std::os::unix::net::UnixStream;
-
-    let shards = paths.len();
-    let writer = Arc::new(Mutex::new(
-        client
-            .try_clone()
-            .map_err(|e| format!("error cloning client stream: {e}"))?,
-    ));
-    // Which shard each in-flight request id went to, so cancel can
-    // follow it; reader threads retire entries as responses pass back.
-    let routes: Arc<Mutex<HashMap<u64, usize>>> = Arc::new(Mutex::new(HashMap::new()));
-    let mut links: Vec<Option<UnixStream>> = (0..shards).map(|_| None).collect();
-
-    let connect = |shard: usize| -> std::io::Result<UnixStream> {
-        let deadline = std::time::Instant::now() + CONNECT_TIMEOUT;
-        loop {
-            match UnixStream::connect(&paths[shard]) {
-                Ok(stream) => return Ok(stream),
-                Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(CONNECT_RETRY),
-            }
-        }
+    // Bind first: a front socket that cannot be bound leaves no shards.
+    let listener = bind_unix(front)?;
+    let mut fleet = Fleet {
+        invocation: invocation.clone(),
+        paths: (0..shards).map(|i| format!("{front}.shard-{i}")).collect(),
+        children: Vec::new(),
     };
-
-    let mut reader = BufReader::new(client);
-    let mut raw = Vec::new();
-    loop {
-        raw.clear();
-        let read = (&mut reader)
-            .take(MAX_LINE as u64)
-            .read_until(b'\n', &mut raw)
-            .map_err(|e| format!("error reading request: {e}"))?;
-        if read == 0 {
-            break;
-        }
-        if read == MAX_LINE && raw.last() != Some(&b'\n') {
-            reply(
-                &writer,
-                &protocol::error_line(
-                    0,
-                    None,
-                    "bad_request",
-                    &format!("request line exceeds {MAX_LINE} bytes"),
-                    None,
-                ),
-            )?;
-            reader
-                .skip_until(b'\n')
-                .map_err(|e| format!("error reading request: {e}"))?;
-            continue;
-        }
-        let line = String::from_utf8_lossy(&raw);
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (v, id, shard) = match protocol::parse_request(line) {
-            Ok(request) => {
-                let shard = shard_for(&request, &routes.lock().expect("route table"), shards);
-                if !matches!(
-                    request.verb,
-                    Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal | Verb::Cancel
-                ) {
-                    routes
-                        .lock()
-                        .expect("route table")
-                        .insert(request.id, shard);
-                }
-                (request.v, request.id, shard)
-            }
-            Err(ParseError::UnsupportedVersion { id, v }) => {
-                reply(
-                    &writer,
-                    &protocol::error_envelope(
-                        1,
-                        id.unwrap_or(0),
-                        None,
-                        "unsupported_version",
-                        &format!("unsupported envelope version {v} (this server speaks 1 and 2)"),
-                        None,
-                        None,
-                    ),
-                )?;
-                continue;
-            }
-            Err(ParseError::Bad(message)) => {
-                reply(
-                    &writer,
-                    &protocol::error_line(0, None, "bad_request", &message, None),
-                )?;
-                continue;
-            }
-        };
-        // Forward, reconnecting once if the link is stale (the shard
-        // restarted since we opened it).
-        let mut delivered = false;
-        for _attempt in 0..2 {
-            if links[shard].is_none() {
-                match connect(shard) {
-                    Ok(stream) => {
-                        spawn_shard_reader(&stream, shard, &writer, &routes)?;
-                        links[shard] = Some(stream);
-                    }
-                    Err(_) => break,
-                }
-            }
-            let link = links[shard].as_mut().expect("link just ensured");
-            match writeln!(link, "{line}").and_then(|()| link.flush()) {
-                Ok(()) => {
-                    delivered = true;
-                    break;
-                }
-                Err(_) => links[shard] = None,
-            }
-        }
-        if !delivered {
-            routes.lock().expect("route table").remove(&id);
-            reply(
-                &writer,
-                &protocol::error_envelope(
-                    v,
-                    id,
-                    None,
-                    "unavailable",
-                    &format!("shard {shard} is unavailable; retry"),
-                    None,
-                    Some(1_000),
-                ),
-            )?;
-        }
+    for i in 0..shards {
+        let child = fleet.spawn(i)?;
+        fleet.children.push(child);
     }
-    Ok(())
+    fleet.wait_ready()?;
+    eprintln!("tpnc route: {shards} shards behind {front}");
+    serve(&listener, &mut fleet)
 }
 
-/// Sends one response line back to the client.
-#[cfg(unix)]
-fn reply(writer: &Arc<Mutex<std::os::unix::net::UnixStream>>, line: &str) -> Result<(), String> {
-    let mut writer = writer.lock().expect("client writer");
-    writeln!(writer, "{line}")
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("error writing response: {e}"))
+/// One client connection to a shard.
+struct Link {
+    stream: UnixStream,
+    /// A reply line's bytes before its newline arrives.
+    partial: Vec<u8>,
+    /// Forwarded lines the shard has not accepted yet.
+    write_buf: Vec<u8>,
+    /// Lines forwarded and not yet answered.
+    pending: usize,
+    /// The link's entry in this pass's poll set, if it has one.
+    slot: Option<usize>,
 }
 
-/// Streams one shard link's response lines back to the client, retiring
-/// each answered id from the cancel-route table. Exits when the link or
-/// the client goes away.
-#[cfg(unix)]
-fn spawn_shard_reader(
-    stream: &std::os::unix::net::UnixStream,
-    shard: usize,
-    writer: &Arc<Mutex<std::os::unix::net::UnixStream>>,
-    routes: &Arc<Mutex<HashMap<u64, usize>>>,
-) -> Result<(), String> {
-    let read_half = stream
-        .try_clone()
-        .map_err(|e| format!("error cloning shard {shard} stream: {e}"))?;
-    let writer = writer.clone();
-    let routes = routes.clone();
-    std::thread::spawn(move || {
-        for line in BufReader::new(read_half).lines() {
-            let Ok(line) = line else { break };
-            if let Ok(doc) = protocol::parse_json(&line) {
-                if let Some(protocol::JsonValue::Num(n)) = doc.get("id") {
-                    routes.lock().expect("route table").remove(&(*n as u64));
+impl Link {
+    /// Opens a link. A Unix-domain connect completes or fails at once
+    /// unless the shard's accept backlog is full.
+    fn connect(path: &str) -> io::Result<Link> {
+        let stream = UnixStream::connect(path)?;
+        stream.set_nonblocking(true)?;
+        Ok(Link {
+            stream,
+            partial: Vec::new(),
+            write_buf: Vec::new(),
+            pending: 0,
+            slot: None,
+        })
+    }
+
+    /// Reads reply lines into the client's write buffer `out` until the
+    /// link runs dry or `out` reaches the cap, retiring each answered id
+    /// from `routes`. Only whole lines are passed on, so replies from
+    /// different shards never interleave mid-line. Returns false once
+    /// the link is closed or broken.
+    fn read(&mut self, out: &mut Wire<UnixStream>, routes: &mut HashMap<u64, usize>) -> bool {
+        let mut chunk = [0u8; CHUNK];
+        while out.has_room() {
+            let n = match self.stream.read(&mut chunk) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            let mut bytes = &chunk[..n];
+            while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
+                let (mut line, rest) = bytes.split_at(pos + 1);
+                bytes = rest;
+                if !self.partial.is_empty() {
+                    self.partial.extend_from_slice(line);
+                    line = &self.partial;
                 }
+                if let Some(id) = protocol::envelope_id(line) {
+                    routes.remove(&id);
+                }
+                out.write_buf.extend_from_slice(line);
+                self.partial.clear();
+                self.pending = self.pending.saturating_sub(1);
             }
-            if reply(&writer, &line).is_err() {
+            self.partial.extend_from_slice(bytes);
+            if n < CHUNK {
                 break;
             }
         }
-    });
-    Ok(())
+        true
+    }
+}
+
+/// One client connection and its links, one per shard.
+struct Client {
+    wire: Wire<UnixStream>,
+    links: Vec<Option<Link>>,
+    /// Which shard each in-flight request id went to, so cancel can
+    /// follow it; replies retire entries as they pass back.
+    routes: HashMap<u64, usize>,
+}
+
+impl Client {
+    /// Adds the client and its links to `fds`. A client over its write
+    /// cap is not read, and neither are its links.
+    fn register(&mut self, fds: &mut Vec<PollFd>) {
+        self.wire.register(fds);
+        let room = self.wire.has_room();
+        for link in self.links.iter_mut().flatten() {
+            let mut events = if room { POLLIN } else { 0 };
+            if !link.write_buf.is_empty() {
+                events |= POLLOUT;
+            }
+            link.slot = poll::add(fds, link.stream.as_raw_fd(), events);
+        }
+    }
+
+    /// Moves this pass's bytes: replies from ready links to the client,
+    /// request lines from the client to their links, then the client's
+    /// write buffer to the client. A broken link is dropped; a broken
+    /// client is marked dead.
+    fn pump(&mut self, fds: &[PollFd], paths: &[String]) {
+        let queued = self.wire.write_buf.len();
+        for link in &mut self.links {
+            let Some(fd) = link.as_ref().and_then(|l| l.slot).map(|slot| fds[slot]) else {
+                continue;
+            };
+            let open = link.as_mut().expect("a registered link is open");
+            let alive = (!fd.readable() || open.read(&mut self.wire, &mut self.routes))
+                && (!fd.writable() || drain(&mut open.stream, &mut open.write_buf).is_ok());
+            if !alive {
+                *link = None;
+            }
+        }
+        let ready = self.wire.ready(fds);
+        if ready.is_some_and(|fd| fd.readable()) && self.wire.reading {
+            let (links, routes) = (&mut self.links, &mut self.routes);
+            let read = self
+                .wire
+                .read(|wire, line| route_line(wire, links, routes, paths, line));
+            if let Err(e) = read {
+                eprintln!("tpnc route: connection error: {e}");
+            }
+        }
+        if ready.is_some_and(|fd| fd.writable()) || self.wire.write_buf.len() != queued {
+            if let Err(e) = self.wire.flush() {
+                eprintln!("tpnc route: connection error: {e}");
+            }
+        }
+    }
+
+    /// Whether the client still has bytes to move: it is reading, has
+    /// replies to write, or waits for a shard's.
+    fn open(&self) -> bool {
+        !self.wire.dead
+            && (self.wire.reading
+                || !self.wire.write_buf.is_empty()
+                || self.links.iter().flatten().any(|link| link.pending > 0))
+    }
+}
+
+/// Handles one client line: malformed lines and unsupported versions
+/// are answered by the router itself, everything else is forwarded to
+/// its shard as parsed.
+fn route_line(
+    wire: &mut Wire<UnixStream>,
+    links: &mut [Option<Link>],
+    routes: &mut HashMap<u64, usize>,
+    paths: &[String],
+    line: &str,
+) {
+    let request = match protocol::parse_request(line) {
+        Ok(request) => request,
+        Err(ParseError::UnsupportedVersion { id, v }) => {
+            return wire.respond(&protocol::error_envelope(
+                1,
+                id.unwrap_or(0),
+                None,
+                "unsupported_version",
+                &format!("unsupported envelope version {v} (this server speaks 1 and 2)"),
+                None,
+                None,
+            ));
+        }
+        Err(ParseError::Bad(message)) => {
+            return wire.respond(&protocol::error_line(
+                0,
+                None,
+                "bad_request",
+                &message,
+                None,
+            ));
+        }
+    };
+    let shard = shard_for(&request, routes, paths.len());
+    if !matches!(
+        request.verb,
+        Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal | Verb::Cancel
+    ) {
+        routes.insert(request.id, shard);
+    }
+    if !forward(&mut links[shard], &paths[shard], line) {
+        routes.remove(&request.id);
+        wire.respond(&protocol::error_envelope(
+            request.v,
+            request.id,
+            None,
+            "unavailable",
+            &format!("shard {shard} is unavailable; retry"),
+            None,
+            Some(1_000),
+        ));
+    }
+}
+
+/// Appends `line` to the shard link's write buffer and writes what the
+/// shard accepts, opening the link if needed and reopening it once if
+/// the write shows the shard restarted since. Returns false when no link
+/// could be opened.
+fn forward(link: &mut Option<Link>, path: &str, line: &str) -> bool {
+    for _attempt in 0..2 {
+        if link.is_none() {
+            *link = Link::connect(path).ok();
+        }
+        let Some(open) = link else { return false };
+        open.write_buf.extend_from_slice(line.as_bytes());
+        open.write_buf.push(b'\n');
+        open.pending += 1;
+        if drain(&mut open.stream, &mut open.write_buf).is_ok() {
+            return true;
+        }
+        *link = None;
+    }
+    false
+}
+
+/// The router's loop: blocks in `poll(2)` on the front socket, every
+/// client and every shard link, waking at least once per [`TICK`] to
+/// restart dead shards. Returns only when `poll` fails.
+fn serve(listener: &UnixListener, fleet: &mut Fleet) -> Result<(), String> {
+    let shards = fleet.paths.len();
+    let mut clients: Vec<Client> = Vec::new();
+    // Set while the front socket rests after a failed accept.
+    let mut resting: Option<Instant> = None;
+    let mut tick = Instant::now() + TICK;
+    let mut fds = Vec::new();
+    loop {
+        let now = Instant::now();
+        if now >= tick {
+            fleet.respawn_dead();
+            tick = now + TICK;
+        }
+        let accepting = resting.is_none_or(|until| now >= until);
+        fds.clear();
+        if accepting {
+            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+        }
+        for client in &mut clients {
+            client.register(&mut fds);
+        }
+        poll::wait(&mut fds, Some(tick - now))
+            .map_err(|e| format!("error waiting in poll: {e}"))?;
+
+        if accepting && fds[0].readable() {
+            let accept = || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nonblocking(true)?;
+                Ok(Client {
+                    wire: Wire::new(stream),
+                    links: (0..shards).map(|_| None).collect(),
+                    routes: HashMap::new(),
+                })
+            };
+            accept_pending(&mut clients, accept, &mut resting, "tpnc route");
+        }
+        for client in &mut clients {
+            client.pump(&fds, &fleet.paths);
+        }
+        let open = clients.len();
+        clients.retain(Client::open);
+        if clients.len() != open {
+            resting = None;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader, Write};
+    use std::sync::mpsc;
+    use tpn_service::protocol::MAX_LINE;
 
     fn request(id: u64, verb: Verb, source: &str) -> Request {
         Request::basic(id, verb, source)
@@ -415,40 +521,68 @@ mod tests {
         assert_eq!(shard_for(&cancel, &routes, 4), 0);
     }
 
-    #[cfg(unix)]
-    #[test]
-    fn over_cap_lines_are_answered_before_their_newline_and_serving_continues() {
-        use std::os::unix::net::{UnixListener, UnixStream};
+    /// A fresh socket path under the temp directory.
+    fn socket_path(name: &str) -> String {
+        let path = std::env::temp_dir().join(format!("tpnc-route-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path.to_string_lossy().into_owned()
+    }
 
-        let shard_path =
-            std::env::temp_dir().join(format!("tpnc-route-cap-{}", std::process::id()));
-        let _ = std::fs::remove_file(&shard_path);
-        let shard = UnixListener::bind(&shard_path).expect("bind stand-in shard");
-        // A stand-in shard that answers the one forwarded line with itself.
-        let shard = std::thread::spawn(move || {
+    /// A stand-in shard: accepts one router link, sends every line it
+    /// reads to the returned channel, and answers each with itself when
+    /// `echo` is set.
+    fn stand_in(name: &str, echo: bool) -> (String, mpsc::Receiver<String>) {
+        let path = socket_path(name);
+        let shard = UnixListener::bind(&path).expect("bind stand-in shard");
+        let (lines, seen) = mpsc::channel();
+        std::thread::spawn(move || {
             let (stream, _) = shard.accept().expect("router connects");
-            let mut line = String::new();
-            BufReader::new(&stream)
-                .read_line(&mut line)
-                .expect("shard reads");
-            (&stream).write_all(line.as_bytes()).expect("shard writes");
+            for line in BufReader::new(&stream).lines() {
+                let line = line.expect("shard reads");
+                if echo {
+                    writeln!(&stream, "{line}").expect("shard writes");
+                }
+                let _ = lines.send(line);
+            }
         });
-        let paths = Arc::new(vec![shard_path.to_string_lossy().into_owned()]);
-        let (mut client, server) = UnixStream::pair().expect("socket pair");
+        (path, seen)
+    }
+
+    /// Runs the router's loop over shards already listening at `paths`
+    /// and connects one client to its front socket.
+    fn router(name: &str, paths: Vec<String>) -> (UnixStream, BufReader<UnixStream>) {
+        let front = socket_path(name);
+        let listener = bind_unix(&front).expect("bind front socket");
+        let invocation = crate::parse_args(["route".into(), "--socket".into(), front.clone()])
+            .expect("route parses");
+        let mut fleet = Fleet {
+            invocation,
+            paths,
+            children: Vec::new(),
+        };
+        std::thread::spawn(move || serve(&listener, &mut fleet));
+        let client = UnixStream::connect(&front).expect("router accepts");
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
-        let router = std::thread::spawn(move || handle_client(server, &paths));
-        let mut replies = BufReader::new(client.try_clone().expect("clone client"));
-        let mut next = || {
-            let mut line = String::new();
-            replies.read_line(&mut line).expect("router replies");
-            line
-        };
+        let replies = BufReader::new(client.try_clone().expect("clone client"));
+        (client, replies)
+    }
+
+    fn next(replies: &mut BufReader<UnixStream>) -> String {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("router replies");
+        line
+    }
+
+    #[test]
+    fn over_cap_lines_are_answered_before_their_newline_and_serving_continues() {
+        let (shard, _) = stand_in("cap-shard", true);
+        let (mut client, mut replies) = router("cap", vec![shard]);
 
         // No newline yet: the cap alone triggers the reply.
         client.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
-        let bad = next();
+        let bad = next(&mut replies);
         assert!(bad.contains("\"kind\":\"bad_request\""), "{bad}");
         assert!(bad.contains("request line exceeds"), "{bad}");
         // The rest of the long line is discarded; invalid UTF-8 gets a
@@ -459,14 +593,39 @@ mod tests {
             .write_all(b"tail of the long line\n\xff\xfe\n")
             .unwrap();
         client.write_all(format!("{request}\n").as_bytes()).unwrap();
-        let invalid = next();
+        let invalid = next(&mut replies);
         assert!(invalid.contains("\"kind\":\"bad_request\""), "{invalid}");
-        assert_eq!(next().trim_end(), request);
-        // Closing both client handles ends the connection.
-        drop((client, replies));
-        router.join().unwrap().expect("the connection ends cleanly");
-        shard.join().unwrap();
-        let _ = std::fs::remove_file(&shard_path);
+        assert_eq!(next(&mut replies).trim_end(), request);
+        // The line ending at EOF is still answered, and the closed
+        // connection leaves the router serving.
+        client.write_all(b"not json").unwrap();
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(next(&mut replies).contains("\"kind\":\"bad_request\""));
+        assert_eq!(
+            next(&mut replies),
+            "",
+            "the router closes after the last reply"
+        );
+    }
+
+    #[test]
+    fn cancel_reaches_the_shard_its_target_took() {
+        let (shard0, seen0) = stand_in("cancel-0", false);
+        let (shard1, seen1) = stand_in("cancel-1", false);
+        // A source whose digest picks shard 1, so following the route
+        // differs from the shard-0 fallback.
+        let source = (0..)
+            .map(|k| format!("do i from 2 to n {{ X[i] := X[i-1] + {k}; }}"))
+            .find(|src| shard_for(&request(7, Verb::Analyze, src), &HashMap::new(), 2) == 1)
+            .unwrap();
+        let (mut client, _replies) = router("cancel", vec![shard0, shard1]);
+        let analyze = format!(r#"{{"id":7,"verb":"analyze","source":"{source}"}}"#);
+        let cancel = r#"{"id":8,"verb":"cancel","target":7}"#;
+        writeln!(client, "{analyze}\n{cancel}").unwrap();
+        let wait = Duration::from_secs(10);
+        assert_eq!(seen1.recv_timeout(wait).unwrap(), analyze);
+        assert_eq!(seen1.recv_timeout(wait).unwrap(), cancel);
+        assert!(seen0.try_recv().is_err(), "shard 0 saw a line");
     }
 
     #[test]

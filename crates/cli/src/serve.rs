@@ -5,20 +5,25 @@
 //! completion order, each echoing the request's `id` (and, for v2
 //! envelopes, its `"v"`). The front-end speaks stdin/stdout by default,
 //! or any number of `--socket PATH` (Unix-domain) and `--tcp ADDR`
-//! listeners. Either way every connection runs through one non-blocking
-//! poll loop: per-connection read buffers with a request-line cap,
+//! listeners. Either way every connection runs through one loop that
+//! blocks in `poll(2)` until a listener, a connection or a worker reply
+//! is ready: per-connection read buffers with a request-line cap,
 //! bounded write buffers, and back-pressure that simply stops reading
 //! from a connection whose responses it cannot drain. Workers send each
-//! response into its connection's reply channel, so no thread waits on
-//! a request. `--store DIR` persists compiled artifacts across
-//! restarts, `--rate-limit`/`--burst`/`--max-in-flight` switch on
-//! per-client fairness, and `--self-test` runs the in-process soak
-//! client.
+//! response into its connection's reply channel and then wake the loop
+//! through a self-pipe, so no thread waits on a request and the loop
+//! never sleeps. A failed `accept` (say, out of descriptors) is logged,
+//! and the listener rests until a connection closes or a tick passes.
+//! `--store DIR` persists compiled artifacts across restarts,
+//! `--rate-limit`/`--burst`/`--max-in-flight` switch on per-client
+//! fairness, and `--self-test` runs the in-process soak client.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
-use std::time::Duration;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use tpn_service::protocol::{self, ParseError, Request, Verb, MAX_LINE};
@@ -28,23 +33,24 @@ use tpn_service::{
 };
 
 use crate::output::{OutputFormat, Render};
+use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::Invocation;
 
 /// In-memory capacity of the serve front-end's request-journal ring:
 /// the window the `journal` verb can look back over.
 const JOURNAL_RING: usize = 256;
 
-/// Per-connection write-buffer cap: past this, the poll loop stops
-/// reading from the connection until its responses drain (back-pressure
-/// instead of unbounded buffering).
-const WRITE_BUF_CAP: usize = 256 * 1024;
+/// Per-connection write-buffer cap: past this, the loop stops reading
+/// from the connection until its responses drain (back-pressure instead
+/// of unbounded buffering).
+pub(crate) const WRITE_BUF_CAP: usize = 256 * 1024;
 
-/// Bytes taken per read, from a socket or from the stdin reader thread.
-const CHUNK: usize = 4096;
+/// Bytes taken per read.
+pub(crate) const CHUNK: usize = 4096;
 
-/// The poll loop's sleep when a full pass over listeners, channels and
-/// connections made no progress.
-const IDLE_SLEEP: Duration = Duration::from_millis(1);
+/// How long a listener whose `accept` failed stays out of the poll set
+/// unless a connection closes first; also `tpnc route`'s respawn tick.
+pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// Builds the service configuration from the invocation's flags
 /// (`--jobs` workers, `--queue` capacity, `--cache` weight, `--store`
@@ -102,7 +108,11 @@ pub fn run(invocation: &Invocation) -> Result<(), String> {
         .map_err(|e| format!("error starting service: {e}"))?;
     attach_journal_sink(&service, invocation)?;
     if invocation.sockets.is_empty() && invocation.tcp.is_empty() {
-        serve(&service, &[], Some(stdio()))
+        serve(
+            &service,
+            &[],
+            Some((Box::new(io::stdin()), Box::new(io::stdout()))),
+        )
     } else {
         serve(&service, &bind_listeners(invocation)?, None)
     }
@@ -110,12 +120,20 @@ pub fn run(invocation: &Invocation) -> Result<(), String> {
 
 /// Routes one request line arriving on `conn`: front-end verbs and
 /// rejections are answered at once, everything else is submitted with
-/// the connection's reply channel.
-fn route_line(service: &Service, conn: &mut Conn, line: &str) {
+/// a reply callback that feeds the connection's channel and wakes the
+/// loop.
+fn route_line(
+    service: &Service,
+    waker: &Waker,
+    wire: &mut Wire<Stream>,
+    in_flight: &mut Vec<(u64, Canceller)>,
+    reply: &mpsc::Sender<Response>,
+    line: &str,
+) {
     let request = match protocol::parse_request(line) {
         Ok(request) => request,
         Err(ParseError::UnsupportedVersion { id, v }) => {
-            return conn.respond(&protocol::error_envelope(
+            return wire.respond(&protocol::error_envelope(
                 1,
                 id.unwrap_or(0),
                 None,
@@ -135,7 +153,7 @@ fn route_line(service: &Service, conn: &mut Conn, line: &str) {
                     _ => None,
                 })
                 .unwrap_or(0);
-            return conn.respond(&protocol::error_line(
+            return wire.respond(&protocol::error_line(
                 id,
                 None,
                 "bad_request",
@@ -152,7 +170,7 @@ fn route_line(service: &Service, conn: &mut Conn, line: &str) {
         Verb::Cancel => {
             let target = request.target.expect("protocol validated cancel target");
             let mut delivered = false;
-            for (_, canceller) in conn.in_flight.iter().filter(|(id, _)| *id == target) {
+            for (_, canceller) in in_flight.iter().filter(|(id, _)| *id == target) {
                 canceller.cancel();
                 delivered = true;
             }
@@ -163,70 +181,266 @@ fn route_line(service: &Service, conn: &mut Conn, line: &str) {
                 &format!("{{\"target\":{target},\"in_flight\":{delivered}}}"),
             )
         }
-        _ => match service.submit(request, conn.reply.clone()) {
-            Err(Rejected::Overloaded(overloaded)) => protocol::error_envelope(
-                v,
-                id,
-                None,
-                "overloaded",
-                &overloaded.to_string(),
-                Some(overloaded.depth),
-                None,
-            ),
-            Err(Rejected::RateLimited(limited)) => protocol::error_envelope(
-                v,
-                id,
-                None,
-                "rate_limited",
-                &limited.to_string(),
-                None,
-                Some(limited.retry_after_ms),
-            ),
-            Ok(canceller) => return conn.in_flight.push((id, canceller)),
-        },
+        _ => {
+            let (reply, waker) = (reply.clone(), waker.clone());
+            match service.submit(request, move |response| {
+                let _ = reply.send(response);
+                waker.wake();
+            }) {
+                Err(Rejected::Overloaded(overloaded)) => protocol::error_envelope(
+                    v,
+                    id,
+                    None,
+                    "overloaded",
+                    &overloaded.to_string(),
+                    Some(overloaded.depth),
+                    None,
+                ),
+                Err(Rejected::RateLimited(limited)) => protocol::error_envelope(
+                    v,
+                    id,
+                    None,
+                    "rate_limited",
+                    &limited.to_string(),
+                    None,
+                    Some(limited.retry_after_ms),
+                ),
+                Ok(canceller) => return in_flight.push((id, canceller)),
+            }
+        }
     };
-    conn.respond(&response);
+    wire.respond(&response);
 }
 
 // ---------------------------------------------------------------------------
-// The non-blocking poll loop: every connection, stdio included.
+// The readiness-driven loop: every connection, stdio included.
 // ---------------------------------------------------------------------------
 
-/// Stdin/stdout as one connection. Safe std cannot make stdin
-/// non-blocking, so one reader thread feeds it to the loop in chunks of
-/// at most [`CHUNK`] bytes; the bounded channel keeps it from reading
-/// ahead of a loop that has stopped reading. The thread is detached: it
-/// may sit in a read the loop cannot interrupt, and ends at EOF or with
-/// the process.
-fn stdio() -> Stream {
-    let (chunks, input) = mpsc::sync_channel(1);
-    std::thread::spawn(move || {
-        let mut stdin = io::stdin().lock();
-        let mut chunk = [0u8; CHUNK];
+/// Frames a client's bytes into request lines. Lines end at a newline,
+/// decode lossily (so invalid UTF-8 gets a typed reply too) and are
+/// trimmed; blank lines are skipped. Once [`MAX_LINE`] bytes are held
+/// with no newline, the line is answered with one `bad_request` at once
+/// and the input is discarded through the next newline.
+#[derive(Default)]
+struct Lines {
+    /// Bytes received but not yet terminated by a newline.
+    buf: Vec<u8>,
+    /// Set by an over-long line until its newline arrives.
+    discarding: bool,
+}
+
+impl Lines {
+    /// Takes the next request line out of `bytes`, advancing past what
+    /// it consumed: `Ok(line)` to handle, or `Err(reply)` to send back
+    /// for a line over the cap. `None` once `bytes` holds no further
+    /// line; a partial line stays buffered.
+    fn next(&mut self, bytes: &mut &[u8]) -> Option<Result<String, String>> {
         loop {
-            match stdin.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => {
-                    if chunks.send(Ok(chunk[..n].to_vec())).is_err() {
-                        break;
-                    }
+            let Some(pos) = bytes.iter().position(|&b| b == b'\n') else {
+                if !self.discarding {
+                    self.buf.extend_from_slice(bytes);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    let _ = chunks.send(Err(e));
-                    break;
+                *bytes = &[];
+                if self.buf.len() < MAX_LINE {
+                    return None;
                 }
+                self.buf = Vec::new();
+                self.discarding = true;
+                return Some(Err(protocol::error_line(
+                    0,
+                    None,
+                    "bad_request",
+                    &format!("request line exceeds {MAX_LINE} bytes"),
+                    None,
+                )));
+            };
+            let line = &bytes[..pos];
+            *bytes = &bytes[pos + 1..];
+            if std::mem::take(&mut self.discarding) {
+                continue;
+            }
+            self.buf.extend_from_slice(line);
+            let line = match String::from_utf8(std::mem::take(&mut self.buf)) {
+                Ok(line) => line,
+                Err(e) => String::from_utf8_lossy(e.as_bytes()).into_owned(),
+            };
+            let trimmed = line.trim();
+            if !trimmed.is_empty() {
+                let whole = trimmed.len() == line.len();
+                return Some(Ok(if whole { line } else { trimmed.to_string() }));
             }
         }
-    });
-    Stream::Stdio(input, Box::new(io::stdout()))
+    }
+}
+
+/// A client connection's side of the wire, shared by `tpnc serve` and
+/// `tpnc route`: request lines in under the [`MAX_LINE`] cap, response
+/// bytes out through a write buffer bounded by back-pressure.
+pub(crate) struct Wire<S> {
+    stream: S,
+    lines: Lines,
+    /// Response bytes not yet accepted by the peer.
+    pub(crate) write_buf: Vec<u8>,
+    /// Cleared on EOF or a read error; the connection then only drains.
+    pub(crate) reading: bool,
+    /// Set on a write error; the connection is dropped outright.
+    pub(crate) dead: bool,
+    /// The connection's entry in this pass's poll set, if it has one.
+    slot: Option<usize>,
+}
+
+impl<S: Read + Write + AsRawFd> Wire<S> {
+    pub(crate) fn new(stream: S) -> Wire<S> {
+        Wire {
+            stream,
+            lines: Lines::default(),
+            write_buf: Vec::new(),
+            reading: true,
+            dead: false,
+            slot: None,
+        }
+    }
+
+    /// Whether the write buffer has room, so the client (and, in
+    /// `tpnc route`, its shard links) may be read.
+    pub(crate) fn has_room(&self) -> bool {
+        self.write_buf.len() < WRITE_BUF_CAP
+    }
+
+    /// Queues one response line for writing.
+    pub(crate) fn respond(&mut self, line: &str) {
+        self.write_buf.extend_from_slice(line.as_bytes());
+        self.write_buf.push(b'\n');
+    }
+
+    /// Adds the connection to `fds`: input while it reads under its
+    /// write cap, output while it has bytes to write. A connection that
+    /// wants neither stays out, because `poll` reports a hang-up
+    /// whatever was asked for: a half-closed client waiting for its
+    /// replies would make the loop spin.
+    pub(crate) fn register(&mut self, fds: &mut Vec<PollFd>) {
+        let mut events = 0;
+        if self.reading && self.has_room() {
+            events |= POLLIN;
+        }
+        if !self.write_buf.is_empty() {
+            events |= POLLOUT;
+        }
+        self.slot = poll::add(fds, self.stream.as_raw_fd(), events);
+    }
+
+    /// The connection's readiness after this pass's wait.
+    pub(crate) fn ready(&self, fds: &[PollFd]) -> Option<PollFd> {
+        self.slot.map(|slot| fds[slot])
+    }
+
+    /// Reads what the peer sent until it runs dry or the write cap is
+    /// reached, passing each request line to `handle` and answering an
+    /// over-long one itself.
+    pub(crate) fn read(&mut self, mut handle: impl FnMut(&mut Self, &str)) -> Result<(), String> {
+        let mut chunk = [0u8; CHUNK];
+        while self.reading && self.has_room() {
+            let mut bytes = match self.stream.read(&mut chunk) {
+                // The last line may end at EOF, not a newline.
+                Ok(0) => {
+                    self.reading = false;
+                    &b"\n"[..]
+                }
+                Ok(n) => &chunk[..n],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.reading = false;
+                    return Err(format!("error reading request: {e}"));
+                }
+            };
+            let short = bytes.len() < CHUNK;
+            while let Some(line) = self.lines.next(&mut bytes) {
+                match line {
+                    Ok(line) => handle(self, &line),
+                    Err(reply) => self.respond(&reply),
+                }
+            }
+            // A short read drained the socket; poll reports any more.
+            if short {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes as much of the write buffer as the peer accepts.
+    pub(crate) fn flush(&mut self) -> Result<(), String> {
+        drain(&mut self.stream, &mut self.write_buf).map_err(|e| {
+            self.dead = true;
+            format!("error writing response: {e}")
+        })
+    }
+}
+
+/// Writes as much of `buf` to `stream` as it accepts without blocking,
+/// removing what was written. A peer that accepts nothing is an error.
+pub(crate) fn drain(stream: &mut impl Write, buf: &mut Vec<u8>) -> io::Result<()> {
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf.drain(..n);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Accepts every connection pending on a readable listener into
+/// `conns`. Any failure but an empty backlog (out of descriptors, say)
+/// is logged, unless the listeners already rest, and rests them for a
+/// [`TICK`]: a listener the loop cannot accept from stays readable, so
+/// polling it would spin. A closed connection ends the rest early.
+pub(crate) fn accept_pending<T>(
+    conns: &mut Vec<T>,
+    mut accept: impl FnMut() -> io::Result<T>,
+    resting: &mut Option<Instant>,
+    name: &str,
+) {
+    loop {
+        match accept() {
+            Ok(conn) => {
+                conns.push(conn);
+                *resting = None;
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                if resting.is_none() {
+                    eprintln!("{name}: error accepting connection: {e}");
+                }
+                *resting = Some(Instant::now() + TICK);
+                break;
+            }
+        }
+    }
+}
+
+/// The write end of the loop's self-pipe. One byte wakes the loop from
+/// `poll`; workers send it after each reply.
+#[derive(Clone)]
+struct Waker(Arc<UnixStream>);
+
+impl Waker {
+    fn wake(&self) {
+        // A full pipe already holds a pending wake-up.
+        let _ = (&*self.0).write(&[1]);
+    }
 }
 
 /// One bound, non-blocking listening socket.
 enum Listener {
     /// A Unix-domain listener (`--socket PATH`).
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixListener),
+    Unix(UnixListener),
     /// A TCP listener (`--tcp ADDR`).
     Tcp(TcpListener),
 }
@@ -234,21 +448,27 @@ enum Listener {
 /// One connection's byte stream.
 enum Stream {
     /// A Unix-domain connection.
-    #[cfg(unix)]
-    Unix(std::os::unix::net::UnixStream),
+    Unix(UnixStream),
     /// A TCP connection.
     Tcp(TcpStream),
-    /// Stdin chunks from the reader thread in; blocking, flushed writes
-    /// out.
-    Stdio(mpsc::Receiver<io::Result<Vec<u8>>>, Box<dyn Write>),
+    /// Stdin in, through the socket the reader thread fills; blocking,
+    /// flushed writes out, so the write buffer is empty after every
+    /// flush.
+    Stdio(UnixStream, Box<dyn Write>),
 }
 
 impl Listener {
+    fn fd(&self) -> RawFd {
+        match self {
+            Listener::Unix(listener) => listener.as_raw_fd(),
+            Listener::Tcp(listener) => listener.as_raw_fd(),
+        }
+    }
+
     /// Accepts one pending connection, already switched to
     /// non-blocking.
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            #[cfg(unix)]
             Listener::Unix(listener) => {
                 let (stream, _) = listener.accept()?;
                 stream.set_nonblocking(true)?;
@@ -264,23 +484,20 @@ impl Listener {
     }
 }
 
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Stream::Unix(stream) | Stream::Stdio(stream, _) => stream.as_raw_fd(),
+            Stream::Tcp(stream) => stream.as_raw_fd(),
+        }
+    }
+}
+
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
-            Stream::Unix(stream) => stream.read(buf),
+            Stream::Unix(stream) | Stream::Stdio(stream, _) => stream.read(buf),
             Stream::Tcp(stream) => stream.read(buf),
-            Stream::Stdio(input, _) => match input.try_recv() {
-                Ok(chunk) => {
-                    // The reader thread's chunks fit the loop's CHUNK
-                    // buffer.
-                    let chunk = chunk?;
-                    buf[..chunk.len()].copy_from_slice(&chunk);
-                    Ok(chunk.len())
-                }
-                Err(mpsc::TryRecvError::Empty) => Err(io::ErrorKind::WouldBlock.into()),
-                Err(mpsc::TryRecvError::Disconnected) => Ok(0),
-            },
         }
     }
 }
@@ -288,7 +505,6 @@ impl Read for Stream {
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
             Stream::Unix(stream) => stream.write(buf),
             Stream::Tcp(stream) => stream.write(buf),
             Stream::Stdio(_, output) => {
@@ -301,7 +517,6 @@ impl Write for Stream {
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             Stream::Unix(stream) => stream.flush(),
             Stream::Tcp(stream) => stream.flush(),
             Stream::Stdio(_, output) => output.flush(),
@@ -309,11 +524,30 @@ impl Write for Stream {
     }
 }
 
+/// Stdin/stdout as one connection. Safe std cannot make stdin
+/// non-blocking, so one reader thread copies it into a socket pair whose
+/// other end the loop polls like any connection; the pair's buffer
+/// keeps the thread from reading far ahead of a loop that has stopped
+/// reading. The thread is detached: it may sit in a read the loop
+/// cannot interrupt, and ends at EOF (closing its end, which the loop
+/// reads as EOF) or with the process.
+fn stdio(mut input: Box<dyn Read + Send>, output: Box<dyn Write>) -> io::Result<Stream> {
+    let (mut feed, stream) = UnixStream::pair()?;
+    stream.set_nonblocking(true)?;
+    std::thread::spawn(move || {
+        if let Err(e) = io::copy(&mut input, &mut feed) {
+            eprintln!("tpnc serve: error reading stdin: {e}");
+        }
+    });
+    Ok(Stream::Stdio(stream, output))
+}
+
 /// Binds every `--socket` and `--tcp` listener, non-blocking.
 fn bind_listeners(invocation: &Invocation) -> Result<Vec<Listener>, String> {
     let mut listeners = Vec::new();
     for path in &invocation.sockets {
-        listeners.push(bind_unix(path)?);
+        listeners.push(Listener::Unix(bind_unix(path)?));
+        eprintln!("tpnc serve: listening on {path}");
     }
     for addr in &invocation.tcp {
         let listener =
@@ -327,11 +561,10 @@ fn bind_listeners(invocation: &Invocation) -> Result<Vec<Listener>, String> {
     Ok(listeners)
 }
 
-#[cfg(unix)]
-fn bind_unix(path: &str) -> Result<Listener, String> {
-    use std::os::unix::net::UnixListener;
-
-    // A stale socket file from a previous run would fail the bind.
+/// Binds a non-blocking Unix-domain listener at `path`, replacing a
+/// stale socket file from a previous run. `tpnc route` binds its front
+/// socket with it too.
+pub(crate) fn bind_unix(path: &str) -> Result<UnixListener, String> {
     if std::fs::metadata(path).is_ok() {
         std::fs::remove_file(path).map_err(|e| format!("error removing stale {path}: {e}"))?;
     }
@@ -340,28 +573,12 @@ fn bind_unix(path: &str) -> Result<Listener, String> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("error configuring socket {path}: {e}"))?;
-    eprintln!("tpnc serve: listening on {path}");
-    Ok(Listener::Unix(listener))
+    Ok(listener)
 }
 
-#[cfg(not(unix))]
-fn bind_unix(_path: &str) -> Result<Listener, String> {
-    Err("--socket requires a Unix platform".to_string())
-}
-
-/// One multiplexed connection's state in the poll loop.
+/// One multiplexed connection's state in the loop.
 struct Conn {
-    stream: Stream,
-    /// Bytes received but not yet terminated by a newline.
-    read_buf: Vec<u8>,
-    /// Set by an over-long line until its newline arrives.
-    discarding: bool,
-    /// Response bytes not yet accepted by the peer.
-    write_buf: Vec<u8>,
-    /// Cleared on EOF or a read error; the connection then only drains.
-    reading: bool,
-    /// Set on a write error; the connection is dropped outright.
-    dead: bool,
+    wire: Wire<Stream>,
     /// The sender goes with every request this connection submits; the
     /// loop collects the responses from the receiver.
     reply: mpsc::Sender<Response>,
@@ -375,152 +592,116 @@ impl Conn {
     fn new(stream: Stream) -> Conn {
         let (reply, replies) = mpsc::channel();
         Conn {
-            stream,
-            read_buf: Vec::new(),
-            discarding: false,
-            write_buf: Vec::new(),
-            reading: true,
-            dead: false,
+            wire: Wire::new(stream),
             reply,
             replies,
             in_flight: Vec::new(),
         }
     }
-
-    /// Queues one response line for writing.
-    fn respond(&mut self, line: &str) {
-        self.write_buf.extend_from_slice(line.as_bytes());
-        self.write_buf.push(b'\n');
-    }
-
-    /// Feeds newly read bytes in: routes every line they complete, and
-    /// rejects a line that reaches [`MAX_LINE`] bytes with no newline.
-    fn feed(&mut self, service: &Service, mut bytes: &[u8]) {
-        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
-            if self.discarding {
-                self.discarding = false;
-            } else {
-                self.read_buf.extend_from_slice(&bytes[..pos]);
-                let raw = std::mem::take(&mut self.read_buf);
-                let line = String::from_utf8_lossy(&raw);
-                let line = line.trim();
-                if !line.is_empty() {
-                    route_line(service, self, line);
-                }
-            }
-            bytes = &bytes[pos + 1..];
-        }
-        if !self.discarding {
-            self.read_buf.extend_from_slice(bytes);
-        }
-        if self.read_buf.len() >= MAX_LINE {
-            self.read_buf = Vec::new();
-            self.discarding = true;
-            self.respond(&protocol::error_line(
-                0,
-                None,
-                "bad_request",
-                &format!("request line exceeds {MAX_LINE} bytes"),
-                None,
-            ));
-        }
-    }
 }
 
 /// The one request loop: multiplexes every listener and connection,
-/// stdio included, on one thread. Compilation runs on the service's
-/// worker pool, which sends each response into its connection's reply
-/// channel, so no thread blocks on a request, and one slow or stalled
-/// peer cannot starve the rest: its write buffer fills, the loop stops
-/// reading from it, and everyone else keeps flowing. Returns once no
-/// listener and no connection is left (stdio after EOF, with every
-/// reply written), failing with the last connection I/O error if there
-/// was one; with listeners it runs until the process is killed.
-fn serve(service: &Service, listeners: &[Listener], stdio: Option<Stream>) -> Result<(), String> {
-    let mut conns: Vec<Conn> = stdio.into_iter().map(Conn::new).collect();
+/// stdio included, on one thread that blocks in `poll(2)` on the
+/// self-pipe, every listener and every connection that wants input or
+/// output. Compilation runs on the service's worker pool, which sends
+/// each response into its connection's reply channel and then writes
+/// one byte into the self-pipe, so no thread blocks on a request, and
+/// one slow or stalled peer cannot starve the rest: its write buffer
+/// fills, the loop stops reading from it, and everyone else keeps
+/// flowing. Returns once no listener and no connection is left (stdio
+/// after EOF, with every reply written), failing with the last
+/// connection I/O error if there was one; with listeners it runs until
+/// the process is killed.
+fn serve(
+    service: &Service,
+    listeners: &[Listener],
+    stdio_pair: Option<(Box<dyn Read + Send>, Box<dyn Write>)>,
+) -> Result<(), String> {
+    let pipe = |e: io::Error| format!("error creating the wake-up pipe: {e}");
+    let (wakeups, wake) = UnixStream::pair().map_err(pipe)?;
+    wakeups.set_nonblocking(true).map_err(pipe)?;
+    wake.set_nonblocking(true).map_err(pipe)?;
+    let waker = Waker(Arc::new(wake));
+    let mut conns = Vec::new();
+    if let Some((input, output)) = stdio_pair {
+        let stream = stdio(input, output).map_err(|e| format!("error reading stdin: {e}"))?;
+        conns.push(Conn::new(stream));
+    }
+    // Set while the listeners rest after a failed accept.
+    let mut resting: Option<Instant> = None;
+    let mut fds = Vec::new();
     let mut result = Ok(());
     while !listeners.is_empty() || !conns.is_empty() {
-        let mut progress = false;
+        let now = Instant::now();
+        let accepting = resting.is_none_or(|until| now >= until);
+        fds.clear();
+        fds.push(PollFd::new(wakeups.as_raw_fd(), POLLIN));
+        if accepting {
+            fds.extend(listeners.iter().map(|l| PollFd::new(l.fd(), POLLIN)));
+        }
+        for conn in &mut conns {
+            conn.wire.register(&mut fds);
+        }
+        let timeout = resting.filter(|_| !accepting).map(|until| until - now);
+        poll::wait(&mut fds, timeout).map_err(|e| format!("error waiting in poll: {e}"))?;
 
-        // Accept every pending connection on every listener.
-        for listener in listeners {
-            loop {
-                match listener.accept() {
-                    Ok(stream) => {
-                        conns.push(Conn::new(stream));
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(format!("error accepting connection: {e}")),
+        // Drain the self-pipe: every reply sent before this read is in
+        // its channel now, and any later one writes a fresh byte. Bytes
+        // beyond one read only cost a spare pass.
+        let woken = fds[0].readable();
+        if woken {
+            let _ = (&wakeups).read(&mut [0u8; 256]);
+        }
+        if accepting {
+            for (listener, fd) in listeners.iter().zip(&fds[1..]) {
+                if fd.readable() {
+                    let accept = || listener.accept().map(Conn::new);
+                    accept_pending(&mut conns, accept, &mut resting, "tpnc serve");
                 }
             }
         }
 
         for conn in &mut conns {
-            // Collect the responses workers have sent.
-            while let Ok(response) = conn.replies.try_recv() {
-                progress = true;
-                if let Some(at) = conn.in_flight.iter().position(|(id, _)| *id == response.id) {
-                    conn.in_flight.swap_remove(at);
-                }
-                conn.respond(&response.line);
-            }
-
-            // Read and route, pausing a connection over its write cap.
-            let mut chunk = [0u8; CHUNK];
-            while conn.reading && conn.write_buf.len() < WRITE_BUF_CAP {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.reading = false;
-                        // The last line may end at EOF, not a newline.
-                        conn.feed(service, b"\n");
+            let mut touched = false;
+            if woken {
+                while let Ok(response) = conn.replies.try_recv() {
+                    touched = true;
+                    if let Some(at) = conn.in_flight.iter().position(|(id, _)| *id == response.id) {
+                        conn.in_flight.swap_remove(at);
                     }
-                    Ok(n) => {
-                        progress = true;
-                        conn.feed(service, &chunk[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        conn.reading = false;
-                        result = Err(format!("error reading request: {e}"));
-                    }
+                    conn.wire.respond(&response.line);
                 }
             }
-
-            // Flush as much of the write buffer as the peer accepts.
-            while !conn.write_buf.is_empty() {
-                match conn.stream.write(&conn.write_buf) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
+            if let Some(fd) = conn.wire.ready(&fds) {
+                if fd.readable() && conn.wire.reading {
+                    touched = true;
+                    let (in_flight, reply) = (&mut conn.in_flight, &conn.reply);
+                    let read = conn.wire.read(|wire, line| {
+                        route_line(service, &waker, wire, in_flight, reply, line);
+                    });
+                    if let Err(e) = read {
+                        result = Err(e);
                     }
-                    Ok(n) => {
-                        conn.write_buf.drain(..n);
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        conn.dead = true;
-                        result = Err(format!("error writing response: {e}"));
-                        break;
-                    }
+                }
+                touched |= fd.writable();
+            }
+            if touched {
+                if let Err(e) = conn.wire.flush() {
+                    result = Err(e);
                 }
             }
         }
 
         // Reap finished and broken connections; a dropped receiver
-        // discards any reply still owed to a dead one.
+        // discards any reply still owed to a dead one. A closed
+        // connection frees a descriptor, so resting listeners retry.
         let open = conns.len();
         conns.retain(|conn| {
-            !conn.dead && (conn.reading || !conn.in_flight.is_empty() || !conn.write_buf.is_empty())
+            let wire = &conn.wire;
+            !wire.dead && (wire.reading || !conn.in_flight.is_empty() || !wire.write_buf.is_empty())
         });
-        progress |= conns.len() != open;
-
-        if !progress {
-            std::thread::sleep(IDLE_SLEEP);
+        if conns.len() != open {
+            resting = None;
         }
     }
     result
@@ -693,7 +874,10 @@ fn self_test(invocation: &Invocation) -> Result<(), String> {
     let mut overloaded_typed = 0u64;
     let (reply, replies) = mpsc::channel();
     for id in 0..16 {
-        match tiny.submit(soak_request(id, &pool), reply.clone()) {
+        let reply = reply.clone();
+        match tiny.submit(soak_request(id, &pool), move |r| {
+            let _ = reply.send(r);
+        }) {
             Ok(_) => {}
             Err(Rejected::Overloaded(overloaded)) => {
                 assert!(overloaded.capacity == 1);
@@ -832,14 +1016,10 @@ mod tests {
     /// Serves `input` as a stdio connection through the loop until EOF
     /// and returns the response lines.
     fn serve_stdio(service: &Service, input: &[u8]) -> Vec<String> {
-        let (chunks, stdin) = mpsc::channel();
-        for chunk in input.chunks(CHUNK) {
-            chunks.send(Ok(chunk.to_vec())).unwrap();
-        }
-        drop(chunks);
+        let stdin = Box::new(io::Cursor::new(input.to_vec()));
         let output = Arc::new(Mutex::new(Vec::new()));
         let stdout = Box::new(SharedWriter(output.clone()));
-        serve(service, &[], Some(Stream::Stdio(stdin, stdout))).expect("EOF ends the loop cleanly");
+        serve(service, &[], Some((stdin, stdout))).expect("EOF ends the loop cleanly");
         let text = String::from_utf8(output.lock().expect("writer lock").clone()).unwrap();
         text.lines().map(str::to_string).collect()
     }
@@ -1082,6 +1262,66 @@ mod tests {
         let b = client(addr, 200);
         assert_eq!(a.join().unwrap(), vec![100, 101, 102, 103]);
         assert_eq!(b, vec![200, 201, 202, 203]);
+    }
+
+    #[test]
+    fn a_half_closed_client_gets_every_reply() {
+        use std::net::Shutdown;
+
+        let service = Service::start(ServiceConfig::builder().workers(1).build().unwrap());
+        let path = std::env::temp_dir().join(format!("tpnc-serve-half-{}", std::process::id()));
+        let listener = bind_unix(path.to_str().unwrap()).unwrap();
+        std::thread::spawn(move || {
+            let _ = serve(&service, &[Listener::Unix(listener)], None);
+        });
+        let mut client = UnixStream::connect(&path).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        for id in 0..4 {
+            // Storage runs long enough that the client's EOF arrives
+            // while every request is still in flight.
+            writeln!(
+                client,
+                "{{\"id\":{id},\"verb\":\"storage\",\"source\":\"do i from 2 to n {{ X[i] := X[i-1] + {id}; Y[i] := X[i] * Y[i-1]; }}\"}}"
+            )
+            .unwrap();
+        }
+        client.shutdown(Shutdown::Write).unwrap();
+        let mut replies = String::new();
+        client.read_to_string(&mut replies).unwrap();
+        let mut ids: Vec<u64> = replies
+            .lines()
+            .map(|line| {
+                assert!(line.contains("\"ok\":true"), "{line}");
+                protocol::envelope_id(line.as_bytes()).expect("an envelope")
+            })
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2, 3]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_connection_that_wants_nothing_stays_out_of_the_poll_set() {
+        let (stream, _peer) = UnixStream::pair().unwrap();
+        let mut wire = Wire::new(stream);
+        let mut fds = Vec::new();
+        wire.register(&mut fds);
+        assert_eq!(
+            (fds.len(), wire.slot),
+            (1, Some(0)),
+            "a reader waits for input"
+        );
+        // After EOF with nothing to write, poll would report the hang-up
+        // on every pass: the connection must not be in the set.
+        wire.reading = false;
+        fds.clear();
+        wire.register(&mut fds);
+        assert!(fds.is_empty() && wire.slot.is_none());
+        wire.respond("{}");
+        wire.register(&mut fds);
+        assert_eq!(wire.slot, Some(0), "pending output is waited for");
     }
 
     #[test]

@@ -248,7 +248,9 @@ pub fn run_chaos(config: &ChaosConfig) -> ChaosReport {
             let fault = faults[i as usize];
             let request = apply_fault(plan_request(i, &pool), fault);
             let (reply, response) = mpsc::channel();
-            match chaos_service.submit(request, reply) {
+            match chaos_service.submit(request, move |r| {
+                let _ = reply.send(r);
+            }) {
                 Ok(canceller) => {
                     if fault == Fault::Cancel {
                         canceller.cancel();

@@ -136,19 +136,27 @@ pub struct HistogramBucket {
     pub count: u64,
 }
 
+/// The histogram slot of one latency in nanoseconds: slot k covers
+/// (2^{k-1}, 2^k] µs, and slot 0 everything up to 1 µs. Every `u64`
+/// lands below slot 64.
+pub fn latency_slot(nanos: u64) -> usize {
+    let micros = nanos.div_ceil(1_000).max(1);
+    // The exponent of the next power of two at or above `micros`: no
+    // scan needed.
+    (u64::BITS - (micros - 1).leading_zeros()) as usize
+}
+
 /// Builds a power-of-two latency histogram (bounds 1 µs, 2 µs, 4 µs, …)
-/// over per-item latencies in nanoseconds. Trailing empty buckets are
-/// trimmed; the final bucket always covers the slowest item.
+/// over per-item latencies in nanoseconds, one bucket per
+/// [`latency_slot`]. Trailing empty buckets are trimmed; the final
+/// bucket always covers the slowest item.
 pub fn latency_histogram(latencies_nanos: &[u64]) -> Vec<HistogramBucket> {
     let mut buckets = vec![HistogramBucket {
         le_micros: 1,
         count: 0,
     }];
     for &nanos in latencies_nanos {
-        let micros = nanos.div_ceil(1_000).max(1);
-        // Slot k covers (2^{k-1}, 2^k] µs, so the slot is the exponent of
-        // the next power of two at or above `micros` — no scan needed.
-        let slot = (u64::BITS - (micros - 1).leading_zeros()) as usize;
+        let slot = latency_slot(nanos);
         while buckets.len() <= slot {
             let next = buckets.last().expect("nonempty").le_micros * 2;
             buckets.push(HistogramBucket {
@@ -159,19 +167,6 @@ pub fn latency_histogram(latencies_nanos: &[u64]) -> Vec<HistogramBucket> {
         buckets[slot].count += 1;
     }
     buckets
-}
-
-/// The `p`-th percentile (0.0 ≤ `p` ≤ 1.0) of a latency sample in
-/// nanoseconds, by the nearest-rank method. Returns 0 for an empty
-/// sample. Used by the service layer to report p50/p99 latencies.
-pub fn percentile_nanos(latencies_nanos: &mut [u64], p: f64) -> u64 {
-    if latencies_nanos.is_empty() {
-        return 0;
-    }
-    latencies_nanos.sort_unstable();
-    let rank = ((p.clamp(0.0, 1.0) * latencies_nanos.len() as f64).ceil() as usize)
-        .clamp(1, latencies_nanos.len());
-    latencies_nanos[rank - 1]
 }
 
 /// Hit/miss/eviction counters of the service layer's sharded result
@@ -839,16 +834,6 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_use_nearest_rank() {
-        let mut lat = vec![50, 10, 40, 30, 20];
-        assert_eq!(percentile_nanos(&mut lat, 0.5), 30);
-        assert_eq!(percentile_nanos(&mut lat, 0.99), 50);
-        assert_eq!(percentile_nanos(&mut lat, 0.0), 10);
-        assert_eq!(percentile_nanos(&mut [], 0.5), 0);
-        assert_eq!(percentile_nanos(&mut [7], 0.5), 7);
-    }
-
-    #[test]
     fn histogram_slots_land_on_power_of_two_boundaries() {
         // Exactly 1 us, 2 us, 4 us sit in slots 0, 1, 2; one past each
         // bound rolls into the next slot.
@@ -862,23 +847,6 @@ mod tests {
         let tiny = latency_histogram(&[0, 1, 999]);
         assert_eq!(tiny.len(), 1);
         assert_eq!(tiny[0].count, 3);
-    }
-
-    #[test]
-    fn percentile_edge_cases() {
-        // All-identical sample: every percentile is that value.
-        let mut same = vec![42; 9];
-        for p in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(percentile_nanos(&mut same, p), 42);
-        }
-        // p = 0.0 is the minimum, p = 1.0 the maximum, even for n = 1.
-        assert_eq!(percentile_nanos(&mut [9], 0.0), 9);
-        assert_eq!(percentile_nanos(&mut [9], 1.0), 9);
-        assert_eq!(percentile_nanos(&mut [], 0.0), 0);
-        assert_eq!(percentile_nanos(&mut [], 1.0), 0);
-        // Out-of-range p clamps instead of panicking.
-        assert_eq!(percentile_nanos(&mut [1, 2, 3], -0.5), 1);
-        assert_eq!(percentile_nanos(&mut [1, 2, 3], 7.0), 3);
     }
 
     proptest::proptest! {

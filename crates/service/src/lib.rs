@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! submit ──► bounded admission queue ──► worker pool ──► caller's reply
-//!                │ full: typed               │            channel
+//!                │ full: typed               │            callback
 //!                ▼ Overloaded                ▼
 //!           (rejected, depth)      sharded LRU cache of
 //!                                  Arc<CompiledLoop> (hit: reuse
@@ -55,7 +55,7 @@ use limiter::{ClientLimiter, InFlightGuard};
 use protocol::{error_envelope, ok_envelope, Request, Verb};
 use serde::Serialize;
 use store::ArtifactStore;
-use tpn::metrics::{latency_histogram, percentile_nanos, ServiceCounters, VerbCounters};
+use tpn::metrics::{latency_slot, HistogramBucket, ServiceCounters, VerbCounters};
 use tpn::CompiledLoop;
 
 /// Tuning knobs for one [`Service`], built with
@@ -400,7 +400,7 @@ impl Canceller {
 
 struct Job {
     request: Request,
-    reply: mpsc::Sender<Response>,
+    reply: Box<dyn FnOnce(Response) + Send>,
     cancel: Arc<AtomicBool>,
     admitted: Instant,
     deadline: Option<Instant>,
@@ -424,7 +424,7 @@ struct Counters {
     deadline_expired: AtomicU64,
     cancelled: AtomicU64,
     panicked: AtomicU64,
-    latencies_nanos: Mutex<Vec<u64>>,
+    latencies: Latencies,
     /// One row per [`Verb::ALL`] entry. Counts requests by verb —
     /// including the front-end verbs (`metrics`, `metrics_prometheus`,
     /// `journal`) that never enter the admission queue, so the per-verb
@@ -442,13 +442,72 @@ impl Counters {
             deadline_expired: AtomicU64::new(0),
             cancelled: AtomicU64::new(0),
             panicked: AtomicU64::new(0),
-            latencies_nanos: Mutex::new(Vec::new()),
+            latencies: Latencies::new(),
             per_verb: Verb::ALL.iter().map(|_| PerVerb::default()).collect(),
         }
     }
 
     fn verb(&self, verb: Verb) -> &PerVerb {
         &self.per_verb[verb.index()]
+    }
+}
+
+/// Request latencies in fixed atomic buckets, one per
+/// [`latency_slot`]: recording is O(1) and the memory is the same after
+/// any number of requests. Only the sum and the max are exact.
+struct Latencies {
+    slots: [AtomicU64; 64],
+    sum_nanos: AtomicU64,
+    max_nanos: AtomicU64,
+}
+
+impl Latencies {
+    fn new() -> Latencies {
+        Latencies {
+            slots: [const { AtomicU64::new(0) }; 64],
+            sum_nanos: AtomicU64::new(0),
+            max_nanos: AtomicU64::new(0),
+        }
+    }
+
+    fn record(&self, nanos: u64) {
+        self.slots[latency_slot(nanos)].fetch_add(1, Ordering::Relaxed);
+        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
+    }
+
+    /// The buckets up to the last non-empty one, exactly as
+    /// [`tpn::metrics::latency_histogram`] builds them from the samples.
+    fn histogram(&self) -> Vec<HistogramBucket> {
+        let counts: Vec<u64> = self
+            .slots
+            .iter()
+            .map(|slot| slot.load(Ordering::Relaxed))
+            .collect();
+        let last = counts.iter().rposition(|&count| count > 0).unwrap_or(0);
+        (0..=last)
+            .map(|k| HistogramBucket {
+                le_micros: 1 << k,
+                count: counts[k],
+            })
+            .collect()
+    }
+
+    /// The `p`-th percentile of `histogram` in microseconds: the upper
+    /// bound of the bucket holding the nearest rank, clamped to the
+    /// slowest request. 0 when nothing was recorded.
+    fn percentile_micros(&self, histogram: &[HistogramBucket], p: f64) -> u64 {
+        let total: u64 = histogram.iter().map(|b| b.count).sum();
+        let rank = ((p * total as f64).ceil() as u64).clamp(1, total.max(1));
+        let mut seen = 0;
+        let bound = histogram
+            .iter()
+            .find(|b| {
+                seen += b.count;
+                seen >= rank
+            })
+            .map_or(0, |b| b.le_micros);
+        bound.min(self.max_nanos.load(Ordering::Relaxed).div_ceil(1_000))
     }
 }
 
@@ -548,9 +607,11 @@ impl Service {
         }
     }
 
-    /// Submits a request for asynchronous execution. A worker sends the
-    /// [`Response`] to `reply` once it completes; a dropped receiver
-    /// just discards it.
+    /// Submits a request for asynchronous execution. A worker calls
+    /// `reply` with the [`Response`] once it completes, on the worker
+    /// thread, after the journal record and before the request's
+    /// rate-limit slot is released. Nothing is called for a rejected
+    /// request.
     ///
     /// # Errors
     ///
@@ -560,7 +621,7 @@ impl Service {
     pub fn submit(
         &self,
         request: Request,
-        reply: mpsc::Sender<Response>,
+        reply: impl FnOnce(Response) + Send + 'static,
     ) -> Result<Canceller, Rejected> {
         let in_flight = match &self.inner.limiter {
             Some(limiter) => match limiter.acquire(request.client.as_deref().unwrap_or_default()) {
@@ -584,7 +645,7 @@ impl Service {
             .or(self.inner.default_deadline)
             .map(|budget| now + budget);
         let job = Job {
-            reply,
+            reply: Box::new(reply),
             cancel: cancel.clone(),
             admitted: now,
             deadline,
@@ -620,7 +681,9 @@ impl Service {
     /// [`Rejected`] when admission turns the request away.
     pub fn call(&self, request: Request) -> Result<Response, Rejected> {
         let (reply, response) = mpsc::channel();
-        self.submit(request, reply)?;
+        self.submit(request, move |r| {
+            let _ = reply.send(r);
+        })?;
         Ok(response
             .recv()
             .expect("a worker answers every admitted request"))
@@ -630,10 +693,7 @@ impl Service {
     /// payload).
     pub fn counters(&self) -> ServiceCounters {
         let c = &self.inner.counters;
-        let mut latencies = c.latencies_nanos.lock().expect("latency lock").clone();
-        let p50 = percentile_nanos(&mut latencies, 0.50).div_ceil(1_000);
-        let p99 = percentile_nanos(&mut latencies, 0.99).div_ceil(1_000);
-        let sum_nanos: u128 = latencies.iter().map(|&n| u128::from(n)).sum();
+        let latency = c.latencies.histogram();
         let per_verb = Verb::ALL
             .iter()
             .map(|&v| {
@@ -658,10 +718,14 @@ impl Service {
             cancelled: c.cancelled.load(Ordering::Relaxed),
             panicked: c.panicked.load(Ordering::Relaxed),
             max_queue_depth: self.inner.queue.max_depth(),
-            p50_micros: p50,
-            p99_micros: p99,
-            latency_sum_micros: u64::try_from(sum_nanos.div_ceil(1_000)).unwrap_or(u64::MAX),
-            latency: latency_histogram(&latencies),
+            p50_micros: c.latencies.percentile_micros(&latency, 0.50),
+            p99_micros: c.latencies.percentile_micros(&latency, 0.99),
+            latency_sum_micros: c
+                .latencies
+                .sum_nanos
+                .load(Ordering::Relaxed)
+                .div_ceil(1_000),
+            latency,
             per_verb,
             cache: self.inner.cache.counters(),
             store: self.inner.store.as_ref().map(ArtifactStore::counters),
@@ -802,12 +866,7 @@ fn worker_loop(inner: &Inner) {
             }
         };
         let nanos = admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        inner
-            .counters
-            .latencies_nanos
-            .lock()
-            .expect("latency lock")
-            .push(nanos);
+        inner.counters.latencies.record(nanos);
         if let Some(journal) = &inner.journal {
             journal.record(JournalEvent {
                 seq: 0,
@@ -824,7 +883,9 @@ fn worker_loop(inner: &Inner) {
                 outcome: exec.outcome.into(),
             });
         }
-        let _ = job.reply.send(Response {
+        // The rest of the job, its rate-limit slot included, drops after
+        // the reply.
+        (job.reply)(Response {
             id,
             verb,
             ok: exec.ok,
@@ -1153,6 +1214,73 @@ mod tests {
 
     fn workers(n: usize) -> ServiceConfig {
         ServiceConfig::builder().workers(n).build().unwrap()
+    }
+
+    /// The oracle for the bucketed percentiles: the exact `p`-th
+    /// percentile (0.0 ≤ `p` ≤ 1.0) of a latency sample in nanoseconds,
+    /// by the nearest-rank method; 0 for an empty sample.
+    fn percentile_nanos(sample: &mut [u64], p: f64) -> u64 {
+        if sample.is_empty() {
+            return 0;
+        }
+        sample.sort_unstable();
+        let rank =
+            ((p.clamp(0.0, 1.0) * sample.len() as f64).ceil() as usize).clamp(1, sample.len());
+        sample[rank - 1]
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let mut lat = vec![50, 10, 40, 30, 20];
+        assert_eq!(percentile_nanos(&mut lat, 0.5), 30);
+        assert_eq!(percentile_nanos(&mut lat, 0.99), 50);
+        assert_eq!(percentile_nanos(&mut lat, 0.0), 10);
+        assert_eq!(percentile_nanos(&mut [], 0.5), 0);
+        assert_eq!(percentile_nanos(&mut [7], 0.5), 7);
+    }
+
+    #[test]
+    fn percentile_edge_cases() {
+        // All-identical sample: every percentile is that value.
+        let mut same = vec![42; 9];
+        for p in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            assert_eq!(percentile_nanos(&mut same, p), 42);
+        }
+        // p = 0.0 is the minimum, p = 1.0 the maximum, even for n = 1.
+        assert_eq!(percentile_nanos(&mut [9], 0.0), 9);
+        assert_eq!(percentile_nanos(&mut [9], 1.0), 9);
+        assert_eq!(percentile_nanos(&mut [], 0.0), 0);
+        assert_eq!(percentile_nanos(&mut [], 1.0), 0);
+        // Out-of-range p clamps instead of panicking.
+        assert_eq!(percentile_nanos(&mut [1, 2, 3], -0.5), 1);
+        assert_eq!(percentile_nanos(&mut [1, 2, 3], 7.0), 3);
+    }
+
+    #[test]
+    fn bucketed_percentiles_are_the_clamped_bounds_of_the_exact_ones() {
+        let sample = [
+            400, 1_000, 1_001, 2_500, 2_600, 7_000, 7_900, 40_000, 41_000, 95_000, 3_000_123,
+        ];
+        let latencies = Latencies::new();
+        for &nanos in &sample {
+            latencies.record(nanos);
+        }
+        let histogram = latencies.histogram();
+        assert_eq!(histogram, tpn::metrics::latency_histogram(&sample));
+        let max_micros = 3_000_123u64.div_ceil(1_000);
+        for p in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let exact = percentile_nanos(&mut sample.clone(), p);
+            let bound = (1u64 << latency_slot(exact)).min(max_micros);
+            assert_eq!(latencies.percentile_micros(&histogram, p), bound, "p = {p}");
+            assert!(bound >= exact.div_ceil(1_000), "p = {p}");
+        }
+        assert_eq!(
+            latencies.sum_nanos.load(Ordering::Relaxed),
+            sample.iter().sum::<u64>()
+        );
+        let empty = Latencies::new();
+        assert_eq!(empty.histogram(), tpn::metrics::latency_histogram(&[]));
+        assert_eq!(empty.percentile_micros(&empty.histogram(), 0.5), 0);
     }
 
     #[test]

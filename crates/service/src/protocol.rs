@@ -1015,6 +1015,23 @@ pub fn error_envelope(
     out
 }
 
+/// The id of a response line that [`ok_envelope`] or [`error_envelope`]
+/// wrote, read from the envelope head (`{"id":N` or `{"v":V,"id":N`)
+/// without looking at the rest of the line, which can run to hundreds
+/// of kilobytes. `None` for a line with any other head.
+pub fn envelope_id(line: &[u8]) -> Option<u64> {
+    let mut head = line.strip_prefix(b"{")?;
+    if let Some(version) = head.strip_prefix(b"\"v\":") {
+        head = &version[version.iter().position(|&b| b == b',')? + 1..];
+    }
+    let digits = head.strip_prefix(b"\"id\":")?;
+    let end = digits
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(digits.len());
+    std::str::from_utf8(&digits[..end]).ok()?.parse().ok()
+}
+
 // ---------------------------------------------------------------------------
 // A minimal JSON parser (the serde_json shim only serializes).
 // ---------------------------------------------------------------------------
@@ -1317,6 +1334,29 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn envelope_ids_match_the_parsed_id() {
+        let parsed = |line: &str| match parse_json(line).unwrap().get("id") {
+            Some(JsonValue::Num(n)) => Some(*n as u64),
+            _ => None,
+        };
+        for v in [1, 2] {
+            for id in [0, 7, 1_000_042, u64::from(u32::MAX) * 1024] {
+                for line in [
+                    ok_envelope(v, id, Verb::Analyze, "{\"nodes\":[1,2]}"),
+                    error_envelope(v, id, None, "unavailable", "retry", None, Some(1_000)),
+                    error_envelope(v, id, Some(Verb::Trace), "panic", "\"id\":9", Some(3), None),
+                ] {
+                    assert_eq!(envelope_id(line.as_bytes()), Some(id), "{line}");
+                    assert_eq!(envelope_id(line.as_bytes()), parsed(&line), "{line}");
+                }
+            }
+        }
+        for other in ["", "{", "{\"ok\":true,\"id\":3}", "[1]", "{\"id\":x}"] {
+            assert_eq!(envelope_id(other.as_bytes()), None, "{other}");
+        }
+    }
 
     #[test]
     fn parser_round_trips_shim_output() {

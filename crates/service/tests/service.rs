@@ -141,9 +141,12 @@ fn overload_is_a_typed_rejection() {
     let mut admitted = 0;
     let mut rejections = 0;
     for id in 0..32 {
+        let reply = reply.clone();
         match service.submit(
             request(id, Verb::Schedule, source(3, id), Some(2)),
-            reply.clone(),
+            move |r| {
+                let _ = reply.send(r);
+            },
         ) {
             Ok(_) => admitted += 1,
             Err(Rejected::Overloaded(overloaded)) => {
@@ -223,15 +226,17 @@ fn cancellation_is_cooperative() {
     );
     let (reply, replies) = mpsc::channel();
     for i in 0..3 {
+        let reply = reply.clone();
         service
-            .submit(
-                request(i, Verb::Trace, source(3, 11 + i), None),
-                reply.clone(),
-            )
+            .submit(request(i, Verb::Trace, source(3, 11 + i), None), move |r| {
+                let _ = reply.send(r);
+            })
             .expect("not overloaded");
     }
     service
-        .submit(request(9, Verb::Analyze, source(1, 12), None), reply)
+        .submit(request(9, Verb::Analyze, source(1, 12), None), move |r| {
+            let _ = reply.send(r);
+        })
         .expect("not overloaded")
         .cancel();
     for _ in 0..4 {
