@@ -33,6 +33,11 @@ struct Row {
     rate: String,
     analytic_ns: u128,
     frustum_ns: Option<u128>,
+    /// Instants the frustum detection simulated.
+    instants: Option<u64>,
+    /// `frustum_ns` per simulated instant: flat in n when an instant
+    /// costs what it changes.
+    ns_per_instant: Option<f64>,
     speedup: Option<f64>,
     /// Exact agreement of rate and initiation interval between the two
     /// engines (`None` when the frustum was skipped).
@@ -73,10 +78,12 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         AnalyticSchedule::for_sdsp_pn(&pn).expect("synthetic loops are marked graphs")
     });
 
-    let (frustum_ns, agree) = if n <= FRUSTUM_LIMIT {
+    let (frustum_ns, instants, agree) = if n <= FRUSTUM_LIMIT {
         let schedule = analytic.loop_schedule(&sdsp, &pn);
         let budget = (n as u64 * 70).max(100_000);
-        let reps = if n <= 512 { 5 } else { 1 };
+        // At least three runs even at n = 4096: CI compares the best ns per
+        // instant across sizes, and one sample is too noisy for that.
+        let reps = if n <= 512 { 5 } else { 3 };
         let (ns, simulated) = best_of(reps, || {
             let frustum = detect_frustum_eager(&pn.net, pn.marking.clone(), budget)
                 .expect("detection in budget");
@@ -87,9 +94,9 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         let (frustum, simulated) = simulated;
         let agree = simulated.initiation_interval() == schedule.initiation_interval()
             && frustum.rate_of(pn.transition_of[0]) == analytic.rate();
-        (Some(ns), Some(agree))
+        (Some(ns), Some(frustum.stats.instants), Some(agree))
     } else {
-        (None, None)
+        (None, None, None)
     };
 
     Row {
@@ -99,6 +106,10 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         rate: analytic.rate().to_string(),
         analytic_ns,
         frustum_ns,
+        instants,
+        ns_per_instant: frustum_ns
+            .zip(instants)
+            .map(|(ns, k)| ns as f64 / k.max(1) as f64),
         speedup: frustum_ns.map(|f| f as f64 / analytic_ns.max(1) as f64),
         agree,
     }
@@ -115,13 +126,16 @@ fn bench_json(rows: &[Row]) -> String {
             Some(before) => cases.push_str(&format!(
                 "      \"{}/{}\": {{\n        \"before_ns\": {},\n        \
                  \"after_ns\": {},\n        \"speedup\": {:.2},\n        \
-                 \"agree\": {}\n      }}",
+                 \"agree\": {},\n        \"instants\": {},\n        \
+                 \"ns_per_instant\": {:.1}\n      }}",
                 r.shape,
                 r.n,
                 before,
                 after,
                 r.speedup.unwrap_or(0.0),
-                r.agree.unwrap_or(false)
+                r.agree.unwrap_or(false),
+                r.instants.unwrap_or(0),
+                r.ns_per_instant.unwrap_or(0.0)
             )),
             None => cases.push_str(&format!(
                 "      \"{}/{}\": {{\n        \"before_ns\": null,\n        \
@@ -174,6 +188,8 @@ fn main() {
                 "rate",
                 "analytic(ns)",
                 "frustum(ns)",
+                "instants",
+                "ns/instant",
                 "speedup",
                 "agree",
             ],
@@ -187,6 +203,8 @@ fn main() {
                         r.rate.clone(),
                         r.analytic_ns.to_string(),
                         r.frustum_ns.map_or("skipped".into(), |v| v.to_string()),
+                        r.instants.map_or("-".into(), |v| v.to_string()),
+                        r.ns_per_instant.map_or("-".into(), |v| format!("{v:.0}")),
                         r.speedup.map_or("-".into(), |s| format!("{s:.1}x")),
                         r.agree.map_or("-".into(), |a| a.to_string()),
                     ]

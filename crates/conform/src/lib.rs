@@ -18,6 +18,9 @@
 //!   simulator, and demands bit-exact value agreement with the dataflow
 //!   interpreter over seeded deterministic inputs, plus an exhaustive
 //!   initiation-interval optimality cross-check on small nets;
+//! * [`reference`](mod@reference) — a naive earliest-firing stepper and full-state-key
+//!   frustum detector that shares no stepping code with the production
+//!   engine, compared with it instant by instant;
 //! * [`chaos`] — a deterministic fault-injection mode for the compile
 //!   service, asserting byte-identity and cache coherence under
 //!   cancellations, deadline expiries and worker panics.
@@ -29,8 +32,10 @@ pub mod chaos;
 pub mod exec;
 pub mod gen;
 pub mod oracle;
+pub mod reference;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use exec::{build_env, check_exec, env_seed, ExecConfig, ExecReport};
 pub use gen::{generate, Shape};
 pub use oracle::{check_mutated, check_sdsp, CaseReport, Mutation, MutationOutcome, OracleConfig};
+pub use reference::{agree, detect_frustum_reference, ReferencePolicy, ReferenceRun};

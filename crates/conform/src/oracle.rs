@@ -22,7 +22,12 @@
 //!   synthesized firing trace must replay cleanly at the same rate;
 //! * **explain** — the scheduling witness (`CompiledLoop::explain`) must
 //!   pass its own in-process re-validation and report exactly the
-//!   parametric `α*` and rate.
+//!   parametric `α*` and rate;
+//! * **engine** — the production frustum detector must match the naive
+//!   [`reference`](crate::reference) stepper instant by instant, on the
+//!   plain net under the eager policy and on an SCP expansion at a
+//!   depth of 1–8 taken from the case number, under FIFO (even cases) or
+//!   priority (odd).
 //!
 //! [`Mutation`] deliberately breaks one layer (the simulated net) while
 //! leaving the analyses untouched; a healthy stack catches the injected
@@ -30,17 +35,23 @@
 //! what [`check_mutated`] asserts.
 
 use serde::Serialize;
-use tpn_dataflow::to_petri::to_petri;
+use tpn_dataflow::to_petri::{to_petri, SdspPn};
 use tpn_dataflow::Sdsp;
 use tpn_petri::marked::check_live_safe;
 use tpn_petri::ratio::{analyze_cycles, critical_ratio, CriticalWitness};
+use tpn_petri::timed::EagerPolicy;
 use tpn_petri::PetriError;
 use tpn_sched::analytic::AnalyticSchedule;
-use tpn_sched::frustum::detect_frustum_eager;
+use tpn_sched::frustum::{detect_frustum, detect_frustum_eager, FrustumReport};
+use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
 use tpn_sched::rate::RateReport;
+use tpn_sched::scp::build_scp;
 use tpn_sched::trace::FiringTrace;
 use tpn_sched::validate::{check_schedule, replay_trace};
+use tpn_sched::SchedError;
 use tpn_storage::minimize_storage;
+
+use crate::reference::{agree, detect_frustum_reference, ReferencePolicy, ReferenceRun};
 
 /// Tuning for one oracle run.
 #[derive(Clone, Copy, Debug)]
@@ -428,7 +439,70 @@ fn run_case(
         }
     }
 
+    // Oracle 8: the production engine against the naive reference.
+    if mutation.is_none() {
+        report
+            .disagreements
+            .extend(check_engine(case, &pn, config.step_budget));
+    }
+
     report
+}
+
+/// The SCP depth, 1–8, at which the engine oracle checks case `case`.
+/// Even cases run FIFO and odd cases priority, so each policy meets every
+/// depth once in 16 cases.
+fn engine_depth(case: u64) -> u64 {
+    1 + (case / 2) % 8
+}
+
+/// Runs the production detector and the reference on the plain net and on
+/// one SCP expansion, and returns each disagreement.
+fn check_engine(case: u64, pn: &SdspPn, budget: u64) -> Vec<String> {
+    let mut out = Vec::new();
+    let plain = detect_frustum(&pn.net, pn.marking.clone(), EagerPolicy, budget);
+    let checked = compare(plain, true, |steps| {
+        detect_frustum_reference(&pn.net, pn.marking.clone(), ReferencePolicy::Eager, steps)
+    });
+    if let Err(e) = checked {
+        out.push(format!("engine: plain run: {e}"));
+    }
+    let depth = engine_depth(case);
+    let scp = build_scp(pn, depth);
+    let budget = budget.saturating_mul(depth);
+    let marking = || scp.marking.clone();
+    let (name, checked) = if case.is_multiple_of(2) {
+        let fast = detect_frustum(&scp.net, marking(), FifoPolicy::new(&scp), budget);
+        let checked = compare(fast, false, |steps| {
+            detect_frustum_reference(&scp.net, marking(), ReferencePolicy::fifo(&scp), steps)
+        });
+        ("fifo", checked)
+    } else {
+        let fast = detect_frustum(&scp.net, marking(), PriorityPolicy::new(&scp), budget);
+        let checked = compare(fast, false, |steps| {
+            detect_frustum_reference(&scp.net, marking(), ReferencePolicy::priority(&scp), steps)
+        });
+        ("priority", checked)
+    };
+    if let Err(e) = checked {
+        out.push(format!("engine: SCP depth {depth} under {name}: {e}"));
+    }
+    out
+}
+
+/// Holds a production detection to the reference, which gets exactly the
+/// instants the detector used: the naive stepper keys a map on full state
+/// clones, so its budget must stay that small.
+fn compare(
+    fast: Result<FrustumReport, SchedError>,
+    digests: bool,
+    reference: impl FnOnce(u64) -> Result<ReferenceRun, SchedError>,
+) -> Result<(), String> {
+    let fast = fast.map_err(|e| format!("detection failed: {e}"))?;
+    let steps = fast.repeat_time + 1;
+    let slow = reference(steps)
+        .map_err(|e| format!("the reference failed within {steps} instants: {e}"))?;
+    agree(&fast, &slow, digests)
 }
 
 #[cfg(test)]

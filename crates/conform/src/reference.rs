@@ -1,0 +1,365 @@
+//! The reference frustum detector: an oracle for the production engine.
+//!
+//! [`detect_frustum_reference`] runs the earliest firing rule the plain
+//! way and shares no stepping code with [`tpn_petri::timed::Engine`] or
+//! with the SCP policies of [`tpn_sched::policy`]:
+//!
+//! * every start is followed by a fresh [`InstantaneousState::startable`]
+//!   scan of the whole net;
+//! * every tick scans every residual for completions;
+//! * the FIFO issue queue re-syncs over every instruction on each choice,
+//!   tests membership with `VecDeque::contains`, and fingerprints itself
+//!   with SipHash;
+//! * repetition is keyed on the full state plus the whole queue, so no
+//!   digest or hash collision can fake a frustum.
+//!
+//! [`agree`] then compares a production [`FrustumReport`] with the
+//! reference run instant by instant. Digests agree only under the eager
+//! policy, where neither side has a policy fingerprint; the FIFO sides
+//! hash their queues differently by design.
+
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
+
+use tpn_petri::marked::check_live;
+use tpn_petri::timed::{state_digest, InstantaneousState, StepRecord};
+use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
+use tpn_sched::{FrustumReport, SchedError, ScpPn};
+
+/// Conflict resolution as the reference stepper runs it.
+#[derive(Clone, Debug)]
+pub enum ReferencePolicy {
+    /// Starts every startable transition, lowest id first.
+    Eager,
+    /// Starts pipeline stages first, then the front of a FIFO queue of
+    /// data-ready instructions.
+    Fifo {
+        /// The SCP run place.
+        run_place: PlaceId,
+        /// Whether each transition is an instruction.
+        is_sdsp: Vec<bool>,
+        /// The issue queue, front first.
+        queue: VecDeque<TransitionId>,
+    },
+    /// Starts pipeline stages first, then the lowest-id instruction.
+    Priority {
+        /// The SCP run place.
+        run_place: PlaceId,
+        /// Whether each transition is an instruction.
+        is_sdsp: Vec<bool>,
+    },
+}
+
+impl ReferencePolicy {
+    /// The FIFO issue policy for `scp`, with an empty queue.
+    pub fn fifo(scp: &ScpPn) -> Self {
+        ReferencePolicy::Fifo {
+            run_place: scp.run_place,
+            is_sdsp: scp.is_sdsp.clone(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// The lowest-id-first issue policy for `scp`.
+    pub fn priority(scp: &ScpPn) -> Self {
+        ReferencePolicy::Priority {
+            run_place: scp.run_place,
+            is_sdsp: scp.is_sdsp.clone(),
+        }
+    }
+
+    fn choose(
+        &mut self,
+        net: &PetriNet,
+        state: &InstantaneousState,
+        startable: &[TransitionId],
+    ) -> Option<TransitionId> {
+        match self {
+            ReferencePolicy::Eager => startable.first().copied(),
+            ReferencePolicy::Fifo {
+                run_place,
+                is_sdsp,
+                queue,
+            } => {
+                if let Some(&dummy) = startable.iter().find(|t| !is_sdsp[t.index()]) {
+                    return Some(dummy);
+                }
+                fifo_sync(net, state, *run_place, is_sdsp, queue);
+                if state.marking.tokens(*run_place) == 0 {
+                    return None;
+                }
+                queue.front().copied()
+            }
+            ReferencePolicy::Priority { run_place, is_sdsp } => {
+                if let Some(&dummy) = startable.iter().find(|t| !is_sdsp[t.index()]) {
+                    return Some(dummy);
+                }
+                if state.marking.tokens(*run_place) == 0 {
+                    return None;
+                }
+                startable.iter().find(|t| is_sdsp[t.index()]).copied()
+            }
+        }
+    }
+
+    fn on_instant_end(&mut self, net: &PetriNet, state: &InstantaneousState) {
+        if let ReferencePolicy::Fifo {
+            run_place,
+            is_sdsp,
+            queue,
+        } = self
+        {
+            fifo_sync(net, state, *run_place, is_sdsp, queue);
+        }
+    }
+
+    /// The policy's whole memory: the FIFO queue, front first.
+    fn memory(&self) -> Vec<TransitionId> {
+        match self {
+            ReferencePolicy::Fifo { queue, .. } => queue.iter().copied().collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn fingerprint(&self) -> u64 {
+        match self {
+            ReferencePolicy::Fifo { queue, .. } => {
+                let mut h = DefaultHasher::new();
+                for t in queue {
+                    t.hash(&mut h);
+                }
+                h.finish()
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// Drops every queued entry that is no longer data-ready, then appends
+/// every data-ready instruction not yet queued, in id order.
+fn fifo_sync(
+    net: &PetriNet,
+    state: &InstantaneousState,
+    run_place: PlaceId,
+    is_sdsp: &[bool],
+    queue: &mut VecDeque<TransitionId>,
+) {
+    let data_ready = |t: TransitionId| {
+        !state.is_busy(t)
+            && net
+                .transition(t)
+                .inputs()
+                .iter()
+                .all(|&p| p == run_place || state.marking.tokens(p) > 0)
+    };
+    queue.retain(|&t| is_sdsp[t.index()] && data_ready(t));
+    for t in net.transition_ids() {
+        if is_sdsp[t.index()] && data_ready(t) && !queue.contains(&t) {
+            queue.push_back(t);
+        }
+    }
+}
+
+/// What [`detect_frustum_reference`] found.
+#[derive(Clone, Debug)]
+pub struct ReferenceRun {
+    /// One record per simulated instant, `0 ..= repeat_time`. Digests are
+    /// computed from scratch with [`state_digest`].
+    pub steps: Vec<StepRecord>,
+    /// First occurrence of the repeated state.
+    pub start_time: u64,
+    /// Second occurrence of the repeated state.
+    pub repeat_time: u64,
+    /// Firings of each transition in `(start_time, repeat_time]`.
+    pub counts: Vec<u64>,
+}
+
+/// Runs `net` from `marking` under `policy` until the state and the
+/// policy's memory repeat, within `max_steps` simulated instants — the
+/// budget, errors and results of [`tpn_sched::detect_frustum`], computed
+/// the naive way.
+///
+/// # Errors
+///
+/// The same as [`tpn_sched::detect_frustum`]: `FrustumNotFound` past the
+/// budget, `EmptyLoop`, `Petri` (a dead marked graph or a zero execution
+/// time) and `Deadlock`.
+pub fn detect_frustum_reference(
+    net: &PetriNet,
+    marking: Marking,
+    mut policy: ReferencePolicy,
+    max_steps: u64,
+) -> Result<ReferenceRun, SchedError> {
+    net.validate_times()?;
+    let initial = marking.clone();
+    let mut state = InstantaneousState::initial(net, marking);
+    let mut seen: HashMap<(InstantaneousState, Vec<TransitionId>), u64> = HashMap::new();
+    let mut steps = vec![instant(net, &mut state, &mut policy, 0, Vec::new())];
+    seen.insert((state.clone(), policy.memory()), 0);
+    loop {
+        if steps.len() as u64 >= max_steps {
+            return Err(SchedError::FrustumNotFound { max_steps });
+        }
+        let time = steps.len() as u64;
+        let completed = complete(net, &mut state);
+        let step = instant(net, &mut state, &mut policy, time, completed);
+        if step.started.is_empty() && step.completed.is_empty() && state.all_idle() {
+            return Err(diagnose(net, &initial, time));
+        }
+        steps.push(step);
+        let key = (state.clone(), policy.memory());
+        if let Some(&start_time) = seen.get(&key) {
+            let mut counts = vec![0u64; net.num_transitions()];
+            for step in &steps[(start_time + 1) as usize..] {
+                for &t in &step.started {
+                    counts[t.index()] += 1;
+                }
+            }
+            return Ok(ReferenceRun {
+                steps,
+                start_time,
+                repeat_time: time,
+                counts,
+            });
+        }
+        seen.insert(key, time);
+    }
+}
+
+/// Advances every busy residual by one cycle and deposits the outputs of
+/// the firings that end, in id order.
+fn complete(net: &PetriNet, state: &mut InstantaneousState) -> Vec<TransitionId> {
+    let mut completed = Vec::new();
+    for t in net.transition_ids() {
+        let residual = &mut state.residual[t.index()];
+        if *residual > 0 {
+            *residual -= 1;
+            if *residual == 0 {
+                state.marking.produce_outputs(net, t);
+                completed.push(t);
+            }
+        }
+    }
+    completed
+}
+
+/// Starts transitions while the policy picks one, rescanning the whole net
+/// after every start, and records the instant.
+fn instant(
+    net: &PetriNet,
+    state: &mut InstantaneousState,
+    policy: &mut ReferencePolicy,
+    time: u64,
+    completed: Vec<TransitionId>,
+) -> StepRecord {
+    let mut started = Vec::new();
+    loop {
+        let startable = state.startable(net);
+        if startable.is_empty() {
+            break;
+        }
+        let Some(t) = policy.choose(net, state, &startable) else {
+            break;
+        };
+        assert!(
+            startable.contains(&t),
+            "reference policy chose {t}, which cannot start"
+        );
+        state.marking.consume_inputs(net, t);
+        state.residual[t.index()] = net.transition(t).time();
+        started.push(t);
+    }
+    policy.on_instant_end(net, state);
+    let policy_fingerprint = policy.fingerprint();
+    StepRecord {
+        time,
+        completed,
+        started,
+        digest: state_digest(state, policy_fingerprint),
+        policy_fingerprint,
+    }
+}
+
+/// Types a permanent stall the way the production detector does.
+fn diagnose(net: &PetriNet, initial: &Marking, time: u64) -> SchedError {
+    if net.num_transitions() == 0 {
+        return SchedError::EmptyLoop;
+    }
+    if net.validate_marked_graph().is_ok() {
+        if let Err(e) = check_live(net, initial) {
+            return SchedError::Petri(e);
+        }
+    }
+    SchedError::Deadlock { time }
+}
+
+/// Compares a production detection with the reference run: the same
+/// `start_time`, `repeat_time` and `counts`, and at every instant the same
+/// `started` and `completed` lists — plus the same digests when
+/// `compare_digests` is set (meaningful only under the eager policy).
+///
+/// # Errors
+///
+/// A message naming the first disagreement.
+pub fn agree(
+    report: &FrustumReport,
+    reference: &ReferenceRun,
+    compare_digests: bool,
+) -> Result<(), String> {
+    if (report.start_time, report.repeat_time) != (reference.start_time, reference.repeat_time) {
+        return Err(format!(
+            "frustum ({}, {}] but the reference found ({}, {}]",
+            report.start_time, report.repeat_time, reference.start_time, reference.repeat_time
+        ));
+    }
+    for (a, b) in report.steps.iter().zip(&reference.steps) {
+        if a.time != b.time || a.started != b.started || a.completed != b.completed {
+            return Err(format!(
+                "instant {}: started {:?} completed {:?} but the reference started {:?} \
+                 completed {:?}",
+                b.time, a.started, a.completed, b.started, b.completed
+            ));
+        }
+        if compare_digests && a.digest != b.digest {
+            return Err(format!(
+                "instant {}: digest differs from the reference",
+                b.time
+            ));
+        }
+    }
+    if report.steps.len() != reference.steps.len() {
+        return Err(format!(
+            "{} records but the reference has {}",
+            report.steps.len(),
+            reference.steps.len()
+        ));
+    }
+    if report.counts != reference.counts {
+        return Err(format!(
+            "window counts {:?} but the reference counted {:?}",
+            report.counts, reference.counts
+        ));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tpn_dataflow::to_petri::to_petri;
+    use tpn_sched::detect_frustum_eager;
+
+    #[test]
+    fn agree_names_the_first_divergent_instant() {
+        let pn = to_petri(&crate::generate(0, 1, crate::Shape::Chains));
+        let fast = detect_frustum_eager(&pn.net, pn.marking.clone(), 100_000).unwrap();
+        let mut slow =
+            detect_frustum_reference(&pn.net, pn.marking.clone(), ReferencePolicy::Eager, 100_000)
+                .unwrap();
+        slow.steps[1].started.reverse();
+        slow.steps[1].started.push(TransitionId::from_index(0));
+        let err = agree(&fast, &slow, false).unwrap_err();
+        assert!(err.starts_with("instant 1:"), "{err}");
+    }
+}

@@ -154,6 +154,13 @@ pub enum IssuePolicy {
     Priority,
 }
 
+/// The most instants one frustum detection may simulate, whatever the
+/// step budget, pipeline depth or node times ask for. A detection records
+/// every instant it simulates, so this ceiling bounds the memory and time
+/// one request can cost; a run that reaches it fails with
+/// [`SchedError::FrustumNotFound`].
+pub const MAX_STEP_BUDGET: u64 = 1 << 20;
+
 /// Tunable compilation parameters, built fluent-style:
 ///
 /// ```
@@ -194,7 +201,7 @@ impl CompileOptions {
     }
 
     /// Caps frustum detection at `instants` simulated instants instead of
-    /// the size-derived default.
+    /// the size-derived default ([`MAX_STEP_BUDGET`] caps both).
     #[must_use]
     pub fn step_budget(mut self, instants: u64) -> Self {
         self.step_budget = Some(instants);
@@ -612,11 +619,13 @@ impl CompiledLoop {
 
     /// The effective detection budget: the
     /// [`step_budget`](CompileOptions::step_budget) override if set, else
-    /// [`default_budget`](Self::default_budget).
+    /// [`default_budget`](Self::default_budget), at most
+    /// [`MAX_STEP_BUDGET`].
     pub fn budget(&self) -> u64 {
         self.options
             .step_budget
             .unwrap_or_else(|| self.default_budget())
+            .min(MAX_STEP_BUDGET)
     }
 
     /// Critical-cycle analysis: cycle time, optimal rate, and the nodes on
@@ -1037,7 +1046,10 @@ impl CompiledLoop {
         let model = self.span(&format!("scp_expansion[l={depth}]"), || {
             build_scp(&self.pn, depth)
         });
-        let budget = self.budget().saturating_mul(depth.max(1));
+        let budget = self
+            .budget()
+            .saturating_mul(depth.max(1))
+            .min(MAX_STEP_BUDGET);
         let frustum = self.span(&format!("scp_detection[l={depth}]"), || {
             let marking = model.marking.clone();
             match self.options.issue_policy {
@@ -1359,6 +1371,15 @@ mod tests {
             Err(Error::Sched(SchedError::FrustumNotFound { max_steps: 2 })) => {}
             other => panic!("expected FrustumNotFound, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn budgets_stop_at_the_ceiling() {
+        let lp = CompiledLoop::from_source_with(L2, CompileOptions::new().step_budget(u64::MAX))
+            .unwrap();
+        assert_eq!(lp.budget(), MAX_STEP_BUDGET);
+        let lp = CompiledLoop::from_source(L2).unwrap();
+        assert_eq!(lp.budget(), lp.default_budget());
     }
 
     #[test]

@@ -36,8 +36,24 @@
 //! are reconstructed on demand by [`InstantaneousState::apply_step`]
 //! (event replay is policy-free: the recorded start events fully determine
 //! the evolution) or snapshotted compactly via [`PackedState`].
-
-use std::hash::{Hash, Hasher};
+//!
+//! # Event-driven stepping
+//!
+//! The [`Engine`] never scans the whole net per instant; an instant costs
+//! the tokens it moves plus the firings in flight:
+//!
+//! * every transition keeps a count of its input places holding no token.
+//!   A place gaining its first token lowers its consumers' counts, and a
+//!   place losing its last raises them;
+//! * an idle transition whose count reaches 0, or a transition completing
+//!   with a count of 0, joins a **ready list**. The ready list holds
+//!   exactly the idle, enabled transitions, so the fire phase sorts it by
+//!   id and hands it to the policy as [`PolicyCtx::startable`]. A start
+//!   that drains a place another candidate needs unlists that candidate
+//!   on the spot;
+//! * busy transitions live in a **busy list** with the running sum of
+//!   their transition words, so the complete phase decrements only the
+//!   residuals in flight and takes that sum off the digest in one step.
 
 use crate::error::PetriError;
 use crate::ids::{PlaceId, TransitionId};
@@ -117,9 +133,11 @@ const PLACE_SALT: u64 = 0x9AE1_6A3B_2F90_404F;
 const TRANS_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 const POLICY_SALT: u64 = 0x2545_F491_4F6C_DD1D;
 
-/// splitmix64's finalizer: a strong 64-bit mixing permutation.
+/// splitmix64's finalizer: a strong 64-bit mixing permutation. Policies
+/// that hash their own state for [`ChoicePolicy::fingerprint`] draw their
+/// words from it too.
 #[inline]
-fn mix64(mut z: u64) -> u64 {
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -246,23 +264,31 @@ impl PackedState {
     pub fn pack(state: &InstantaneousState) -> Self {
         let places = state.marking.len();
         let total = places + state.residual.len();
-        let values = || {
-            (0..places)
-                .map(|i| state.marking.tokens(PlaceId::from_index(i)) as u64)
-                .chain(state.residual.iter().copied())
+        // Only marked places and busy transitions contribute lanes, so a
+        // checkpoint writes what the state holds, not every zero.
+        let nonzero = || {
+            let busy = state.residual.iter().enumerate().filter(|(_, &r)| r > 0);
+            state
+                .marking
+                .marked_places()
+                .map(|(p, count)| (p.index(), u64::from(count)))
+                .chain(busy.map(|(t, &r)| (places + t, r)))
         };
-        let wide = values().any(|v| v > u16::MAX as u64);
-        let words = if wide {
-            values().collect::<Vec<u64>>().into_boxed_slice()
-        } else {
-            let mut packed = vec![0u64; total.div_ceil(4)];
-            for (i, v) in values().enumerate() {
-                packed[i / 4] |= v << ((i % 4) * 16);
+        let mut words = vec![0u64; total.div_ceil(4)];
+        let mut all_bits = 0;
+        for (i, v) in nonzero() {
+            all_bits |= v;
+            words[i / 4] |= v << (i % 4 * 16);
+        }
+        let wide = all_bits > u64::from(u16::MAX);
+        if wide {
+            words = vec![0u64; total];
+            for (i, v) in nonzero() {
+                words[i] = v;
             }
-            packed.into_boxed_slice()
-        };
+        }
         PackedState {
-            words,
+            words: words.into_boxed_slice(),
             wide,
             places,
         }
@@ -314,8 +340,13 @@ pub struct PolicyCtx<'a> {
     pub net: &'a PetriNet,
     /// The current state (marking + residuals), mid-instant.
     pub state: &'a InstantaneousState,
-    /// Transitions that can start right now, in id order.
+    /// Transitions that can start right now, in id order. Empty in
+    /// [`ChoicePolicy::on_instant_end`].
     pub startable: &'a [TransitionId],
+    /// Transitions whose firing completed at this instant, in id order
+    /// (empty at instant 0). Every token deposited this instant came from
+    /// one of them, so a policy can update its state from these alone.
+    pub completed: &'a [TransitionId],
     /// The current instant.
     pub time: u64,
 }
@@ -335,8 +366,8 @@ pub trait ChoicePolicy {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Option<TransitionId>;
 
     /// Notifies the policy that an instant ended (after all completions and
-    /// starts). Default: no-op.
-    fn on_instant_end(&mut self, _net: &PetriNet, _state: &InstantaneousState, _time: u64) {}
+    /// starts). `ctx.startable` is empty. Default: no-op.
+    fn on_instant_end(&mut self, _ctx: &PolicyCtx<'_>) {}
 
     /// A digest of the policy's internal state, combined with the
     /// instantaneous state when detecting repeated states. Stateless
@@ -362,7 +393,7 @@ impl ChoicePolicy for EagerPolicy {
 }
 
 // ---------------------------------------------------------------------------
-// Step records and repetition keys
+// Step records
 // ---------------------------------------------------------------------------
 
 /// One executed instant: what completed, what started, and the digest of
@@ -389,26 +420,6 @@ pub struct StepRecord {
     pub policy_fingerprint: u64,
 }
 
-/// The full repetition key for frustum detection: instantaneous state plus
-/// the conflict-resolution policy's internal state. The digest-based fast
-/// path makes carrying these per step unnecessary; the key remains the
-/// ground truth that digest matches are verified against (and the whole
-/// key that reference implementations may hash).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct StateKey {
-    /// Marking and residual firing times.
-    pub state: InstantaneousState,
-    /// Digest of the policy state.
-    pub policy_fingerprint: u64,
-}
-
-impl Hash for StateKey {
-    fn hash<H: Hasher>(&self, h: &mut H) {
-        self.state.hash(h);
-        self.policy_fingerprint.hash(h);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Engine counters
 // ---------------------------------------------------------------------------
@@ -431,9 +442,9 @@ pub struct EngineStats {
     /// Candidates placed on the startable list across all fire phases —
     /// the work a naive rescan-per-start implementation would redo.
     pub startable_scanned: u64,
-    /// Candidates removed by the incremental prune (a started transition
-    /// drained one of their input places) without rescanning the net.
-    /// `startable_pruned / startable_scanned` is the prune efficiency.
+    /// Candidates unlisted because a started transition drained one of
+    /// their input places. Under [`EagerPolicy`] every candidate starts or
+    /// is pruned, so `startable_scanned = firings + startable_pruned`.
     pub startable_pruned: u64,
 }
 
@@ -491,6 +502,16 @@ pub struct Engine<'a, P> {
     policy: P,
     started: bool,
     stats: EngineStats,
+    /// Per transition: how many of its input places hold no token.
+    missing: Vec<u32>,
+    /// Exactly the idle transitions with no missing input, unordered: the
+    /// next fire phase's candidates. `listed` marks membership.
+    ready: Vec<TransitionId>,
+    listed: Vec<bool>,
+    /// The transitions mid-firing, unordered, and the wrapping sum of
+    /// their transition words (one residual cycle each).
+    busy: Vec<TransitionId>,
+    busy_words: u64,
 }
 
 impl<'a, P: ChoicePolicy> Engine<'a, P> {
@@ -525,6 +546,18 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     fn new_unchecked(net: &'a PetriNet, initial_marking: Marking, policy: P) -> Self {
         let state = InstantaneousState::initial(net, initial_marking);
         let raw_digest = raw_marking_digest(&state.marking);
+        let missing: Vec<u32> = net
+            .transitions()
+            .map(|(_, t)| {
+                let empty = t.inputs().iter().filter(|&&p| state.marking.tokens(p) == 0);
+                empty.count() as u32
+            })
+            .collect();
+        let ready: Vec<TransitionId> = net
+            .transition_ids()
+            .filter(|t| missing[t.index()] == 0)
+            .collect();
+        let listed = missing.iter().map(|&m| m == 0).collect();
         Engine {
             net,
             state,
@@ -533,6 +566,11 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
             policy,
             started: false,
             stats: EngineStats::default(),
+            missing,
+            ready,
+            listed,
+            busy: Vec::new(),
+            busy_words: 0,
         }
     }
 
@@ -545,10 +583,7 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
         assert!(!self.started, "start() must be the first step");
         self.started = true;
         self.stats.instants += 1;
-        let completed = Vec::new();
-        let started = self.fire_phase();
-        self.policy.on_instant_end(self.net, &self.state, self.time);
-        self.record(completed, started)
+        self.finish_instant(Vec::new())
     }
 
     /// Executes the next instant: completions, then earliest-rule starts.
@@ -561,12 +596,20 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
         self.time += 1;
         self.stats.instants += 1;
         let completed = self.complete_phase();
-        let started = self.fire_phase();
-        self.policy.on_instant_end(self.net, &self.state, self.time);
-        self.record(completed, started)
+        self.finish_instant(completed)
     }
 
-    fn record(&self, completed: Vec<TransitionId>, started: Vec<TransitionId>) -> StepRecord {
+    /// Runs the fire phase after `completed`, tells the policy the instant
+    /// ended, and records it.
+    fn finish_instant(&mut self, completed: Vec<TransitionId>) -> StepRecord {
+        let started = self.fire_phase(&completed);
+        self.policy.on_instant_end(&PolicyCtx {
+            net: self.net,
+            state: &self.state,
+            startable: &[],
+            completed: &completed,
+            time: self.time,
+        });
         StepRecord {
             time: self.time,
             completed,
@@ -576,82 +619,142 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
         }
     }
 
-    /// Advances busy transitions by one cycle; completes those reaching 0.
+    /// Advances the busy transitions by one cycle and completes those
+    /// reaching 0, in id order.
     fn complete_phase(&mut self) -> Vec<TransitionId> {
+        // Every busy transition loses one residual cycle.
+        self.raw_digest = self.raw_digest.wrapping_sub(self.busy_words);
         let mut completed = Vec::new();
-        for idx in 0..self.state.residual.len() {
-            if self.state.residual[idx] > 0 {
-                self.state.residual[idx] -= 1;
-                self.raw_digest = self.raw_digest.wrapping_sub(transition_word(idx));
-                if self.state.residual[idx] == 0 {
-                    let t = TransitionId::from_index(idx);
-                    self.state.marking.produce_outputs(self.net, t);
-                    for &p in self.net.transition(t).outputs() {
-                        self.raw_digest = self.raw_digest.wrapping_add(place_word(p.index()));
-                    }
-                    completed.push(t);
-                }
+        let mut i = 0;
+        while i < self.busy.len() {
+            let t = self.busy[i];
+            let residual = &mut self.state.residual[t.index()];
+            *residual -= 1;
+            if *residual == 0 {
+                self.busy.swap_remove(i);
+                self.busy_words = self.busy_words.wrapping_sub(transition_word(t.index()));
+                completed.push(t);
+            } else {
+                i += 1;
+            }
+        }
+        completed.sort_unstable();
+        for &t in &completed {
+            self.produce(t);
+            if self.missing[t.index()] == 0 {
+                self.list(t);
             }
         }
         self.stats.completions += completed.len() as u64;
         completed
     }
 
+    /// Deposits one token on each output place of `t`. A place gaining
+    /// its first token lowers its consumers' missing counts, and an idle
+    /// consumer left with none joins the ready list.
+    fn produce(&mut self, t: TransitionId) {
+        let net = self.net;
+        for &p in net.transition(t).outputs() {
+            self.raw_digest = self.raw_digest.wrapping_add(place_word(p.index()));
+            let was_empty = self.state.marking.tokens(p) == 0;
+            self.state.marking.add(p, 1);
+            if was_empty {
+                for &u in net.place(p).postset() {
+                    self.missing[u.index()] -= 1;
+                    if self.missing[u.index()] == 0 && !self.state.is_busy(u) {
+                        self.list(u);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Takes one token from each input place of `t`. A place left empty
+    /// raises its consumers' missing counts and unlists them; returns how
+    /// many listed candidates that pruned.
+    fn consume(&mut self, t: TransitionId) -> u64 {
+        let net = self.net;
+        let mut pruned = 0;
+        for &p in net.transition(t).inputs() {
+            self.raw_digest = self.raw_digest.wrapping_sub(place_word(p.index()));
+            self.state.marking.remove(p, 1);
+            if self.state.marking.tokens(p) == 0 {
+                for &u in net.place(p).postset() {
+                    self.missing[u.index()] += 1;
+                    pruned += u64::from(std::mem::take(&mut self.listed[u.index()]));
+                }
+            }
+        }
+        pruned
+    }
+
+    fn list(&mut self, t: TransitionId) {
+        if !self.listed[t.index()] {
+            self.listed[t.index()] = true;
+            self.ready.push(t);
+        }
+    }
+
     /// Starts transitions under the earliest firing rule, consulting the
     /// policy while choices remain.
     ///
-    /// Within one fire phase, starts only consume tokens and mark the
-    /// started transition busy, so the startable set shrinks monotonically.
-    /// It is therefore scanned once and pruned incrementally: starting `t`
-    /// removes `t` itself plus any candidate sharing a drained input place
-    /// (found via the place postsets), instead of rescanning the whole net
-    /// after every start.
-    fn fire_phase(&mut self) -> Vec<TransitionId> {
-        let mut started = Vec::new();
-        let mut startable = self.state.startable(self.net);
-        // Counters accumulate in locals so the loop body below touches no
-        // `self.stats` memory; they fold in once on exit.
+    /// The policy sees `startable[head..]`, the ready list in id order.
+    /// Starting the head advances `head`; starting another entry removes
+    /// just that entry. Starts only consume tokens, so the list can only
+    /// shrink: it is filtered only after a start pruned another candidate
+    /// (never in a marked graph; once per issue in an SCP net, when the
+    /// run place empties). Candidates the policy leaves idle stay ready
+    /// for the next instant.
+    fn fire_phase(&mut self, completed: &[TransitionId]) -> Vec<TransitionId> {
+        let mut startable = std::mem::take(&mut self.ready);
+        startable.sort_unstable();
+        debug_assert!(startable
+            .iter()
+            .all(|&t| !self.state.is_busy(t) && self.missing[t.index()] == 0));
+        // Counters accumulate in locals and fold in once on exit.
         let scanned = startable.len() as u64;
         let mut pruned = 0u64;
-        let mut is_candidate = vec![false; self.net.num_transitions()];
-        for &t in &startable {
-            is_candidate[t.index()] = true;
-        }
-        while !startable.is_empty() {
+        let mut started = Vec::new();
+        let mut head = 0;
+        while head < startable.len() {
             let ctx = PolicyCtx {
                 net: self.net,
                 state: &self.state,
-                startable: &startable,
+                startable: &startable[head..],
+                completed,
                 time: self.time,
             };
             let Some(t) = self.policy.choose(&ctx) else {
                 break;
             };
             assert!(
-                is_candidate[t.index()] && startable.contains(&t),
+                std::mem::take(&mut self.listed[t.index()]),
                 "policy chose {t}, which cannot start now"
             );
-            self.state.marking.consume_inputs(self.net, t);
-            for &p in self.net.transition(t).inputs() {
-                self.raw_digest = self.raw_digest.wrapping_sub(place_word(p.index()));
-            }
+            let dropped = self.consume(t);
             let tau = self.net.transition(t).time();
+            let word = transition_word(t.index());
             self.state.residual[t.index()] = tau;
-            self.raw_digest = self
-                .raw_digest
-                .wrapping_add(transition_word(t.index()).wrapping_mul(tau));
+            self.raw_digest = self.raw_digest.wrapping_add(word.wrapping_mul(tau));
+            self.busy.push(t);
+            self.busy_words = self.busy_words.wrapping_add(word);
             started.push(t);
-            is_candidate[t.index()] = false;
-            for &p in self.net.transition(t).inputs() {
-                for &u in self.net.place(p).postset() {
-                    if is_candidate[u.index()] && !self.state.marking.enables(self.net, u) {
-                        is_candidate[u.index()] = false;
-                        pruned += 1;
-                    }
-                }
+            if dropped > 0 {
+                pruned += dropped;
+                startable.drain(..head);
+                head = 0;
+                startable.retain(|&u| self.listed[u.index()]);
+            } else if startable[head] == t {
+                head += 1;
+            } else {
+                let at = startable[head..]
+                    .binary_search(&t)
+                    .expect("a listed transition is on the startable list");
+                startable.remove(head + at);
             }
-            startable.retain(|&u| is_candidate[u.index()]);
         }
+        startable.drain(..head);
+        self.ready = startable;
         self.stats.startable_scanned += scanned;
         self.stats.startable_pruned += pruned;
         self.stats.firings += started.len() as u64;
@@ -666,6 +769,12 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     /// The current instantaneous state.
     pub fn state(&self) -> &InstantaneousState {
         &self.state
+    }
+
+    /// Whether no transition is firing — [`InstantaneousState::all_idle`]
+    /// without the scan.
+    pub fn all_idle(&self) -> bool {
+        self.busy.is_empty()
     }
 
     /// The net being executed.
@@ -693,16 +802,6 @@ impl<'a, P: ChoicePolicy> Engine<'a, P> {
     /// A compact snapshot of the current state (for checkpointing).
     pub fn packed_state(&self) -> PackedState {
         PackedState::pack(&self.state)
-    }
-
-    /// The full repetition key of the current state (see [`StateKey`]).
-    /// Clones the state: intended for reference implementations and
-    /// verification, not per-step use.
-    pub fn state_key(&self) -> StateKey {
-        StateKey {
-            state: self.state.clone(),
-            policy_fingerprint: self.policy.fingerprint(),
-        }
     }
 }
 
@@ -883,13 +982,13 @@ mod tests {
     }
 
     #[test]
-    fn state_key_distinguishes_policy_state() {
+    fn digest_distinguishes_policy_state() {
         struct Counter(u64);
         impl ChoicePolicy for Counter {
             fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Option<TransitionId> {
                 ctx.startable.first().copied()
             }
-            fn on_instant_end(&mut self, _: &PetriNet, _: &InstantaneousState, _: u64) {
+            fn on_instant_end(&mut self, _: &PolicyCtx<'_>) {
                 self.0 += 1;
             }
             fn fingerprint(&self) -> u64 {
@@ -903,8 +1002,8 @@ mod tests {
             engine.tick();
             engine.tick()
         };
-        // Policy fingerprints differ, so both the digest and the full
-        // state key must differ even when the raw state repeats.
+        // Policy fingerprints differ, so the digests must differ even
+        // when the raw state repeats.
         assert_ne!(s0.digest, s2.digest);
         assert_ne!(s0.policy_fingerprint, s2.policy_fingerprint);
     }
@@ -966,6 +1065,53 @@ mod tests {
             let s = engine.tick();
             assert!(s.started.is_empty() && s.completed.is_empty());
         }
-        assert!(engine.state().all_idle());
+        assert!(engine.state().all_idle() && engine.all_idle());
+    }
+
+    #[test]
+    fn startable_lists_stay_exact_under_prunes_and_non_head_starts() {
+        // Two transitions share the input place `shared`: starting one
+        // prunes the other. A policy that always starts the *last*
+        // candidate exercises the non-head removal, and every list it is
+        // shown must equal a from-scratch scan.
+        struct Last;
+        impl ChoicePolicy for Last {
+            fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Option<TransitionId> {
+                assert_eq!(ctx.startable, ctx.state.startable(ctx.net).as_slice());
+                ctx.startable.last().copied()
+            }
+            fn on_instant_end(&mut self, ctx: &PolicyCtx<'_>) {
+                assert!(ctx.startable.is_empty());
+                assert!(ctx.completed.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+        let mut net = PetriNet::new();
+        let ts: Vec<_> = (0..4)
+            .map(|i| net.add_transition(format!("t{i}"), 1 + i as u64 % 2))
+            .collect();
+        let shared = net.add_place("shared");
+        net.connect_pt(shared, ts[1]);
+        net.connect_pt(shared, ts[2]);
+        net.connect_tp(ts[1], shared);
+        net.connect_tp(ts[2], shared);
+        let mut pairs = vec![(shared, 1)];
+        for &t in &ts {
+            let own = net.add_place(format!("own:{t}"));
+            net.connect_tp(t, own);
+            net.connect_pt(own, t);
+            pairs.push((own, 1));
+        }
+        let m = Marking::from_pairs(&net, pairs);
+        let mut engine = Engine::new(&net, m.clone(), Last);
+        let mut replayed = InstantaneousState::initial(&net, m);
+        let s0 = engine.start();
+        replayed.apply_step(&net, &s0.started);
+        for _ in 0..12 {
+            let step = engine.tick();
+            replayed.apply_step(&net, &step.started);
+            assert_eq!(&replayed, engine.state(), "instant {}", step.time);
+            assert_eq!(step.digest, state_digest(&replayed, 0));
+        }
+        assert!(engine.stats().startable_pruned > 0);
     }
 }

@@ -27,16 +27,20 @@
 //! exact despite possible 64-bit collisions — by replaying the recorded
 //! events from the nearest checkpoint (bounded work) and comparing the
 //! reconstructed state and policy fingerprint against the live engine
-//! state. [`detect_frustum_reference`] keeps the original full-state-key
-//! algorithm as the differential-testing oracle.
+//! state.
+//!
+//! The engine is event-driven (see [`tpn_petri::timed`]), and the detect
+//! loop adds only O(1) work per instant between checkpoints: a digest
+//! lookup, a record push and the engine's own idle flag. The
+//! differential oracle, a naive full-state-key detector that shares no
+//! stepping code with this one, lives in `tpn-conform`.
 
 use std::collections::HashMap;
 
 use tpn_petri::marked::check_live;
 use tpn_petri::rational::Ratio;
 use tpn_petri::timed::{
-    ChoicePolicy, EagerPolicy, Engine, EngineStats, InstantaneousState, PackedState, StateKey,
-    StepRecord,
+    ChoicePolicy, EagerPolicy, Engine, EngineStats, InstantaneousState, PackedState, StepRecord,
 };
 use tpn_petri::{Marking, PetriNet, TransitionId};
 
@@ -271,7 +275,7 @@ pub fn detect_frustum<P: ChoicePolicy>(
         }
         let step = engine.tick();
         let time = step.time;
-        if step.started.is_empty() && step.completed.is_empty() && engine.state().all_idle() {
+        if step.started.is_empty() && step.completed.is_empty() && engine.all_idle() {
             return Err(diagnose_deadlock(net, &initial, time));
         }
         if let Some(times) = seen.get(&step.digest) {
@@ -306,68 +310,6 @@ pub fn detect_frustum<P: ChoicePolicy>(
         if time % CHECKPOINT_INTERVAL == 0 {
             checkpoints.push((time, engine.packed_state()));
         }
-    }
-}
-
-/// The original clone-per-step detector: hashes the **full**
-/// [`StateKey`] (state plus policy fingerprint) of every instant.
-///
-/// Collision-proof by construction but allocation-heavy; retained as the
-/// oracle for differential tests and benchmarks of [`detect_frustum`].
-/// Budget semantics and results are identical.
-///
-/// # Errors
-///
-/// Same as [`detect_frustum`].
-pub fn detect_frustum_reference<P: ChoicePolicy>(
-    net: &PetriNet,
-    marking: Marking,
-    policy: P,
-    max_steps: u64,
-) -> Result<FrustumReport, SchedError> {
-    let mut engine = Engine::try_new(net, marking, policy)?;
-    let initial = engine.packed_state();
-    let mut seen: HashMap<StateKey, u64> = HashMap::new();
-    let mut steps: Vec<StepRecord> = Vec::new();
-
-    let first = engine.start();
-    seen.insert(engine.state_key(), first.time);
-    steps.push(first);
-
-    loop {
-        if steps.len() as u64 >= max_steps {
-            return Err(SchedError::FrustumNotFound { max_steps });
-        }
-        let step = engine.tick();
-        let time = step.time;
-        if step.started.is_empty() && step.completed.is_empty() && engine.state().all_idle() {
-            return Err(diagnose_deadlock(net, &initial, time));
-        }
-        let key = engine.state_key();
-        steps.push(step);
-        if let Some(&start_time) = seen.get(&key) {
-            let counts = window_counts(net, &steps, start_time, time);
-            // Full-state hashing has no digest/replay machinery; every
-            // "candidate" is the one confirmed repetition.
-            let stats = DetectionStats {
-                instants: steps.len() as u64,
-                digest_candidates: 1,
-                replays: 1,
-                confirmed: 1,
-                checkpoints: 0,
-                engine: engine.stats(),
-            };
-            return Ok(FrustumReport {
-                steps,
-                start_time,
-                repeat_time: time,
-                counts,
-                stats,
-                initial,
-                checkpoints: Vec::new(),
-            });
-        }
-        seen.insert(key, time);
     }
 }
 
@@ -455,25 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_detector_matches_reference() {
-        for sdsp in [l1(), l2()] {
-            let pn = to_petri(&sdsp);
-            let fast = detect_frustum_eager(&pn.net, pn.marking.clone(), 1_000).unwrap();
-            let refr =
-                detect_frustum_reference(&pn.net, pn.marking.clone(), EagerPolicy, 1_000).unwrap();
-            assert_eq!(fast.start_time, refr.start_time);
-            assert_eq!(fast.repeat_time, refr.repeat_time);
-            assert_eq!(fast.counts, refr.counts);
-            assert_eq!(fast.steps.len(), refr.steps.len());
-            for (a, b) in fast.steps.iter().zip(&refr.steps) {
-                assert_eq!(a.started, b.started);
-                assert_eq!(a.completed, b.completed);
-                assert_eq!(a.digest, b.digest);
-            }
-        }
-    }
-
-    #[test]
     fn state_at_reconstructs_boundary_states() {
         let pn = to_petri(&l2());
         let f = detect_frustum_eager(&pn.net, pn.marking.clone(), 1_000).unwrap();
@@ -543,10 +466,11 @@ mod tests {
         // Every firing in the trace is counted by the engine.
         let fired: u64 = f.steps.iter().map(|st| st.started.len() as u64).sum();
         assert_eq!(s.engine.firings, fired);
-        // The reference detector reports the trivial stats.
-        let r = detect_frustum_reference(&pn.net, pn.marking.clone(), EagerPolicy, 1_000).unwrap();
-        assert_eq!((r.stats.digest_candidates, r.stats.confirmed), (1, 1));
-        assert_eq!(r.stats.engine.firings, fired);
+        // Under the eager policy every candidate starts or is pruned.
+        assert_eq!(
+            s.engine.startable_scanned,
+            s.engine.firings + s.engine.startable_pruned
+        );
     }
 
     #[test]
@@ -577,11 +501,6 @@ mod tests {
             detect_frustum_eager(&pn.net, pn.marking.clone(), 1),
             Err(SchedError::FrustumNotFound { max_steps: 1 })
         ));
-        // The reference detector applies the same budget semantics.
-        assert!(matches!(
-            detect_frustum_reference(&pn.net, pn.marking.clone(), EagerPolicy, 1),
-            Err(SchedError::FrustumNotFound { max_steps: 1 })
-        ));
     }
 
     #[test]
@@ -591,11 +510,7 @@ mod tests {
         let pn = to_petri(&l1());
         let empty = Marking::empty(&pn.net);
         assert!(matches!(
-            detect_frustum_eager(&pn.net, empty.clone(), 100),
-            Err(SchedError::Petri(tpn_petri::PetriError::NotLive { .. }))
-        ));
-        assert!(matches!(
-            detect_frustum_reference(&pn.net, empty, EagerPolicy, 100),
+            detect_frustum_eager(&pn.net, empty, 100),
             Err(SchedError::Petri(tpn_petri::PetriError::NotLive { .. }))
         ));
     }

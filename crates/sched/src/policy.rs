@@ -11,12 +11,20 @@
 //! alternative deterministic scheme (lowest transition id first) used to
 //! demonstrate that the *existence* of a cyclic frustum does not depend on
 //! the particular tie-break, only on its repeatability.
+//!
+//! # The incremental issue queue
+//!
+//! [`FifoPolicy`] keeps its queue current from each instant's completions
+//! ([`PolicyCtx::completed`]) instead of rescanning every instruction.
+//! Every place of an SDSP-SCP-PN except the run place has one consumer,
+//! so a queued instruction stops being data-ready only by starting, and
+//! FIFO starts only the front. The queue fingerprint is a rolling
+//! polynomial hash of the exact queue order, updated in O(1) per push and
+//! pop.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
 
-use tpn_petri::timed::{ChoicePolicy, InstantaneousState, PolicyCtx};
+use tpn_petri::timed::{mix64, ChoicePolicy, PolicyCtx};
 use tpn_petri::{PetriNet, PlaceId, TransitionId};
 
 use crate::scp::ScpPn;
@@ -85,15 +93,33 @@ pub struct FifoPolicy {
     run_place: PlaceId,
     is_sdsp: Vec<bool>,
     queue: VecDeque<TransitionId>,
+    /// Per transition: whether it is in `queue`.
+    queued: Vec<bool>,
+    /// The instant whose completions are enqueued; `None` before the
+    /// first sync, which scans every instruction.
+    synced: Option<u64>,
+    /// The queue order, hashed (see [`QueueHash`]).
+    hash: QueueHash,
 }
 
 impl FifoPolicy {
     /// Creates the policy for a built SCP model.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scp` has the shape [`build_scp`](crate::scp::build_scp)
+    /// gives it: every place except the run place has at most one consumer
+    /// (the queue's exactness rests on it), and the instructions' ids come
+    /// before the pipeline stages'.
     pub fn new(scp: &ScpPn) -> Self {
+        check_scp_shape(scp);
         FifoPolicy {
             run_place: scp.run_place,
             is_sdsp: scp.is_sdsp.clone(),
             queue: VecDeque::new(),
+            queued: vec![false; scp.is_sdsp.len()],
+            synced: None,
+            hash: QueueHash::new(scp.num_sdsp_transitions()),
         }
     }
 
@@ -103,79 +129,167 @@ impl FifoPolicy {
         self.queue.iter().copied()
     }
 
-    fn data_ready(&self, net: &PetriNet, state: &InstantaneousState, t: TransitionId) -> bool {
-        if state.is_busy(t) {
-            return false;
-        }
-        net.transition(t)
-            .inputs()
-            .iter()
-            .all(|&p| p == self.run_place || state.marking.tokens(p) > 0)
+    /// Whether `t` is data-ready: idle, and every input place except the
+    /// run place marked.
+    fn data_ready(&self, ctx: &PolicyCtx<'_>, t: TransitionId) -> bool {
+        !ctx.state.is_busy(t)
+            && ctx
+                .net
+                .transition(t)
+                .inputs()
+                .iter()
+                .all(|&p| p == self.run_place || ctx.state.marking.tokens(p) > 0)
     }
 
-    fn sync(&mut self, net: &PetriNet, state: &InstantaneousState) {
-        // Drop entries that are no longer data-ready (they fired).
-        let run_place = self.run_place;
-        let is_sdsp = &self.is_sdsp;
-        self.queue
-            .retain(|&t| is_sdsp[t.index()] && is_ready(net, state, run_place, t));
-        // Enqueue newly ready instructions in id order.
-        for idx in 0..self.is_sdsp.len() {
-            if !self.is_sdsp[idx] {
-                continue;
+    /// Brings the queue up to date at `ctx.time`: drops the issued front,
+    /// then enqueues, in id order, the instructions this instant's
+    /// completions made data-ready — each completed instruction and the
+    /// instruction consumers of every completed transition's outputs.
+    fn sync(&mut self, ctx: &PolicyCtx<'_>) {
+        while let Some(&front) = self.queue.front() {
+            if !ctx.state.is_busy(front) {
+                break;
             }
-            let t = TransitionId::from_index(idx);
-            if self.data_ready(net, state, t) && !self.queue.contains(&t) {
-                self.queue.push_back(t);
-            }
+            self.queue.pop_front();
+            self.queued[front.index()] = false;
+            self.hash.pop_front(front, self.queue.len());
         }
+        if self.synced == Some(ctx.time) {
+            return;
+        }
+        let mut fresh: Vec<TransitionId> = match self.synced {
+            None => (0..self.is_sdsp.len())
+                .filter(|&i| self.is_sdsp[i])
+                .map(TransitionId::from_index)
+                .collect(),
+            Some(_) => {
+                let mut fresh = Vec::new();
+                for &c in ctx.completed {
+                    if self.is_sdsp[c.index()] {
+                        fresh.push(c);
+                    }
+                    for &p in ctx.net.transition(c).outputs() {
+                        if p != self.run_place {
+                            let consumers = ctx.net.place(p).postset().iter();
+                            fresh.extend(consumers.filter(|u| self.is_sdsp[u.index()]));
+                        }
+                    }
+                }
+                fresh.sort_unstable();
+                fresh.dedup();
+                fresh
+            }
+        };
+        fresh.retain(|&t| !self.queued[t.index()] && self.data_ready(ctx, t));
+        for t in fresh {
+            self.queued[t.index()] = true;
+            self.hash.push_back(t);
+            self.queue.push_back(t);
+        }
+        self.synced = Some(ctx.time);
     }
 }
 
-fn is_ready(
-    net: &PetriNet,
-    state: &InstantaneousState,
-    run_place: PlaceId,
-    t: TransitionId,
-) -> bool {
-    !state.is_busy(t)
-        && net
-            .transition(t)
-            .inputs()
-            .iter()
-            .all(|&p| p == run_place || state.marking.tokens(p) > 0)
+/// Asserts the structure both SCP policies rely on (see
+/// [`FifoPolicy::new`]).
+fn check_scp_shape(scp: &ScpPn) {
+    assert!(
+        scp.net
+            .places()
+            .all(|(p, place)| p == scp.run_place || place.postset().len() <= 1),
+        "a place other than the run place has several consumers"
+    );
+    assert!(
+        scp.is_sdsp.windows(2).all(|w| w[0] || !w[1]),
+        "instruction ids must precede pipeline-stage ids"
+    );
+}
+
+/// The first pipeline-stage (dummy) transition in an id-ordered startable
+/// list: instructions come first (see [`check_scp_shape`]).
+fn first_dummy(is_sdsp: &[bool], startable: &[TransitionId]) -> Option<TransitionId> {
+    let at = startable.partition_point(|t| is_sdsp[t.index()]);
+    startable.get(at).copied()
 }
 
 impl ChoicePolicy for FifoPolicy {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Option<TransitionId> {
         // Pipeline stages advance unconditionally.
-        if let Some(&dummy) = ctx.startable.iter().find(|&&t| !self.is_sdsp[t.index()]) {
+        if let Some(dummy) = first_dummy(&self.is_sdsp, ctx.startable) {
             return Some(dummy);
         }
-        self.sync(ctx.net, ctx.state);
+        self.sync(ctx);
         if ctx.state.marking.tokens(self.run_place) == 0 {
             return None;
         }
         let front = *self.queue.front()?;
         debug_assert!(
-            ctx.startable.contains(&front),
+            ctx.startable.binary_search(&front).is_ok(),
             "queue front {front} should be startable when the run place is marked"
         );
         Some(front)
     }
 
-    fn on_instant_end(&mut self, net: &PetriNet, state: &InstantaneousState, _time: u64) {
+    fn on_instant_end(&mut self, ctx: &PolicyCtx<'_>) {
         // Keep the queue current even on instants where nothing could
         // start, so the fingerprint reflects arrival order faithfully.
-        self.sync(net, state);
+        self.sync(ctx);
     }
 
     fn fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        for t in &self.queue {
-            t.hash(&mut h);
+        self.hash.value
+    }
+}
+
+/// A rolling polynomial hash of a queue's order modulo the Mersenne prime
+/// 2^61 − 1: `Σ word(q_i) · BASE^(len − 1 − i)` over the queue front to
+/// back. `push_back` multiplies by `BASE` and adds; `pop_front` subtracts
+/// the front's term. Both are O(1), and unlike a set or length digest the
+/// value changes when two entries swap places.
+#[derive(Clone, Debug)]
+struct QueueHash {
+    value: u64,
+    /// `BASE^k` for every queue length `k` the policy can reach.
+    powers: Vec<u64>,
+}
+
+const MERSENNE_61: u64 = (1 << 61) - 1;
+const QUEUE_BASE: u64 = 0x0F1E_2D3C_4B5A_6978 % MERSENNE_61;
+
+fn mul_mod(a: u64, b: u64) -> u64 {
+    let x = u128::from(a) * u128::from(b);
+    let r = (x as u64 & MERSENNE_61) + (x >> 61) as u64;
+    let r = (r & MERSENNE_61) + (r >> 61);
+    if r >= MERSENNE_61 {
+        r - MERSENNE_61
+    } else {
+        r
+    }
+}
+
+/// A nonzero residue per transition, so every entry moves the hash.
+fn queue_word(t: TransitionId) -> u64 {
+    mix64(t.index() as u64) % (MERSENNE_61 - 1) + 1
+}
+
+impl QueueHash {
+    /// A hash for queues of up to `capacity` entries.
+    fn new(capacity: usize) -> Self {
+        let mut powers = vec![1u64; capacity.max(1)];
+        for k in 1..powers.len() {
+            powers[k] = mul_mod(powers[k - 1], QUEUE_BASE);
         }
-        h.finish()
+        QueueHash { value: 0, powers }
+    }
+
+    fn push_back(&mut self, t: TransitionId) {
+        self.value = (mul_mod(self.value, QUEUE_BASE) + queue_word(t)) % MERSENNE_61;
+    }
+
+    /// Removes the front entry `t` of a queue now holding `rest` entries.
+    fn pop_front(&mut self, t: TransitionId, rest: usize) {
+        let term = mul_mod(queue_word(t), self.powers[rest]);
+        self.value = (self.value + MERSENNE_61 - term) % MERSENNE_61;
     }
 }
 
@@ -189,7 +303,12 @@ pub struct PriorityPolicy {
 
 impl PriorityPolicy {
     /// Creates the policy for a built SCP model.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `scp` has the shape [`FifoPolicy::new`] requires.
     pub fn new(scp: &ScpPn) -> Self {
+        check_scp_shape(scp);
         PriorityPolicy {
             run_place: scp.run_place,
             is_sdsp: scp.is_sdsp.clone(),
@@ -199,17 +318,14 @@ impl PriorityPolicy {
 
 impl ChoicePolicy for PriorityPolicy {
     fn choose(&mut self, ctx: &PolicyCtx<'_>) -> Option<TransitionId> {
-        if let Some(&dummy) = ctx.startable.iter().find(|&&t| !self.is_sdsp[t.index()]) {
+        if let Some(dummy) = first_dummy(&self.is_sdsp, ctx.startable) {
             return Some(dummy);
         }
         if ctx.state.marking.tokens(self.run_place) == 0 {
             return None;
         }
-        // `startable` is already in id order.
-        ctx.startable
-            .iter()
-            .find(|&&t| self.is_sdsp[t.index()])
-            .copied()
+        // `startable` is in id order and holds only instructions here.
+        ctx.startable.first().copied()
     }
 }
 

@@ -9,8 +9,6 @@
 //! of `p / k`, which Theorem 4.1.1 shows equals the critical-cycle bound:
 //! the schedule is time-optimal.
 
-use std::collections::HashMap;
-
 use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
 use tpn_petri::rational::Ratio;
@@ -118,16 +116,16 @@ impl LoopSchedule {
 
         // Start times per node over the whole recorded trace.
         let mut recorded_starts: Vec<Vec<u64>> = vec![Vec::new(); sdsp.num_nodes()];
-        let reverse: HashMap<TransitionId, usize> = transition_of
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
+        // Transition index -> node index; `None` for SCP dummies.
+        let mut node_of: Vec<Option<usize>> = vec![None; frustum.counts.len()];
+        for (i, &t) in transition_of.iter().enumerate() {
+            node_of[t.index()] = Some(i);
+        }
         let mut prologue = Vec::new();
         let mut kernel = Vec::new();
         for step in &frustum.steps {
             for &t in &step.started {
-                let Some(&node_idx) = reverse.get(&t) else {
+                let Some(node_idx) = node_of[t.index()] else {
                     continue; // SCP dummy transition
                 };
                 let iteration = recorded_starts[node_idx].len() as u64;
@@ -144,16 +142,7 @@ impl LoopSchedule {
                 }
             }
         }
-        // Fix up occurrences (per node, in slot order) and offsets
-        // (relative to the most advanced iteration in the kernel).
-        let max_iter = kernel.iter().map(|e| e.offset).max().unwrap_or(0);
-        let mut occ: HashMap<NodeId, u64> = HashMap::new();
-        for e in &mut kernel {
-            let c = occ.entry(e.node).or_insert(0);
-            e.occurrence = *c;
-            *c += 1;
-            e.offset -= max_iter;
-        }
+        fix_up_kernel(&mut kernel, sdsp.num_nodes());
 
         Ok(LoopSchedule {
             period,
@@ -208,14 +197,7 @@ impl LoopSchedule {
                 });
             }
         }
-        let max_iter = kernel.iter().map(|e| e.offset).max().unwrap_or(0);
-        let mut occ: HashMap<NodeId, u64> = HashMap::new();
-        for e in &mut kernel {
-            let c = occ.entry(e.node).or_insert(0);
-            e.occurrence = *c;
-            *c += 1;
-            e.offset -= max_iter;
-        }
+        fix_up_kernel(&mut kernel, sdsp.num_nodes());
         LoopSchedule {
             period,
             iterations_per_period,
@@ -327,12 +309,27 @@ impl LoopSchedule {
     }
 }
 
+/// Numbers each node's kernel entries in slot order (`occurrence`) and
+/// makes the absolute iterations held in `offset` relative to the most
+/// advanced iteration in the kernel.
+fn fix_up_kernel(kernel: &mut [KernelEntry], num_nodes: usize) {
+    let max_iter = kernel.iter().map(|e| e.offset).max().unwrap_or(0);
+    let mut occurrences = vec![0u64; num_nodes];
+    for e in kernel {
+        let c = &mut occurrences[e.node.index()];
+        e.occurrence = *c;
+        *c += 1;
+        e.offset -= max_iter;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frustum::{detect_frustum, detect_frustum_eager};
     use crate::policy::FifoPolicy;
     use crate::scp::build_scp;
+    use std::collections::HashMap;
     use tpn_dataflow::to_petri::to_petri;
     use tpn_dataflow::{OpKind, Operand, SdspBuilder};
 

@@ -18,11 +18,10 @@
 //!   vectors, no frustum machinery) and independently confirms safety
 //!   (boundedness), liveness over the recorded window, firing latencies,
 //!   non-reentrance, and every per-event marking digest. Where
-//!   [`crate::frustum::detect_frustum_reference`] re-runs the same
-//!   earliest-firing engine with a different state index, this validator
-//!   shares *no* execution code with the engine — it is an end-to-end
-//!   oracle that the engine, the frustum detector, and the rate analysis
-//!   agree.
+//!   `tpn-conform`'s reference detector re-steps the net naively and
+//!   compares every instant, this validator runs no stepper at all — it
+//!   is an end-to-end oracle that the engine, the frustum detector, and
+//!   the rate analysis agree.
 
 use std::collections::HashMap;
 
@@ -472,8 +471,8 @@ impl TraceValidation {
 ///
 /// No engine, residual vector, frustum machinery or incremental hash is
 /// consulted, so this is an independent oracle for all of them (contrast
-/// [`crate::frustum::detect_frustum_reference`], which re-runs the same
-/// engine with a different repetition index).
+/// `tpn-conform`'s reference detector, which re-steps the net naively
+/// under the earliest firing rule).
 ///
 /// # Errors
 ///

@@ -428,8 +428,23 @@ fn parse_options(obj: &[(String, JsonValue)]) -> Result<CompileOptions, String> 
     let mut options = CompileOptions::new();
     for (key, value) in obj {
         match key.as_str() {
-            "node_time" => options = options.node_time(expect_u64(key, value)?),
-            "step_budget" => options = options.step_budget(expect_u64(key, value)?),
+            "node_time" => {
+                let cycles = expect_u64(key, value)?;
+                if cycles == 0 {
+                    return Err("\"node_time\" must be >= 1".into());
+                }
+                options = options.node_time(cycles);
+            }
+            "step_budget" => {
+                let budget = expect_u64(key, value)?;
+                if budget > tpn::MAX_STEP_BUDGET {
+                    return Err(format!(
+                        "\"step_budget\" must be at most {} instants",
+                        tpn::MAX_STEP_BUDGET
+                    ));
+                }
+                options = options.step_budget(budget);
+            }
             "profile" => options = options.profile(expect_bool(key, value)?),
             "issue_policy" => match value {
                 JsonValue::Str(s) if s == "fifo" => {
@@ -1454,6 +1469,31 @@ mod tests {
             parse_request(r#"{"id":1,"verb":"schedule","source":"x","options":{"trace":true}}"#)
                 .unwrap_err(),
             ParseError::Bad("unknown option \"trace\"".into())
+        );
+
+        // A zero node time is refused here; `CompileOptions::node_time`
+        // would panic on it on the serving loop's thread.
+        assert_eq!(
+            parse_request(r#"{"id":1,"verb":"analyze","source":"x","options":{"node_time":0}}"#)
+                .unwrap_err(),
+            ParseError::Bad("\"node_time\" must be >= 1".into())
+        );
+        // A step budget past the detection ceiling is refused, not run.
+        let budget = |b: u64| {
+            parse_request(&format!(
+                r#"{{"id":1,"verb":"schedule","source":"x","options":{{"step_budget":{b}}}}}"#
+            ))
+        };
+        let ceiling = tpn::MAX_STEP_BUDGET;
+        assert_eq!(
+            budget(ceiling).unwrap().options.get_step_budget(),
+            Some(ceiling)
+        );
+        assert_eq!(
+            budget(ceiling + 1).unwrap_err(),
+            ParseError::Bad(format!(
+                "\"step_budget\" must be at most {ceiling} instants"
+            ))
         );
 
         assert!(parse_request(r#"{"verb":"analyze","source":"x"}"#).is_err());

@@ -195,6 +195,32 @@ fn worker_pool_survives_a_mid_compile_panic() {
     assert_eq!(counters.completed, 4);
 }
 
+/// One request line cannot make a worker simulate without bound: SCP at
+/// depth 10^8 stops at the detection ceiling with a typed `compile`
+/// error, and the next request on the same worker is answered.
+#[test]
+fn a_huge_scp_depth_stops_at_the_detection_ceiling() {
+    let service = Service::start(ServiceConfig::builder().workers(1).build().unwrap());
+    let src = "doall i from 1 to n { A[i] := B[i] + 1; C[i] := A[i] * 2; }";
+    let line = format!(r#"{{"id":1,"verb":"scp","source":"{src}","depth":100000000}}"#);
+    let hostile = protocol::parse_request(&line).expect("a well-formed request");
+    let response = service.call(hostile).expect("not overloaded");
+    assert!(!response.ok);
+    assert!(
+        response.line.contains("\"kind\":\"compile\"")
+            && response.line.contains(&format!(
+                "no repeated instantaneous state within {} steps",
+                tpn::MAX_STEP_BUDGET
+            )),
+        "{}",
+        response.line
+    );
+    let next = service
+        .call(request(2, Verb::Analyze, src.to_string(), None))
+        .expect("not overloaded");
+    assert!(next.ok, "{}", next.line);
+}
+
 /// An expired wall-clock deadline yields a `deadline` response between
 /// stages, not a hang.
 #[test]
