@@ -5,6 +5,11 @@
 //! whole-body recurrence rings across two decades of loop size, up to
 //! n = 50 000 where simulation is far past its budget.
 //!
+//! A second group times §6 storage minimisation against one critical-ratio
+//! solve of the same net: the greedy solves once and checks every merge
+//! against the solve's potentials, so the ratio stays a small constant
+//! instead of growing with the number of candidate merges.
+//!
 //! Run: `cargo run --release -p tpn-bench --bin analytic [-- --json]
 //! [-- --bench-json FILE]`; `--bench-json` additionally writes the
 //! before/after comparison in the `BENCH_*.json` house format.
@@ -16,9 +21,11 @@ use tpn_bench::{emit, table};
 use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::Sdsp;
 use tpn_livermore::synth::{chain, recurrence_ring};
+use tpn_petri::ratio::critical_ratio;
 use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::frustum::detect_frustum_eager;
 use tpn_sched::schedule::LoopSchedule;
+use tpn_storage::minimize_storage;
 
 /// Frustum measurement ceiling: above this the simulated engine's
 /// super-linear step cost stops being a comparison and becomes a stall,
@@ -42,6 +49,44 @@ struct Row {
     /// Exact agreement of rate and initiation interval between the two
     /// engines (`None` when the frustum was skipped).
     agree: Option<bool>,
+}
+
+/// Storage minimisation next to one critical-ratio solve of the same net.
+#[derive(Clone, Debug, Serialize)]
+struct StorageRow {
+    shape: &'static str,
+    n: usize,
+    /// Locations before minimisation.
+    before: usize,
+    /// Locations after minimisation.
+    after: usize,
+    /// `minimize_storage`, best of [`STORAGE_REPS`].
+    minimize_ns: u128,
+    /// One `critical_ratio` on the loop's SDSP-PN, best of [`STORAGE_REPS`].
+    solve_ns: u128,
+    /// `minimize_ns / solve_ns`.
+    ratio: f64,
+}
+
+const STORAGE_REPS: u32 = 5;
+
+fn run_storage(shape: &'static str, sdsp: Sdsp) -> StorageRow {
+    let pn = to_petri(&sdsp);
+    let (solve_ns, _) = best_of(STORAGE_REPS, || {
+        critical_ratio(&pn.net, &pn.marking).expect("synthetic loops are live")
+    });
+    let (minimize_ns, (_, report)) = best_of(STORAGE_REPS, || {
+        minimize_storage(&sdsp).expect("synthetic loops are live")
+    });
+    StorageRow {
+        shape,
+        n: sdsp.num_nodes(),
+        before: report.before,
+        after: report.after,
+        minimize_ns,
+        solve_ns,
+        ratio: minimize_ns as f64 / solve_ns.max(1) as f64,
+    }
 }
 
 /// Times `f` as the minimum over `reps` runs — the usual defence against
@@ -115,7 +160,7 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
     }
 }
 
-fn bench_json(rows: &[Row]) -> String {
+fn bench_json(rows: &[Row], storage: &[StorageRow]) -> String {
     let mut cases = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -145,6 +190,18 @@ fn bench_json(rows: &[Row]) -> String {
             )),
         }
     }
+    let storage_cases = storage
+        .iter()
+        .map(|r| {
+            format!(
+                "      \"{}/{}\": {{\n        \"minimize_ns\": {},\n        \
+                 \"solve_ns\": {},\n        \"ratio\": {:.2},\n        \
+                 \"locations_before\": {},\n        \"locations_after\": {}\n      }}",
+                r.shape, r.n, r.minimize_ns, r.solve_ns, r.ratio, r.before, r.after
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     format!(
         "{{\n  \"benchmark\": \"analytic vs frustum schedule derivation \
          (crates/bench/src/bin/analytic.rs): chains and whole-body recurrence \
@@ -153,7 +210,8 @@ fn bench_json(rows: &[Row]) -> String {
          \"analytic engine: periodic schedule constructed from the exact critical \
          ratio (longest-path offsets + balanced-word issue pattern), no \
          simulation\",\n  \"unit\": \"ns\",\n  \"groups\": {{\n    \
-         \"schedule_derivation\": {{\n{cases}\n    }}\n  }}\n}}\n"
+         \"schedule_derivation\": {{\n{cases}\n    }},\n    \
+         \"storage_minimization\": {{\n{storage_cases}\n    }}\n  }}\n}}\n"
     )
 }
 
@@ -177,6 +235,10 @@ fn main() {
         rows.push(run("chain", chain(n)));
         rows.push(run("ring", recurrence_ring(n)));
     }
+    let storage = vec![
+        run_storage("chain", chain(512)),
+        run_storage("ring", recurrence_ring(512)),
+    ];
     emit(&rows, |rows| {
         let mut out =
             String::from("Schedule derivation: analytic construction vs frustum simulation:\n");
@@ -217,8 +279,35 @@ fn main() {
         );
         out
     });
+    emit(&storage, |rows| {
+        let mut out = String::from("\nStorage minimisation vs one critical-ratio solve:\n");
+        out.push_str(&table::render(
+            &[
+                "shape",
+                "n",
+                "locations",
+                "minimize(ns)",
+                "solve(ns)",
+                "ratio",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.shape.to_string(),
+                        r.n.to_string(),
+                        format!("{} -> {}", r.before, r.after),
+                        r.minimize_ns.to_string(),
+                        r.solve_ns.to_string(),
+                        format!("{:.1}x", r.ratio),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        ));
+        out
+    });
     if let Some(path) = bench_path {
-        std::fs::write(&path, bench_json(&rows))
+        std::fs::write(&path, bench_json(&rows, &storage))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("bench comparison written to {path}");
     }

@@ -20,7 +20,8 @@
 //!   initiation-interval optimality cross-check on small nets;
 //! * [`reference`](mod@reference) — a naive earliest-firing stepper and full-state-key
 //!   frustum detector that shares no stepping code with the production
-//!   engine, compared with it instant by instant;
+//!   engine, compared with it instant by instant, and the storage greedy
+//!   that re-solves the critical ratio for every candidate merge;
 //! * [`chaos`] — a deterministic fault-injection mode for the compile
 //!   service, asserting byte-identity and cache coherence under
 //!   cancellations, deadline expiries and worker panics.
@@ -38,4 +39,7 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use exec::{build_env, check_exec, env_seed, ExecConfig, ExecReport};
 pub use gen::{generate, Shape};
 pub use oracle::{check_mutated, check_sdsp, CaseReport, Mutation, MutationOutcome, OracleConfig};
-pub use reference::{agree, detect_frustum_reference, ReferencePolicy, ReferenceRun};
+pub use reference::{
+    agree, detect_frustum_reference, minimize_storage_reference, storage_agree, ReferencePolicy,
+    ReferenceRun,
+};

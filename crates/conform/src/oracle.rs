@@ -15,7 +15,10 @@
 //! * **trace** — the firing trace derived from the frustum, replayed
 //!   from events alone by [`replay_trace`] and held to the same rate;
 //! * **storage** — [`minimize_storage`]'s coalesced net must keep both
-//!   its parametric cycle time and its simulated rate unchanged;
+//!   its parametric cycle time and its simulated rate unchanged, and its
+//!   potentials check must make exactly the merges of the re-solving
+//!   [`reference`](crate::reference::minimize_storage_reference) at 1, 2,
+//!   3 and unbounded merges;
 //! * **analytic** — the simulation-free periodic schedule built from the
 //!   critical ratio ([`AnalyticSchedule`]) must carry exactly the
 //!   parametric rate, pass the independent dependence checker, and its
@@ -51,7 +54,9 @@ use tpn_sched::validate::{check_schedule, replay_trace};
 use tpn_sched::SchedError;
 use tpn_storage::minimize_storage;
 
-use crate::reference::{agree, detect_frustum_reference, ReferencePolicy, ReferenceRun};
+use crate::reference::{
+    agree, detect_frustum_reference, storage_agree, ReferencePolicy, ReferenceRun,
+};
 
 /// Tuning for one oracle run.
 #[derive(Clone, Copy, Debug)]
@@ -362,6 +367,13 @@ fn run_case(
             Err(e) => report
                 .disagreements
                 .push(format!("storage: minimize_storage failed: {e}")),
+        }
+        for max_merges in [1, 2, 3, usize::MAX] {
+            if let Err(e) = storage_agree(sdsp, max_merges) {
+                report
+                    .disagreements
+                    .push(format!("storage: at most {max_merges} merges: {e}"));
+            }
         }
     }
 

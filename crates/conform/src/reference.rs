@@ -1,4 +1,4 @@
-//! The reference frustum detector: an oracle for the production engine.
+//! Reference implementations: oracles for production fast paths.
 //!
 //! [`detect_frustum_reference`] runs the earliest firing rule the plain
 //! way and shares no stepping code with [`tpn_petri::timed::Engine`] or
@@ -17,15 +17,25 @@
 //! reference run instant by instant. Digests agree only under the eager
 //! policy, where neither side has a policy fingerprint; the FIFO sides
 //! hash their queues differently by design.
+//!
+//! [`minimize_storage_reference`] is the §6 storage greedy verified the
+//! plain way: every candidate merge rebuilds the SDSP-PN and re-solves
+//! its critical ratio. It shares no code with the potentials check of
+//! [`tpn_storage::minimize_storage_steps`], and the two must return
+//! identical reports and acknowledgement structures.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
+use tpn_dataflow::to_petri::to_petri;
+use tpn_dataflow::{AckArc, Sdsp};
 use tpn_petri::marked::check_live;
+use tpn_petri::ratio::critical_ratio;
 use tpn_petri::timed::{state_digest, InstantaneousState, StepRecord};
 use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
 use tpn_sched::{FrustumReport, SchedError, ScpPn};
+use tpn_storage::{minimize_storage_steps, CoalescedGroup, StorageError, StorageReport};
 
 /// Conflict resolution as the reference stepper runs it.
 #[derive(Clone, Debug)]
@@ -342,6 +352,131 @@ pub fn agree(
         ));
     }
     Ok(())
+}
+
+/// [`tpn_storage::minimize_storage_steps`] with every candidate verified
+/// from scratch: the merged loop is rebuilt, translated to its SDSP-PN,
+/// and its critical ratio re-solved; the merge stands only if the cycle
+/// time is unchanged. Candidates are found by scanning all ordered pairs
+/// of acknowledgements, and the scan restarts after each accepted merge.
+///
+/// # Errors
+///
+/// Analysis errors for malformed or dead nets.
+pub fn minimize_storage_reference(
+    sdsp: &Sdsp,
+    max_merges: usize,
+) -> Result<(Sdsp, StorageReport), StorageError> {
+    let before = sdsp.storage_locations();
+    let base_pn = to_petri(sdsp);
+    let target = critical_ratio(&base_pn.net, &base_pn.marking)?.cycle_time;
+
+    let mut current = sdsp.clone();
+    let mut merges = 0usize;
+    while merges < max_merges {
+        let mut merged = false;
+        let acks: Vec<AckArc> = current.acks().map(|(_, a)| a.clone()).collect();
+        'pairs: for i in 0..acks.len() {
+            for j in 0..acks.len() {
+                if i == j {
+                    continue;
+                }
+                // Chain i ends where chain j begins.
+                if acks[i].from != acks[j].to {
+                    continue;
+                }
+                let mut covers = acks[i].covers.clone();
+                covers.extend_from_slice(&acks[j].covers);
+                let tokens: u32 = covers
+                    .iter()
+                    .map(|&a| current.arc(a).initial_tokens())
+                    .sum();
+                if tokens > 1 {
+                    continue; // two live values cannot share one location
+                }
+                let candidate_ack = AckArc {
+                    from: acks[j].from,
+                    to: acks[i].to,
+                    covers,
+                    capacity: acks[i].capacity.min(acks[j].capacity),
+                };
+                let mut new_acks: Vec<AckArc> = acks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != i && k != j)
+                    .map(|(_, a)| a.clone())
+                    .collect();
+                new_acks.push(candidate_ack);
+                let Ok(candidate) = current.with_acks(new_acks) else {
+                    continue;
+                };
+                let pn = to_petri(&candidate);
+                let Ok(ratio) = critical_ratio(&pn.net, &pn.marking) else {
+                    continue;
+                };
+                if ratio.cycle_time == target {
+                    current = candidate;
+                    merged = true;
+                    merges += 1;
+                    break 'pairs;
+                }
+            }
+        }
+        if !merged {
+            break;
+        }
+    }
+
+    let groups = current
+        .acks()
+        .filter(|(_, a)| a.covers.len() > 1)
+        .map(|(_, a)| CoalescedGroup {
+            to: a.to,
+            from: a.from,
+            arcs: a.covers.len(),
+        })
+        .collect();
+    let report = StorageReport {
+        before,
+        after: current.storage_locations(),
+        groups,
+        cycle_time: target,
+    };
+    Ok((current, report))
+}
+
+/// Runs [`tpn_storage::minimize_storage_steps`] and
+/// [`minimize_storage_reference`] with the same `max_merges` and
+/// describes the first difference: in the report, in the optimised
+/// acknowledgement structure, or in the error.
+///
+/// # Errors
+///
+/// A description of the disagreement.
+pub fn storage_agree(sdsp: &Sdsp, max_merges: usize) -> Result<(), String> {
+    let production = minimize_storage_steps(sdsp, max_merges);
+    let reference = minimize_storage_reference(sdsp, max_merges);
+    match (production, reference) {
+        (Ok((got, got_report)), Ok((want, want_report))) => {
+            if got_report != want_report {
+                return Err(format!(
+                    "report {got_report:?} != reference {want_report:?}"
+                ));
+            }
+            let got: Vec<&AckArc> = got.acks().map(|(_, a)| a).collect();
+            let want: Vec<&AckArc> = want.acks().map(|(_, a)| a).collect();
+            if got != want {
+                return Err(format!("acknowledgements {got:?} != reference {want:?}"));
+            }
+            Ok(())
+        }
+        (Err(got), Err(want)) if got == want => Ok(()),
+        (got, want) => Err(format!(
+            "{:?} != reference {:?}",
+            got.map(|(_, report)| report),
+            want.map(|(_, report)| report)
+        )),
+    }
 }
 
 #[cfg(test)]

@@ -432,11 +432,17 @@ struct Caches {
     schedule: OnceLock<Result<Arc<LoopSchedule>, Error>>,
     rates: OnceLock<Result<RateReport, Error>>,
     explain: OnceLock<Result<Arc<Explanation>, Error>>,
-    scp: Mutex<HashMap<u64, Result<Arc<ScpRun>, Error>>>,
+    /// One cell per SCP depth. The map lock is held only to find a cell,
+    /// and each depth runs outside it, so a run that panics (depth 0)
+    /// leaves the lock and every other depth usable.
+    scp: Mutex<HashMap<u64, ScpCell>>,
     steady: OnceLock<Result<Arc<SteadyStateNet>, Error>>,
     storage: OnceLock<Result<Arc<StorageRun>, Error>>,
     balance: OnceLock<Result<(Sdsp, BalanceReport), Error>>,
 }
+
+/// The memo slot of one SCP depth.
+type ScpCell = Arc<OnceLock<Result<Arc<ScpRun>, Error>>>;
 
 impl Caches {
     fn clone_lock<T: Clone>(src: &OnceLock<T>) -> OnceLock<T> {
@@ -457,7 +463,15 @@ impl Clone for Caches {
             schedule: Self::clone_lock(&self.schedule),
             rates: Self::clone_lock(&self.rates),
             explain: Self::clone_lock(&self.explain),
-            scp: Mutex::new(self.scp.lock().expect("scp cache poisoned").clone()),
+            scp: Mutex::new(
+                self.scp
+                    .lock()
+                    .expect("scp cache poisoned")
+                    .iter()
+                    .filter(|(_, cell)| cell.get().is_some())
+                    .map(|(&depth, cell)| (depth, Arc::new(Self::clone_lock(cell))))
+                    .collect(),
+            ),
             steady: Self::clone_lock(&self.steady),
             storage: Self::clone_lock(&self.storage),
             balance: Self::clone_lock(&self.balance),
@@ -1035,10 +1049,15 @@ impl CompiledLoop {
     ///
     /// Panics if `depth == 0`.
     pub fn scp(&self, depth: u64) -> Result<Arc<ScpRun>, Error> {
-        let mut cache = self.caches.scp.lock().expect("scp cache poisoned");
-        cache
-            .entry(depth)
-            .or_insert_with(|| self.run_scp(depth).map(Arc::new))
+        let cell = Arc::clone(
+            self.caches
+                .scp
+                .lock()
+                .expect("scp cache poisoned")
+                .entry(depth)
+                .or_default(),
+        );
+        cell.get_or_init(|| self.run_scp(depth).map(Arc::new))
             .clone()
     }
 
@@ -1156,21 +1175,21 @@ impl CompiledLoop {
             detections.push(metrics::DetectionCounters::from_stats("frustum", &f.stats));
         }
         let scp = self.caches.scp.lock().expect("scp cache poisoned");
-        let mut depths: Vec<u64> = scp
+        let mut runs: Vec<(u64, Arc<ScpRun>)> = scp
             .iter()
-            .filter(|(_, run)| run.is_ok())
-            .map(|(&depth, _)| depth)
+            .filter_map(|(&depth, cell)| match cell.get() {
+                Some(Ok(run)) => Some((depth, Arc::clone(run))),
+                _ => None,
+            })
             .collect();
-        depths.sort_unstable();
-        for depth in depths {
-            if let Some(Ok(run)) = scp.get(&depth) {
-                detections.push(metrics::DetectionCounters::from_stats(
-                    format!("scp[l={depth}]"),
-                    &run.frustum.stats,
-                ));
-            }
-        }
         drop(scp);
+        runs.sort_unstable_by_key(|&(depth, _)| depth);
+        for (depth, run) in runs {
+            detections.push(metrics::DetectionCounters::from_stats(
+                format!("scp[l={depth}]"),
+                &run.frustum.stats,
+            ));
+        }
         let engine = detections
             .iter()
             .fold(metrics::EngineCounters::default(), |acc, d| {
@@ -1279,6 +1298,20 @@ mod tests {
         assert!(run.rates.respects_resource_bound());
         assert_eq!(run.model.depth, 8);
         assert!(run.schedule.period() > 0);
+    }
+
+    #[test]
+    fn a_panicking_scp_depth_leaves_the_loop_usable() {
+        let lp = CompiledLoop::from_source(L2).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lp.scp(0)));
+        assert!(caught.is_err(), "depth 0 panics by contract");
+        // The cache lock is not poisoned: other depths run and report.
+        let run = lp.scp(2).unwrap();
+        assert_eq!(run.model.depth, 2);
+        let report = lp.metrics_report();
+        assert!(report.detections.iter().any(|d| d.context == "scp[l=2]"));
+        // A clone carries the finished depth, not the failed one.
+        assert!(Arc::ptr_eq(&lp.clone().scp(2).unwrap(), &run));
     }
 
     #[test]

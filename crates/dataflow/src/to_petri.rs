@@ -18,6 +18,7 @@
 //! capacity, such acknowledgements produce no place either (the location is
 //! still counted by [`Sdsp::storage_locations`]).
 
+use tpn_petri::marked::MarkedArcs;
 use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
 
 use crate::graph::{NodeId, Sdsp};
@@ -69,64 +70,77 @@ impl SdspPn {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn to_petri(sdsp: &Sdsp) -> SdspPn {
+    let (arcs, place_of_ack) = to_marked_arcs(sdsp);
     let mut net = PetriNet::new();
     let transition_of: Vec<TransitionId> = sdsp
         .nodes()
         .map(|(_, node)| net.add_transition(node.name.clone(), node.time))
         .collect();
-
-    let mut marking_pairs = Vec::new();
-    let place_of_arc: Vec<PlaceId> = sdsp
+    let name = |id: NodeId| &sdsp.node(id).name;
+    let data_names = sdsp
         .arcs()
-        .map(|(_, arc)| {
-            let name = format!("{}->{}", sdsp.node(arc.from).name, sdsp.node(arc.to).name);
-            let p = net.add_place(name);
-            net.connect_tp(transition_of[arc.from.index()], p);
-            net.connect_pt(p, transition_of[arc.to.index()]);
-            if arc.initial_tokens() > 0 {
-                marking_pairs.push((p, arc.initial_tokens()));
-            }
-            p
-        })
-        .collect();
+        .map(|(_, arc)| format!("{}->{}", name(arc.from), name(arc.to)));
+    let ack_names = sdsp
+        .acks()
+        .zip(&place_of_ack)
+        .filter(|(_, place)| place.is_some())
+        .map(|((_, ack), _)| format!("ack:{}=>{}", name(ack.from), name(ack.to)));
+    let mut marking_pairs = Vec::new();
+    for (&(from, to, tokens), name) in arcs.places.iter().zip(data_names.chain(ack_names)) {
+        let p = net.add_place(name);
+        net.connect_tp(transition_of[from], p);
+        net.connect_pt(p, transition_of[to]);
+        if tokens > 0 {
+            marking_pairs.push((p, tokens));
+        }
+    }
+    let marking = Marking::from_pairs(&net, marking_pairs);
+    SdspPn {
+        net,
+        marking,
+        transition_of,
+        place_of_arc: (0..sdsp.arcs().count()).map(PlaceId::from_index).collect(),
+        place_of_ack: place_of_ack
+            .into_iter()
+            .map(|p| p.map(PlaceId::from_index))
+            .collect(),
+    }
+}
 
-    let place_of_ack: Vec<Option<PlaceId>> = sdsp
+/// The SDSP-PN as rate analysis reads it, without building the net or
+/// naming anything: one transition per node, then one place per data arc
+/// (holding its initial tokens) and one per acknowledgement (holding the
+/// free slots, `capacity − chain tokens`), in arena order. Also returns
+/// the place index of each acknowledgement, `None` for self-feedback,
+/// which gets no place. [`to_petri`] renders exactly these places.
+pub fn to_marked_arcs(sdsp: &Sdsp) -> (MarkedArcs, Vec<Option<usize>>) {
+    let times = sdsp.nodes().map(|(_, node)| node.time).collect();
+    let mut places: Vec<(usize, usize, u32)> = sdsp
+        .arcs()
+        .map(|(_, arc)| (arc.from.index(), arc.to.index(), arc.initial_tokens()))
+        .collect();
+    let place_of_ack = sdsp
         .acks()
         .map(|(_, ack)| {
             if ack.from == ack.to {
                 // Self-feedback: the data cycle already bounds the buffer.
                 return None;
             }
-            let name = format!(
-                "ack:{}=>{}",
-                sdsp.node(ack.from).name,
-                sdsp.node(ack.to).name
-            );
-            let p = net.add_place(name);
-            net.connect_tp(transition_of[ack.from.index()], p);
-            net.connect_pt(p, transition_of[ack.to.index()]);
             let chain_tokens: u32 = ack
                 .covers
                 .iter()
                 .map(|&a| sdsp.arc(a).initial_tokens())
                 .sum();
             debug_assert!(chain_tokens <= ack.capacity, "validated by Sdsp::validate");
-            let free_slots = ack.capacity - chain_tokens;
-            if free_slots > 0 {
-                marking_pairs.push((p, free_slots));
-            }
-            Some(p)
+            places.push((
+                ack.from.index(),
+                ack.to.index(),
+                ack.capacity - chain_tokens,
+            ));
+            Some(places.len() - 1)
         })
         .collect();
-
-    let marking = Marking::from_pairs(&net, marking_pairs);
-    SdspPn {
-        net,
-        marking,
-        transition_of,
-        place_of_arc,
-        place_of_ack,
-    }
+    (MarkedArcs { times, places }, place_of_ack)
 }
 
 #[cfg(test)]
@@ -244,6 +258,26 @@ mod tests {
             assert!(g.is_live(&pn.net));
             assert!(g.is_safe());
             assert!(g.is_persistent(&pn.net));
+        }
+    }
+
+    #[test]
+    fn marked_arcs_match_the_built_net() {
+        let mut b = SdspBuilder::new();
+        let mul = b.node("m", OpKind::Mul, [Operand::env("Z", 0), Operand::lit(1.0)]);
+        let q = b.node("Q", OpKind::Add, [Operand::lit(0.0), Operand::node(mul)]);
+        b.set_operand(q, 0, Operand::feedback(q, 1));
+        let self_feedback = b.finish().unwrap();
+        for sdsp in [l1(), l2(), self_feedback] {
+            let pn = to_petri(&sdsp);
+            let (arcs, place_of_ack) = to_marked_arcs(&sdsp);
+            assert_eq!(arcs, MarkedArcs::new(&pn.net, &pn.marking).unwrap());
+            let expected: Vec<_> = pn
+                .place_of_ack
+                .iter()
+                .map(|p| p.map(|p| p.index()))
+                .collect();
+            assert_eq!(place_of_ack, expected);
         }
     }
 

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::ids::{PlaceId, TransitionId};
+use crate::rational::Ratio;
 
 /// Errors produced by net construction, validation and analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,6 +49,15 @@ pub enum PetriError {
         /// The limit that was exceeded.
         limit: usize,
     },
+    /// No scaled potentials exist for the trial cycle time: longest-path
+    /// relaxation found a cycle of positive weight `q·Ω(C) − p·M(C)`, so
+    /// some cycle's `Ω/M` exceeds `p/q` (or the cycle carries no tokens).
+    PositiveCycle {
+        /// The trial cycle time `p/q`.
+        cycle_time: Ratio,
+        /// A transition reached by a walk that contains the cycle.
+        transition: TransitionId,
+    },
 }
 
 impl fmt::Display for PetriError {
@@ -87,6 +97,14 @@ impl fmt::Display for PetriError {
             PetriError::StateSpaceTooLarge { limit } => {
                 write!(f, "reachability exploration exceeded {limit} markings")
             }
+            PetriError::PositiveCycle {
+                cycle_time,
+                transition,
+            } => write!(
+                f,
+                "potentials diverge at {transition}: a cycle's ratio exceeds \
+                 the trial cycle time {cycle_time}"
+            ),
         }
     }
 }
@@ -117,6 +135,10 @@ mod tests {
                 transition: TransitionId::from_index(2),
             },
             PetriError::StateSpaceTooLarge { limit: 100 },
+            PetriError::PositiveCycle {
+                cycle_time: Ratio::new(5, 2),
+                transition: TransitionId::from_index(1),
+            },
         ];
         for e in errs {
             let s = e.to_string();

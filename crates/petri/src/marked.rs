@@ -52,28 +52,80 @@ use crate::net::PetriNet;
 /// ```
 pub fn check_live(net: &PetriNet, marking: &Marking) -> Result<(), PetriError> {
     net.validate_marked_graph()?;
-    // A token-free cycle exists iff the transition graph restricted to
-    // empty places has a cycle; find one by DFS. The adjacency is CSR
-    // (one flat array and offsets) — this check runs on every compile,
-    // so per-node allocations would dominate it.
-    let n = net.num_transitions();
+    live(net.num_transitions(), || {
+        net.places().map(|(pid, place)| {
+            let (from, to) = (place.preset()[0].index(), place.postset()[0].index());
+            (from, to, marking.tokens(pid))
+        })
+    })
+}
+
+/// A marked graph as rate analysis reads it: the execution time of each
+/// transition, and each place as `(producer, consumer, tokens)` by index,
+/// in place order. [`check_live`] and [`crate::ratio::critical_ratio`]
+/// reduce their net to this form; a caller that holds the structure
+/// already, such as the storage optimiser, builds it directly and skips
+/// building a [`PetriNet`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MarkedArcs {
+    /// `τ` of each transition.
+    pub times: Vec<u64>,
+    /// `(from, to, tokens)` of each place.
+    pub places: Vec<(usize, usize, u32)>,
+}
+
+impl MarkedArcs {
+    /// The arcs of `net` under `marking`.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::NotAMarkedGraph`] if `net` is not a marked graph.
+    pub fn new(net: &PetriNet, marking: &Marking) -> Result<Self, PetriError> {
+        net.validate_marked_graph()?;
+        Ok(MarkedArcs {
+            times: net.transitions().map(|(_, t)| t.time()).collect(),
+            places: net
+                .places()
+                .map(|(pid, place)| {
+                    let (from, to) = (place.preset()[0].index(), place.postset()[0].index());
+                    (from, to, marking.tokens(pid))
+                })
+                .collect(),
+        })
+    }
+
+    /// [`check_live`] on the arcs: no simple cycle may be token-free.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::NotLive`] with a witnessing token-free cycle.
+    pub fn check_live(&self) -> Result<(), PetriError> {
+        live(self.times.len(), || self.places.iter().copied())
+    }
+}
+
+/// [`check_live`] over `n` transitions and the places `(from, to, tokens)`
+/// that `places()` lists: a token-free cycle exists iff the transition
+/// graph restricted to empty places has a cycle; find one by DFS. The
+/// adjacency is CSR (one flat array and offsets) — this check runs on
+/// every compile, so per-node allocations would dominate it.
+fn live<I>(n: usize, places: impl Fn() -> I) -> Result<(), PetriError>
+where
+    I: Iterator<Item = (usize, usize, u32)>,
+{
+    let empty = || places().filter(|&(_, _, tokens)| tokens == 0);
     let mut start = vec![0usize; n + 1];
-    for (pid, place) in net.places() {
-        if marking.tokens(pid) == 0 {
-            start[place.preset()[0].index() + 1] += 1;
-        }
+    for (from, _, _) in empty() {
+        start[from + 1] += 1;
     }
     for v in 0..n {
         start[v + 1] += start[v];
     }
     let mut succ = vec![0usize; start[n]];
     let mut fill: Vec<usize> = start[..n].to_vec();
-    for (pid, place) in net.places() {
-        if marking.tokens(pid) == 0 {
-            let from = place.preset()[0].index();
-            succ[fill[from]] = place.postset()[0].index();
-            fill[from] += 1;
-        }
+    for (from, to, _) in empty() {
+        succ[fill[from]] = to;
+        fill[from] += 1;
     }
     // Colours: 0 = white, 1 = on stack, 2 = done.
     let mut colour = vec![0u8; n];

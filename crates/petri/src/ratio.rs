@@ -31,10 +31,12 @@
 //! transition; both entry points take it into account, so an acyclic net
 //! still has the well-defined cycle time `max τ`.
 
+use std::collections::VecDeque;
+
 use crate::cycles::{simple_cycles, Cycle};
 use crate::error::PetriError;
 use crate::ids::{PlaceId, TransitionId};
-use crate::marked::check_live;
+use crate::marked::MarkedArcs;
 use crate::marking::Marking;
 use crate::net::PetriNet;
 use crate::rational::Ratio;
@@ -368,69 +370,259 @@ pub fn critical_ratio_by_component(
     net: &PetriNet,
     marking: &Marking,
 ) -> Result<(CriticalRatio, Vec<ComponentRatio>), PetriError> {
-    let (critical, lambda) = solve(net, marking)?;
-    let n = net.num_transitions();
-    // Union-find over undirected edges.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut v: usize) -> usize {
-        while parent[v] != v {
-            parent[v] = parent[parent[v]];
-            v = parent[v];
+    // Times first: a zero time is reported before a malformed place.
+    net.validate_times()?;
+    MarkedArcs::new(net, marking)?.critical_ratio_by_component()
+}
+
+/// How a [`LongestPaths::relax`] run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Relaxation {
+    /// Every constraint reachable from the seeds holds again.
+    Settled,
+    /// The stop node rose; the relaxation ended there.
+    Stopped,
+    /// A walk from the seeds reached this node along `n` arcs, so it
+    /// contains a cycle of positive weight and no solution exists.
+    PositiveCycle(usize),
+}
+
+/// Label-correcting longest-path relaxation over difference constraints
+/// `d[to] ≥ d[from] + w`: the one relaxation production runs, both for
+/// the potentials of [`MarkedArcs::scaled_potentials`] and for the storage
+/// optimiser's per-merge repair, which re-settles potentials after one
+/// new constraint.
+///
+/// Nodes whose label rose wait in a FIFO queue and are rescanned once
+/// per wait (Bellman–Ford–Moore). Each raise records the number of arcs
+/// on the walk that produced it. A walk of `n` arcs repeats some node
+/// `x`; the later raise of `x` came after the earlier one and was
+/// strictly larger, so the closed sub-walk between them has positive
+/// weight. Reaching `n` arcs is therefore a proof of a positive cycle,
+/// and without one the relaxation settles.
+///
+/// The workspace is reused across calls, and a call touches only the
+/// nodes it seeds or raises, so a local repair costs what it changes.
+#[derive(Clone, Debug, Default)]
+pub struct LongestPaths {
+    /// Arcs on the walk that last raised each node; meaningful only for
+    /// nodes seeded or raised in the current call.
+    depth: Vec<usize>,
+    queued: Vec<bool>,
+    queue: VecDeque<usize>,
+}
+
+impl LongestPaths {
+    /// Relaxes from `seeds` until every constraint reachable from them
+    /// holds, `stop` rises, or a positive cycle shows.
+    ///
+    /// `dist` holds the current labels, one per node; they only rise.
+    /// `arcs(u)` lists `(to, w)` for the constraints leaving `u`. When
+    /// `undo` is given, every raise pushes `(node, old label)` onto it, so
+    /// the caller can restore the labels.
+    pub fn relax<I>(
+        &mut self,
+        dist: &mut [i128],
+        seeds: impl IntoIterator<Item = usize>,
+        stop: Option<usize>,
+        mut undo: Option<&mut Vec<(usize, i128)>>,
+        arcs: impl Fn(usize) -> I,
+    ) -> Relaxation
+    where
+        I: Iterator<Item = (usize, i128)>,
+    {
+        let n = dist.len();
+        if self.depth.len() < n {
+            self.depth.resize(n, 0);
+            self.queued.resize(n, false);
         }
-        v
+        for s in seeds {
+            self.depth[s] = 0;
+            if !self.queued[s] {
+                self.queued[s] = true;
+                self.queue.push_back(s);
+            }
+        }
+        let outcome = 'relax: loop {
+            let Some(u) = self.queue.pop_front() else {
+                break Relaxation::Settled;
+            };
+            self.queued[u] = false;
+            let (from, depth) = (dist[u], self.depth[u] + 1);
+            for (v, w) in arcs(u) {
+                let cand = from + w;
+                if cand <= dist[v] {
+                    continue;
+                }
+                if let Some(log) = undo.as_deref_mut() {
+                    log.push((v, dist[v]));
+                }
+                dist[v] = cand;
+                if stop == Some(v) {
+                    break 'relax Relaxation::Stopped;
+                }
+                if depth >= n {
+                    break 'relax Relaxation::PositiveCycle(v);
+                }
+                self.depth[v] = depth;
+                if !self.queued[v] {
+                    self.queued[v] = true;
+                    self.queue.push_back(v);
+                }
+            }
+        };
+        // Leave the workspace clean for the next call.
+        for u in self.queue.drain(..) {
+            self.queued[u] = false;
+        }
+        outcome
     }
-    for (_, place) in net.places() {
-        let from = place.preset()[0].index();
-        let to = place.postset()[0].index();
-        let (a, b) = (find(&mut parent, from), find(&mut parent, to));
-        parent[a] = b;
-    }
-    let mut members: Vec<Vec<TransitionId>> = vec![Vec::new(); n];
-    for v in 0..n {
-        let root = find(&mut parent, v);
-        members[root].push(TransitionId::from_index(v));
-    }
-    let components = members
-        .into_iter()
-        .filter(|component| !component.is_empty())
-        .map(|transitions| ComponentRatio {
-            cycle_time: transitions
-                .iter()
-                .map(|&t| lambda[t.index()].max(Ratio::from_integer(net.transition(t).time())))
-                .max()
-                .expect("components are nonempty"),
-            transitions,
-        })
-        .collect();
-    Ok((critical, components))
 }
 
 /// Validates the net and runs policy iteration once: the net-wide
 /// critical ratio (explicit cycles against the implicit self-loops) and
 /// every transition's `λ`.
 fn solve(net: &PetriNet, marking: &Marking) -> Result<(CriticalRatio, Vec<Ratio>), PetriError> {
-    if net.num_transitions() == 0 {
-        return Err(PetriError::NoCycle);
-    }
+    // Times first: a zero time is reported before a malformed place.
     net.validate_times()?;
-    check_live(net, marking)?;
-    let (lambda, best) = ParamGraph::new(net, marking).howard();
-    let (self_loop_time, self_loop_t) = net
-        .transitions()
-        .map(|(id, t)| (t.time(), id))
-        .max()
-        .expect("nonempty net");
-    let self_ratio = Ratio::from_integer(self_loop_time);
-    let (cycle_time, witness) = match best {
-        Some((ratio, cycle)) if ratio >= self_ratio => (ratio, CriticalWitness::Cycle(cycle)),
-        _ => (self_ratio, CriticalWitness::SelfLoop(self_loop_t)),
-    };
-    let critical = CriticalRatio {
-        cycle_time,
-        rate: cycle_time.recip(),
-        witness,
-    };
-    Ok((critical, lambda))
+    MarkedArcs::new(net, marking)?.solve()
+}
+
+impl MarkedArcs {
+    /// [`critical_ratio`] of the marked graph these arcs describe: the
+    /// same solver and the same errors, without a [`PetriNet`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`critical_ratio`].
+    pub fn critical_ratio(&self) -> Result<CriticalRatio, PetriError> {
+        Ok(self.solve()?.0)
+    }
+
+    /// [`critical_ratio_by_component`] of the marked graph these arcs
+    /// describe.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`critical_ratio`].
+    pub fn critical_ratio_by_component(
+        &self,
+    ) -> Result<(CriticalRatio, Vec<ComponentRatio>), PetriError> {
+        let (critical, lambda) = self.solve()?;
+        let n = self.times.len();
+        // Union-find over undirected edges.
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut [usize], mut v: usize) -> usize {
+            while parent[v] != v {
+                parent[v] = parent[parent[v]];
+                v = parent[v];
+            }
+            v
+        }
+        for &(from, to, _) in &self.places {
+            let (a, b) = (find(&mut parent, from), find(&mut parent, to));
+            parent[a] = b;
+        }
+        let mut members: Vec<Vec<TransitionId>> = vec![Vec::new(); n];
+        for v in 0..n {
+            let root = find(&mut parent, v);
+            members[root].push(TransitionId::from_index(v));
+        }
+        let components = members
+            .into_iter()
+            .filter(|component| !component.is_empty())
+            .map(|transitions| ComponentRatio {
+                cycle_time: transitions
+                    .iter()
+                    .map(|&t| lambda[t.index()].max(Ratio::from_integer(self.times[t.index()])))
+                    .max()
+                    .expect("components are nonempty"),
+                transitions,
+            })
+            .collect();
+        Ok((critical, components))
+    }
+
+    /// The least non-negative scaled potentials at the trial cycle time
+    /// `p/q`: the least `σ′ ≥ 0` with `σ′_v ≥ σ′_u + q·τ_u − p·m` on every
+    /// place `u → v` holding `m` tokens, indexed by transition.
+    ///
+    /// At `p/q = α*` these are the analytic engine's start offsets and
+    /// the dual half of a rate certificate: summing the constraints around
+    /// any cycle gives `Ω(C)/M(C) ≤ p/q`. The solution is unique, so it
+    /// does not depend on the relaxation order.
+    ///
+    /// # Errors
+    ///
+    /// [`PetriError::PositiveCycle`] if some cycle's ratio exceeds `p/q`
+    /// (or the cycle carries no tokens): then no potentials exist, and a
+    /// wrong `α*` is reported instead of yielding offsets that break their
+    /// constraints.
+    pub fn scaled_potentials(&self, cycle_time: Ratio) -> Result<Vec<i128>, PetriError> {
+        let (p, q) = (cycle_time.numer() as i128, cycle_time.denom() as i128);
+        let n = self.times.len();
+        // Out-arcs in CSR form: `(to, q·τ_from − p·m)`, in place order.
+        let mut start = vec![0usize; n + 1];
+        for &(from, _, _) in &self.places {
+            start[from + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut arcs = vec![(0usize, 0i128); self.places.len()];
+        let mut fill = start[..n].to_vec();
+        for &(from, to, m) in &self.places {
+            arcs[fill[from]] = (to, q * self.times[from] as i128 - p * i128::from(m));
+            fill[from] += 1;
+        }
+        // The implicit super-source: every transition starts at 0.
+        let mut sigma = vec![0i128; n];
+        let outcome = LongestPaths::default().relax(&mut sigma, 0..n, None, None, |u| {
+            arcs[start[u]..start[u + 1]].iter().copied()
+        });
+        match outcome {
+            Relaxation::Settled => Ok(sigma),
+            Relaxation::PositiveCycle(t) => Err(PetriError::PositiveCycle {
+                cycle_time,
+                transition: TransitionId::from_index(t),
+            }),
+            Relaxation::Stopped => unreachable!("no stop node was given"),
+        }
+    }
+
+    /// Checks the arcs and runs policy iteration once: the net-wide
+    /// critical ratio (explicit cycles against the implicit self-loops)
+    /// and every transition's `λ`.
+    fn solve(&self) -> Result<(CriticalRatio, Vec<Ratio>), PetriError> {
+        if self.times.is_empty() {
+            return Err(PetriError::NoCycle);
+        }
+        if let Some(t) = self.times.iter().position(|&tau| tau == 0) {
+            return Err(PetriError::ZeroExecutionTime {
+                transition: TransitionId::from_index(t),
+            });
+        }
+        self.check_live()?;
+        let (lambda, best) = ParamGraph::new(self).howard();
+        let (self_loop_time, self_loop_t) = self
+            .times
+            .iter()
+            .enumerate()
+            .map(|(t, &tau)| (tau, TransitionId::from_index(t)))
+            .max()
+            .expect("nonempty net");
+        let self_ratio = Ratio::from_integer(self_loop_time);
+        let (cycle_time, witness) = match best {
+            Some((ratio, cycle)) if ratio >= self_ratio => (ratio, CriticalWitness::Cycle(cycle)),
+            _ => (self_ratio, CriticalWitness::SelfLoop(self_loop_t)),
+        };
+        let critical = CriticalRatio {
+            cycle_time,
+            rate: cycle_time.recip(),
+            witness,
+        };
+        Ok((critical, lambda))
+    }
 }
 
 /// The transition multigraph in CSR form, as policy iteration walks it:
@@ -445,25 +637,21 @@ struct ParamGraph {
 }
 
 impl ParamGraph {
-    fn new(net: &PetriNet, marking: &Marking) -> Self {
-        let n = net.num_transitions();
+    fn new(graph: &MarkedArcs) -> Self {
+        let n = graph.times.len();
         let mut start = vec![0usize; n + 1];
-        for (_, place) in net.places() {
-            // Marked graph (validated by the caller): exactly one
-            // producer and one consumer per place.
-            start[place.preset()[0].index() + 1] += 1;
+        for &(from, _, _) in &graph.places {
+            start[from + 1] += 1;
         }
         for v in 0..n {
             start[v + 1] += start[v] + 1; // +1 for the self-loop slot
         }
         let mut arcs = vec![(0, 0, 1, None); start[n]];
         let mut fill: Vec<usize> = start[..n].to_vec();
-        for (pid, place) in net.places() {
-            let from = place.preset()[0];
-            let to = place.postset()[0].index();
-            let tokens = u64::from(marking.tokens(pid));
-            arcs[fill[from.index()]] = (to, net.transition(from).time(), tokens, Some(pid));
-            fill[from.index()] += 1;
+        for (k, &(from, to, tokens)) in graph.places.iter().enumerate() {
+            let place = Some(PlaceId::from_index(k));
+            arcs[fill[from]] = (to, graph.times[from], u64::from(tokens), place);
+            fill[from] += 1;
         }
         for (v, &slot) in fill.iter().enumerate() {
             arcs[slot] = (v, 0, 1, None);
@@ -664,6 +852,71 @@ mod tests {
             CriticalWitness::Cycle(c) => assert_eq!(c.len(), 3),
             other => panic!("expected cycle witness, got {other:?}"),
         }
+    }
+
+    /// Every place constraint `σ′_v ≥ σ′_u + q·τ_u − p·m` holds.
+    fn feasible(net: &PetriNet, m: &Marking, alpha: Ratio, sigma: &[i128]) -> bool {
+        let (p, q) = (alpha.numer() as i128, alpha.denom() as i128);
+        net.places().all(|(pid, place)| {
+            let (u, v) = (place.preset()[0], place.postset()[0]);
+            let w = q * net.transition(u).time() as i128 - p * i128::from(m.tokens(pid));
+            sigma[v.index()] >= sigma[u.index()] + w
+        })
+    }
+
+    #[test]
+    fn potentials_exist_at_the_critical_ratio_and_not_below_it() {
+        for (net, m) in [
+            ring(&[1, 1, 1], &[1, 0, 0]),
+            ring(&[2, 1, 1, 3], &[1, 0, 1, 0]),
+            ring(&[1, 1, 1, 1, 1], &[1, 0, 1, 0, 0]),
+        ] {
+            let alpha = critical_ratio(&net, &m).unwrap().cycle_time;
+            let arcs = MarkedArcs::new(&net, &m).unwrap();
+            let sigma = arcs.scaled_potentials(alpha).unwrap();
+            assert!(feasible(&net, &m, alpha, &sigma));
+            assert!(sigma.iter().all(|&s| s >= 0));
+            assert!(sigma.contains(&0), "least solution touches zero");
+            // Lowered below α*, the ring's own cycle has positive weight.
+            let lowered = Ratio::new(alpha.numer() * 10 - 1, alpha.denom() * 10);
+            match arcs.scaled_potentials(lowered) {
+                Err(PetriError::PositiveCycle { cycle_time, .. }) => {
+                    assert_eq!(cycle_time, lowered)
+                }
+                other => panic!("expected a positive cycle below α* = {alpha}, got {other:?}"),
+            }
+        }
+        // A token-free cycle diverges at every trial cycle time.
+        let (net, _) = ring(&[1, 1, 1], &[1, 0, 0]);
+        let dead = Marking::empty(&net);
+        assert!(matches!(
+            MarkedArcs::new(&net, &dead)
+                .unwrap()
+                .scaled_potentials(Ratio::from_integer(1_000)),
+            Err(PetriError::PositiveCycle { .. })
+        ));
+    }
+
+    #[test]
+    fn relaxation_stops_at_the_stop_node_and_logs_every_raise() {
+        // a -> b -> c with weights 2 and 3, all labels at 0.
+        let arcs = [vec![(1usize, 2i128)], vec![(2, 3)], vec![]];
+        let mut dist = vec![0i128; 3];
+        let mut undo = Vec::new();
+        let mut relax = LongestPaths::default();
+        let outcome = relax.relax(&mut dist, [0], Some(2), Some(&mut undo), |u| {
+            arcs[u].iter().copied()
+        });
+        assert_eq!(outcome, Relaxation::Stopped);
+        assert_eq!(dist, vec![0, 2, 5]);
+        assert_eq!(undo, vec![(1, 0), (2, 0)]);
+        for &(v, old) in undo.iter().rev() {
+            dist[v] = old;
+        }
+        // Without a stop node the same workspace settles.
+        let outcome = relax.relax(&mut dist, [0], None, None, |u| arcs[u].iter().copied());
+        assert_eq!(outcome, Relaxation::Settled);
+        assert_eq!(dist, vec![0, 2, 5]);
     }
 
     #[test]
@@ -927,7 +1180,7 @@ mod tests {
             ring(&long_times, &long_tokens),
         ];
         for (net, m) in fixtures {
-            let (_, best) = ParamGraph::new(&net, &m).howard();
+            let (_, best) = ParamGraph::new(&MarkedArcs::new(&net, &m).unwrap()).howard();
             let (ratio, cycle) = best.expect("a ring has a cycle");
             let enumerated = analyze_cycles(&net, &m, 64).unwrap();
             let best_cycle = enumerated.cycles.iter().map(|c| c.cycle_time).max();

@@ -15,8 +15,11 @@
 //!    `σ_v ≥ σ_u + τ_u − m·α*` on fractional start offsets `σ`. Scaling
 //!    by `q` makes the weights integral (`q·τ_u − m·p`); the least
 //!    non-negative solution is the longest-path fixpoint from an implicit
-//!    super-source (`d ≡ 0`). Because `α*` is the *maximum* cycle ratio,
-//!    no positive cycle exists and the relaxation converges.
+//!    super-source (`d ≡ 0`), computed by
+//!    [`MarkedArcs::scaled_potentials`]. Because `α*` is the
+//!    *maximum* cycle ratio, no positive cycle exists and the relaxation
+//!    converges; if it did not, the relaxation would report the positive
+//!    cycle as a typed error rather than return broken offsets.
 //! 2. **Balanced words.** The `j`-th firing of transition `t` is placed
 //!    at `S_t(j) = ⌈(σ'_t + j·p) / q⌉`. Each transition's firing
 //!    pattern over the `p`-cycle period is therefore the *mechanical*
@@ -34,7 +37,8 @@
 
 use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
-use tpn_petri::ratio::{critical_ratio_by_component, ComponentRatio};
+use tpn_petri::marked::MarkedArcs;
+use tpn_petri::ratio::ComponentRatio;
 use tpn_petri::rational::Ratio;
 use tpn_petri::timed::MarkingHash;
 use tpn_petri::trace::{EventKind, FiringEvent};
@@ -83,49 +87,22 @@ impl AnalyticSchedule {
             return Err(SchedError::EmptyLoop);
         }
         let net = &pn.net;
-        let (cr, components) = critical_ratio_by_component(net, &pn.marking)?;
+        let arcs = MarkedArcs::new(net, &pn.marking)?;
+        let (cr, components) = arcs.critical_ratio_by_component()?;
         check_uniform_components(pn, cr.cycle_time, &components)?;
-        let (p, q) = (cr.cycle_time.numer(), cr.cycle_time.denom());
-
-        // Edge list of the transition multigraph with scaled weights
-        // q·τ_u − m·p (the solve validated the marked-graph shape, so
-        // every place has exactly one producer and one consumer).
-        let n = net.num_transitions();
-        let mut edges: Vec<(usize, usize, i128)> = Vec::with_capacity(net.num_places());
-        for (pid, place) in net.places() {
-            let from = place.preset()[0];
-            let to = place.postset()[0].index();
-            let tau = net.transition(from).time();
-            let m = u64::from(pn.marking.tokens(pid));
-            let w = (q as i128) * (tau as i128) - (m as i128) * (p as i128);
-            edges.push((from.index(), to, w));
-        }
-
-        // Longest-path fixpoint from the implicit super-source d ≡ 0.
-        // α* being the maximum cycle ratio guarantees no positive cycle,
-        // so the relaxation converges within n passes.
-        let mut offsets = vec![0i128; n];
-        for _ in 0..=n {
-            let mut improved = false;
-            for &(from, to, w) in &edges {
-                let cand = offsets[from] + w;
-                if cand > offsets[to] {
-                    offsets[to] = cand;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
+        // The least longest-path fixpoint from the implicit super-source.
+        // α* being the maximum cycle ratio rules out a positive cycle; a
+        // wrong α* would be reported here instead of yielding offsets
+        // that break their constraints.
+        let offsets = arcs.scaled_potentials(cr.cycle_time)?;
 
         let mut schedule = AnalyticSchedule {
-            period: p,
-            iterations: q,
+            period: cr.cycle_time.numer(),
+            iterations: cr.cycle_time.denom(),
             offsets,
             anchor: 0,
         };
-        schedule.anchor = (0..n)
+        schedule.anchor = (0..net.num_transitions())
             .map(|t| schedule.start_time(TransitionId::from_index(t), 0))
             .max()
             .unwrap_or(0);
@@ -454,6 +431,23 @@ mod tests {
             assert_eq!(v.period, a.period());
             v.confirm_rate(pn.transition_of.iter().copied(), a.rate())
                 .unwrap();
+        }
+    }
+
+    #[test]
+    fn offsets_below_the_critical_ratio_report_the_positive_cycle() {
+        // L2's C -> D -> E recurrence pins α* = 3; at 5/2 its scaled
+        // weight q·Ω − p·M = 2·3 − 5 is positive, so no offsets exist.
+        let pn = to_petri(&l2());
+        let a = AnalyticSchedule::for_sdsp_pn(&pn).unwrap();
+        let arcs = MarkedArcs::new(&pn.net, &pn.marking).unwrap();
+        assert_eq!(arcs.scaled_potentials(a.cycle_time()).unwrap(), a.offsets);
+        let lowered = Ratio::new(5, 2);
+        match arcs.scaled_potentials(lowered) {
+            Err(tpn_petri::PetriError::PositiveCycle { cycle_time, .. }) => {
+                assert_eq!(cycle_time, lowered)
+            }
+            other => panic!("expected a positive cycle, got {other:?}"),
         }
     }
 

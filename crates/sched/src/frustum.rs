@@ -192,6 +192,17 @@ impl FrustumReport {
     }
 }
 
+/// Ends a chain of instants with the same digest in `detect_frustum`.
+const END: u64 = u64::MAX;
+
+/// The instants of the digest chain that starts at `first`, earliest
+/// first.
+fn chain(same: &[u64], first: u64) -> impl Iterator<Item = u64> + '_ {
+    std::iter::successors(Some(first), |&t| {
+        Some(same[t as usize]).filter(|&next| next != END)
+    })
+}
+
 /// Replays `steps` onto the nearest snapshot at or before `time` and
 /// returns the state after instant `time`.
 fn replay_state(
@@ -259,14 +270,19 @@ pub fn detect_frustum<P: ChoicePolicy>(
 ) -> Result<FrustumReport, SchedError> {
     let mut engine = Engine::try_new(net, marking, policy)?;
     let initial = engine.packed_state();
-    // Digest -> instants whose post-state hashed to it (collision chains).
-    let mut seen: HashMap<u64, Vec<u64>> = HashMap::new();
+    // Digest -> (first, last) instant whose post-state hashed to it;
+    // `same[t]` links instant `t` to the next instant with its digest, so
+    // each collision chain is walked earliest first without a per-instant
+    // allocation.
+    let mut seen: HashMap<u64, (u64, u64)> = HashMap::new();
+    let mut same: Vec<u64> = Vec::new();
     let mut checkpoints: Vec<(u64, PackedState)> = Vec::new();
     let mut steps: Vec<StepRecord> = Vec::new();
     let mut stats = DetectionStats::default();
 
     let first = engine.start();
-    seen.insert(first.digest, vec![first.time]);
+    seen.insert(first.digest, (first.time, first.time));
+    same.push(END);
     steps.push(first);
 
     loop {
@@ -278,9 +294,9 @@ pub fn detect_frustum<P: ChoicePolicy>(
         if step.started.is_empty() && step.completed.is_empty() && engine.all_idle() {
             return Err(diagnose_deadlock(net, &initial, time));
         }
-        if let Some(times) = seen.get(&step.digest) {
-            stats.digest_candidates += times.len() as u64;
-            for &start_time in times {
+        if let Some(&(head, _)) = seen.get(&step.digest) {
+            stats.digest_candidates += chain(&same, head).count() as u64;
+            for start_time in chain(&same, head) {
                 if steps[start_time as usize].policy_fingerprint != step.policy_fingerprint {
                     continue;
                 }
@@ -305,7 +321,13 @@ pub fn detect_frustum<P: ChoicePolicy>(
                 }
             }
         }
-        seen.entry(step.digest).or_default().push(time);
+        same.push(END);
+        seen.entry(step.digest)
+            .and_modify(|(_, last)| {
+                same[*last as usize] = time;
+                *last = time;
+            })
+            .or_insert((time, time));
         steps.push(step);
         if time % CHECKPOINT_INTERVAL == 0 {
             checkpoints.push((time, engine.packed_state()));

@@ -13,16 +13,37 @@
 //! more critical than the existing critical cycle.
 //!
 //! [`minimize_storage`] implements that optimisation as a greedy chain
-//! coalescer with **exact verification**: every candidate merge is
-//! accepted only if the resulting SDSP-PN's critical cycle time (computed
-//! by [`tpn_petri::ratio::critical_ratio`]) is unchanged. On the paper's
-//! loop L2 it reproduces Figure 4 exactly: the acknowledgements of `A→B`
-//! and `B→D` merge into one `D→A` arc, saving 1/6 of the storage at an
-//! unchanged rate of 1/3.
+//! coalescer with **exact verification**: a candidate merge is accepted
+//! only if the rewritten SDSP-PN's critical cycle time stays exactly
+//! `α* = p/q`. The critical ratio is solved once, by
+//! [`MarkedArcs::critical_ratio`]; its scaled potentials `σ′`
+//! ([`MarkedArcs::scaled_potentials`]), which satisfy
+//! `σ′_v − σ′_u ≥ q·τ_u − p·m` on every place `u → v` holding `m` tokens,
+//! then decide each merge locally. A merge removes two acknowledgement
+//! places, which cannot create a cycle, and adds one place `u → v`:
+//!
+//! * if `σ′` already satisfies the new place, no cycle beats `α*`;
+//! * otherwise a longest-path repair from `v` either settles, leaving
+//!   potentials feasible for the merged net, or raises `u`, which proves
+//!   a cycle through the new place beats `α*`;
+//! * `α*` itself is never lost: a critical cycle through a removed place
+//!   combines with the two chains into a closed walk that either beats
+//!   `α*` through the new place (so the merge is rejected anyway) or
+//!   attains `α*` without the removed places (the argument is on
+//!   `MergeCheck::admits`).
+//!
+//! That is the same question re-solving each candidate's critical ratio
+//! answers, at the cost of one solve per call. The re-solving greedy
+//! survives as `tpn_conform::minimize_storage_reference`, and property
+//! tests hold the two to identical results. On the paper's loop L2 it
+//! reproduces Figure 4 exactly: the acknowledgements of `A→B` and `B→D`
+//! merge into one `D→A` arc, saving 1/6 of the storage at an unchanged
+//! rate of 1/3.
 
-use tpn_dataflow::to_petri::to_petri;
+use tpn_dataflow::to_petri::{to_marked_arcs, to_petri};
 use tpn_dataflow::{AckArc, DataflowError, NodeId, Sdsp};
-use tpn_petri::ratio::{analyze_cycles, critical_ratio};
+use tpn_petri::marked::MarkedArcs;
+use tpn_petri::ratio::{analyze_cycles, critical_ratio, LongestPaths, Relaxation};
 use tpn_petri::rational::Ratio;
 use tpn_petri::PetriError;
 
@@ -165,7 +186,9 @@ impl StorageReport {
 /// Greedily merges acknowledgement groups of consecutive data arcs
 /// (`…→v` followed by `v→…`), accepting a merge only if the exact critical
 /// cycle time of the rewritten SDSP-PN is unchanged, until no merge is
-/// acceptable. Returns the optimised SDSP and a report.
+/// acceptable. Returns the optimised SDSP and a report. The critical
+/// ratio is solved once; each merge is then checked against its
+/// potentials (see the [crate docs](crate)).
 ///
 /// The paper's Figure 4 illustrates a *single* such merge on loop L2
 /// (saving 1/6 of the storage); running the greedy loop to fixpoint
@@ -211,6 +234,13 @@ pub fn minimize_storage(sdsp: &Sdsp) -> Result<(Sdsp, StorageReport), StorageErr
 /// [`minimize_storage`] limited to at most `max_merges` accepted merges
 /// (with `1`, reproduces the paper's Figure 4 on loop L2).
 ///
+/// Candidates are tried in acknowledgement order: for each `i`, every `j`
+/// whose chain begins where `i`'s ends, in increasing `j`. A candidate
+/// whose chains hold more than one token is skipped (two live values
+/// cannot share one location). The first acceptable merge is applied,
+/// its acknowledgement is appended last, and the scan restarts from the
+/// first acknowledgement.
+///
 /// # Errors
 ///
 /// Analysis errors for malformed or dead nets.
@@ -219,63 +249,30 @@ pub fn minimize_storage_steps(
     max_merges: usize,
 ) -> Result<(Sdsp, StorageReport), StorageError> {
     let before = sdsp.storage_locations();
-    let base_pn = to_petri(sdsp);
-    let target = critical_ratio(&base_pn.net, &base_pn.marking)?.cycle_time;
+    // The SDSP-PN's arcs suffice: building the net itself would cost
+    // several solves.
+    let (arcs, place_of_ack) = to_marked_arcs(sdsp);
+    let target = arcs.critical_ratio()?.cycle_time;
+    let mut check = MergeCheck::new(&arcs, place_of_ack, target)?;
 
     let mut current = sdsp.clone();
+    let mut tokens: Vec<u32> = current
+        .acks()
+        .map(|(_, a)| {
+            a.covers
+                .iter()
+                .map(|&arc| current.arc(arc).initial_tokens())
+                .sum()
+        })
+        .collect();
     let mut merges = 0usize;
     while merges < max_merges {
-        let mut merged = false;
-        let acks: Vec<AckArc> = current.acks().map(|(_, a)| a.clone()).collect();
-        'pairs: for i in 0..acks.len() {
-            for j in 0..acks.len() {
-                if i == j {
-                    continue;
-                }
-                // Chain i ends where chain j begins.
-                if acks[i].from != acks[j].to {
-                    continue;
-                }
-                let mut covers = acks[i].covers.clone();
-                covers.extend_from_slice(&acks[j].covers);
-                let tokens: u32 = covers
-                    .iter()
-                    .map(|&a| current.arc(a).initial_tokens())
-                    .sum();
-                if tokens > 1 {
-                    continue; // two live values cannot share one location
-                }
-                let candidate_ack = AckArc {
-                    from: acks[j].from,
-                    to: acks[i].to,
-                    covers,
-                    capacity: acks[i].capacity.min(acks[j].capacity),
-                };
-                let mut new_acks: Vec<AckArc> = acks
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != i && k != j)
-                    .map(|(_, a)| a.clone())
-                    .collect();
-                new_acks.push(candidate_ack);
-                let Ok(candidate) = current.with_acks(new_acks) else {
-                    continue;
-                };
-                let pn = to_petri(&candidate);
-                let Ok(ratio) = critical_ratio(&pn.net, &pn.marking) else {
-                    continue;
-                };
-                if ratio.cycle_time == target {
-                    current = candidate;
-                    merged = true;
-                    merges += 1;
-                    break 'pairs;
-                }
-            }
-        }
-        if !merged {
+        let Some((next, i, j)) = next_merge(&current, &tokens, &mut check) else {
             break;
-        }
+        };
+        tokens = merged_order(tokens.iter().copied(), i, j, tokens[i] + tokens[j]);
+        current = next;
+        merges += 1;
     }
 
     let groups = current
@@ -294,6 +291,269 @@ pub fn minimize_storage_steps(
         cycle_time: target,
     };
     Ok((current, report))
+}
+
+/// The greedy's next merge: the first admitted candidate `(i, j)` in
+/// acknowledgement order, applied to `current`, with `check` committed to
+/// it. `tokens[k]` counts the initial tokens on acknowledgement `k`'s
+/// chain.
+fn next_merge(
+    current: &Sdsp,
+    tokens: &[u32],
+    check: &mut MergeCheck,
+) -> Option<(Sdsp, usize, usize)> {
+    let acks: Vec<&AckArc> = current.acks().map(|(_, a)| a).collect();
+    let partners = ByTo::new(&acks, current.num_nodes());
+    for (i, ack) in acks.iter().enumerate() {
+        // Chain i ends where chain j begins.
+        for &j in partners.get(ack.from) {
+            if j == i || tokens[i] + tokens[j] > 1 {
+                continue; // two live values cannot share one location
+            }
+            let capacity = ack.capacity.min(acks[j].capacity);
+            let Some(free) = capacity.checked_sub(tokens[i] + tokens[j]) else {
+                continue; // overfull: `with_acks` rejects it
+            };
+            let (from, to) = (acks[j].from, ack.to);
+            let Some(merge) = check.admits(i, j, from.index(), to.index(), free) else {
+                continue;
+            };
+            let mut covers = ack.covers.clone();
+            covers.extend_from_slice(&acks[j].covers);
+            let merged = AckArc {
+                from,
+                to,
+                covers,
+                capacity,
+            };
+            let rest = acks.iter().map(|&a| a.clone());
+            let Ok(next) = current.with_acks(merged_order(rest, i, j, merged)) else {
+                check.rollback();
+                continue;
+            };
+            check.commit(merge);
+            return Some((next, i, j));
+        }
+    }
+    None
+}
+
+/// `items` without positions `i` and `j`, with `last` appended: the order
+/// the greedy keeps its acknowledgements in after a merge.
+fn merged_order<T>(items: impl Iterator<Item = T>, i: usize, j: usize, last: T) -> Vec<T> {
+    items
+        .enumerate()
+        .filter(|&(k, _)| k != i && k != j)
+        .map(|(_, item)| item)
+        .chain(std::iter::once(last))
+        .collect()
+}
+
+/// Acknowledgement indices grouped by their `to` node, each group in
+/// increasing index (CSR form), so a pass finds every candidate pair in
+/// O(A) instead of scanning all A² pairs.
+struct ByTo {
+    start: Vec<usize>,
+    acks: Vec<usize>,
+}
+
+impl ByTo {
+    fn new(acks: &[&AckArc], nodes: usize) -> Self {
+        let mut start = vec![0usize; nodes + 1];
+        for ack in acks {
+            start[ack.to.index() + 1] += 1;
+        }
+        for v in 0..nodes {
+            start[v + 1] += start[v];
+        }
+        let mut fill = start[..nodes].to_vec();
+        let mut order = vec![0usize; acks.len()];
+        for (k, ack) in acks.iter().enumerate() {
+            order[fill[ack.to.index()]] = k;
+            fill[ack.to.index()] += 1;
+        }
+        ByTo { start, acks: order }
+    }
+
+    /// The acknowledgements whose chain begins at `node`.
+    fn get(&self, node: NodeId) -> &[usize] {
+        &self.acks[self.start[node.index()]..self.start[node.index() + 1]]
+    }
+}
+
+/// A scaled place `(from, to, q·τ_from − p·m)` of the SDSP-PN, by
+/// transition index (transition `k` is loop node `k`).
+type Place = (usize, usize, i128);
+
+/// The merge check: scaled potentials `σ′` feasible for the current
+/// merged net at `α* = p/q`, and the net's places as the potentials see
+/// them.
+struct MergeCheck {
+    p: i128,
+    q: i128,
+    /// Execution time of each transition.
+    tau: Vec<i128>,
+    /// `σ′_to − σ′_from ≥ weight` on every live place.
+    sigma: Vec<i128>,
+    /// Every place seen so far; removed ones stay, unlinked from `head`.
+    places: Vec<Place>,
+    /// The first live place leaving each transition, linked through
+    /// `next` to the others (`NONE` ends a list).
+    head: Vec<usize>,
+    next: Vec<usize>,
+    /// The place of each acknowledgement, in the greedy's order (`None`
+    /// for self-feedback, which has none).
+    ack_place: Vec<Option<usize>>,
+    relax: LongestPaths,
+    /// `(transition, old σ′)` for every potential the pending merge
+    /// raised.
+    undo: Vec<(usize, i128)>,
+}
+
+/// Ends a list of places in [`MergeCheck`].
+const NONE: usize = usize::MAX;
+
+/// The live places leaving transition `x`.
+fn out_places<'a>(
+    head: &'a [usize],
+    next: &'a [usize],
+    x: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    let live = |pl: usize| (pl != NONE).then_some(pl);
+    std::iter::successors(live(head[x]), move |&pl| live(next[pl]))
+}
+
+/// A merge [`MergeCheck::admits`] accepted: acknowledgements `i` and `j`
+/// lose their places, and `added` (if any) replaces them.
+struct Merge {
+    i: usize,
+    j: usize,
+    removed: [Option<usize>; 2],
+    added: Option<Place>,
+}
+
+impl MergeCheck {
+    fn new(
+        arcs: &MarkedArcs,
+        ack_place: Vec<Option<usize>>,
+        cycle_time: Ratio,
+    ) -> Result<Self, StorageError> {
+        let sigma = arcs.scaled_potentials(cycle_time)?;
+        let (p, q) = (cycle_time.numer() as i128, cycle_time.denom() as i128);
+        let tau: Vec<i128> = arcs.times.iter().map(|&t| t as i128).collect();
+        let places: Vec<Place> = arcs
+            .places
+            .iter()
+            .map(|&(from, to, m)| (from, to, q * tau[from] - p * i128::from(m)))
+            .collect();
+        let mut head = vec![NONE; tau.len()];
+        let mut next = vec![NONE; places.len()];
+        for (k, &(from, _, _)) in places.iter().enumerate() {
+            next[k] = head[from];
+            head[from] = k;
+        }
+        Ok(MergeCheck {
+            p,
+            q,
+            tau,
+            sigma,
+            places,
+            head,
+            next,
+            ack_place,
+            relax: LongestPaths::default(),
+            undo: Vec::new(),
+        })
+    }
+
+    /// Whether merging acknowledgements `i` and `j` into one place
+    /// `u → v` holding `free` tokens keeps the critical cycle time at
+    /// exactly `α*`: whether the merged net has no cycle of positive
+    /// weight. On acceptance the potentials stay raised for the merged
+    /// net until [`commit`](Self::commit) or [`rollback`](Self::rollback).
+    ///
+    /// No cycle beating `α*` is the whole condition, because a merge never
+    /// loses `α*` on its own. Let ack `i` cover the data path `v ⇝ w` and
+    /// ack `j` the path `w ⇝ u`, and let `C` be a critical cycle (weight
+    /// 0) through a removed place. If `C` uses only `w → v`, then `C`'s
+    /// path `v ⇝ w`, chain `j` and the new place close a walk of weight
+    /// `q·(τ of chain j past w) + p·(cap_i − min cap) > 0`; if only
+    /// `u → w`, chain `i` with `C`'s path `w ⇝ u` and the new place weigh
+    /// `q·(τ of chain i before w) + p·(cap_j − min cap) > 0`; if both,
+    /// shortcutting `u → w → v` by `u → v` adds `p·max cap − q·τ_w`, which
+    /// is positive unless `α* = τ_w = max τ`, attained by a self-loop. So
+    /// the merge is rejected below. When the chains close on themselves
+    /// (`u = v`, no new place, one token on the joined data cycle), the
+    /// same sums give walks of weight `q·(τ of the other chain's interior)
+    /// + p·(cap − 1) ≥ 0` that avoid the removed places; no cycle beats
+    /// `α*`, so they weigh exactly 0 and `α*` survives on them.
+    fn admits(&mut self, i: usize, j: usize, u: usize, v: usize, free: u32) -> Option<Merge> {
+        let removed = [self.ack_place[i], self.ack_place[j]];
+        // A chain closing on itself needs no place (`to_petri` elides it),
+        // and removing places cannot create a cycle.
+        let added = (u != v).then(|| (u, v, self.q * self.tau[u] - self.p * i128::from(free)));
+        self.undo.clear();
+        if let Some((u, v, weight)) = added {
+            let need = self.sigma[u] + weight;
+            if self.sigma[v] < need {
+                // Restore feasibility from v over the net without the
+                // removed places; if u rises, the new place closes a
+                // positive cycle.
+                self.undo.push((v, self.sigma[v]));
+                self.sigma[v] = need;
+                let (places, head, next) = (&self.places, &self.head, &self.next);
+                let outcome =
+                    self.relax
+                        .relax(&mut self.sigma, [v], Some(u), Some(&mut self.undo), |x| {
+                            out_places(head, next, x)
+                                .filter(move |pl| !removed.contains(&Some(*pl)))
+                                .map(move |pl| (places[pl].1, places[pl].2))
+                        });
+                if outcome != Relaxation::Settled {
+                    self.rollback();
+                    return None;
+                }
+            }
+        }
+        Some(Merge {
+            i,
+            j,
+            removed,
+            added,
+        })
+    }
+
+    /// Applies an admitted merge to the check's net.
+    fn commit(&mut self, merge: Merge) {
+        for pl in merge.removed.into_iter().flatten() {
+            let from = self.places[pl].0;
+            if self.head[from] == pl {
+                self.head[from] = self.next[pl];
+            } else {
+                let before = out_places(&self.head, &self.next, from)
+                    .find(|&k| self.next[k] == pl)
+                    .expect("a live place is on its producer's list");
+                self.next[before] = self.next[pl];
+            }
+        }
+        let place = merge.added.map(|place| {
+            let k = self.places.len();
+            self.places.push(place);
+            self.next.push(self.head[place.0]);
+            self.head[place.0] = k;
+            k
+        });
+        let order = self.ack_place.iter().copied();
+        self.ack_place = merged_order(order, merge.i, merge.j, place);
+    }
+
+    /// Restores the potentials the last [`admits`](Self::admits) raised.
+    fn rollback(&mut self) {
+        for &(v, old) in self.undo.iter().rev() {
+            self.sigma[v] = old;
+        }
+        self.undo.clear();
+    }
 }
 
 /// The outcome of [`balance`].
