@@ -10,6 +10,11 @@
 //! against the solve's potentials, so the ratio stays a small constant
 //! instead of growing with the number of candidate merges.
 //!
+//! A third group times `explain` against one critical-ratio solve: it
+//! serves a rate certificate (a witness cycle and the least scaled
+//! potentials) instead of enumerating cycles, so it costs a few solves at
+//! any size, and checking the certificate costs one pass over the places.
+//!
 //! Run: `cargo run --release -p tpn-bench --bin analytic [-- --json]
 //! [-- --bench-json FILE]`; `--bench-json` additionally writes the
 //! before/after comparison in the `BENCH_*.json` house format.
@@ -17,11 +22,12 @@
 use std::time::Instant;
 
 use serde::Serialize;
+use tpn::CompiledLoop;
 use tpn_bench::{emit, table};
 use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::Sdsp;
 use tpn_livermore::synth::{chain, recurrence_ring};
-use tpn_petri::ratio::critical_ratio;
+use tpn_petri::ratio::{critical_ratio, explain_rate};
 use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::frustum::detect_frustum_eager;
 use tpn_sched::schedule::LoopSchedule;
@@ -86,6 +92,66 @@ fn run_storage(shape: &'static str, sdsp: Sdsp) -> StorageRow {
         minimize_ns,
         solve_ns,
         ratio: minimize_ns as f64 / solve_ns.max(1) as f64,
+    }
+}
+
+/// `explain` next to one critical-ratio solve of the same net.
+#[derive(Clone, Debug, Serialize)]
+struct ExplainRow {
+    shape: &'static str,
+    n: usize,
+    /// Places of the SDSP-PN: the certificate has one slack row each.
+    places: usize,
+    /// `CompiledLoop::explain` on a freshly built loop, best of the reps;
+    /// `None` past [`WORDS_LIMIT`].
+    explain_ns: Option<u128>,
+    /// The certificate check alone, best of the reps.
+    certify_ns: u128,
+    /// One `critical_ratio` on the loop's SDSP-PN, best of the same reps.
+    solve_ns: u128,
+}
+
+/// `explain`'s issue words hold one character per transition per cycle of
+/// the period: 2.5·10⁹ on `recurrence_ring(50000)`. Past this many, the
+/// row times the certificate and the solve but not `explain`.
+const WORDS_LIMIT: u64 = 1 << 26;
+
+fn run_explain(shape: &'static str, sdsp: Sdsp) -> ExplainRow {
+    let reps = if sdsp.num_nodes() <= 512 { 9 } else { 3 };
+    let pn = to_petri(&sdsp);
+    let (solve_ns, critical) = best_of(reps, || {
+        critical_ratio(&pn.net, &pn.marking).expect("synthetic loops are live")
+    });
+    let words = pn.net.num_transitions() as u64 * critical.cycle_time.numer();
+    let ex = explain_rate(&pn.net, &pn.marking, 0).expect("synthetic loops are live");
+    let (certify_ns, errors) = best_of(reps, || {
+        ex.certificate.check(&pn.net, &pn.marking, ex.critical.rate)
+    });
+    assert!(
+        errors.is_empty(),
+        "{shape}/{}: {errors:?}",
+        sdsp.num_nodes()
+    );
+    // Each rep explains a loop built outside the clock, so nothing is
+    // memoized yet.
+    let explain_ns = (words <= WORDS_LIMIT).then(|| {
+        let mut best = u128::MAX;
+        for _ in 0..reps {
+            let lp = CompiledLoop::from_sdsp(sdsp.clone());
+            let begin = Instant::now();
+            let explanation = lp.explain().expect("synthetic loops are live");
+            best = best.min(begin.elapsed().as_nanos());
+            assert!(explanation.validated, "{:?}", explanation.validation_errors);
+        }
+        best
+    });
+    ExplainRow {
+        shape,
+        n: sdsp.num_nodes(),
+        places: pn.net.num_places(),
+        explain_ns,
+        certify_ns,
+        solve_ns,
     }
 }
 
@@ -160,7 +226,7 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
     }
 }
 
-fn bench_json(rows: &[Row], storage: &[StorageRow]) -> String {
+fn bench_json(rows: &[Row], storage: &[StorageRow], explain: &[ExplainRow]) -> String {
     let mut cases = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -202,6 +268,25 @@ fn bench_json(rows: &[Row], storage: &[StorageRow]) -> String {
         })
         .collect::<Vec<_>>()
         .join(",\n");
+    let explain_cases = explain
+        .iter()
+        .map(|r| {
+            let explain_ns = match r.explain_ns {
+                Some(ns) => ns.to_string(),
+                None => format!(
+                    "null,\n        \"note\": \"explain skipped: its issue words \
+                     exceed {WORDS_LIMIT} characters\""
+                ),
+            };
+            format!(
+                "      \"{}/{}\": {{\n        \"explain_ns\": {explain_ns},\n        \
+                 \"certify_ns\": {},\n        \"solve_ns\": {},\n        \
+                 \"places\": {}\n      }}",
+                r.shape, r.n, r.certify_ns, r.solve_ns, r.places
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
     format!(
         "{{\n  \"benchmark\": \"analytic vs frustum schedule derivation \
          (crates/bench/src/bin/analytic.rs): chains and whole-body recurrence \
@@ -211,7 +296,8 @@ fn bench_json(rows: &[Row], storage: &[StorageRow]) -> String {
          ratio (longest-path offsets + balanced-word issue pattern), no \
          simulation\",\n  \"unit\": \"ns\",\n  \"groups\": {{\n    \
          \"schedule_derivation\": {{\n{cases}\n    }},\n    \
-         \"storage_minimization\": {{\n{storage_cases}\n    }}\n  }}\n}}\n"
+         \"storage_minimization\": {{\n{storage_cases}\n    }},\n    \
+         \"explain\": {{\n{explain_cases}\n    }}\n  }}\n}}\n"
     )
 }
 
@@ -238,6 +324,12 @@ fn main() {
     let storage = vec![
         run_storage("chain", chain(512)),
         run_storage("ring", recurrence_ring(512)),
+    ];
+    let explain = vec![
+        run_explain("chain", chain(512)),
+        run_explain("ring", recurrence_ring(512)),
+        run_explain("chain", chain(50_000)),
+        run_explain("ring", recurrence_ring(50_000)),
     ];
     emit(&rows, |rows| {
         let mut out =
@@ -306,8 +398,39 @@ fn main() {
         ));
         out
     });
+    emit(&explain, |rows| {
+        let mut out = String::from("\nExplain (rate certificate) vs one critical-ratio solve:\n");
+        out.push_str(&table::render(
+            &[
+                "shape",
+                "n",
+                "places",
+                "explain(ns)",
+                "certify(ns)",
+                "solve(ns)",
+                "explain/solve",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.shape.to_string(),
+                        r.n.to_string(),
+                        r.places.to_string(),
+                        r.explain_ns.map_or("skipped".into(), |v| v.to_string()),
+                        r.certify_ns.to_string(),
+                        r.solve_ns.to_string(),
+                        r.explain_ns.map_or("-".into(), |v| {
+                            format!("{:.1}x", v as f64 / r.solve_ns.max(1) as f64)
+                        }),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        ));
+        out
+    });
     if let Some(path) = bench_path {
-        std::fs::write(&path, bench_json(&rows, &storage))
+        std::fs::write(&path, bench_json(&rows, &storage, &explain))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("bench comparison written to {path}");
     }

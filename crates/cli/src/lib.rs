@@ -13,8 +13,9 @@
 //! tpnc trace    <file> [--scp L]    replay-validated firing-event timeline
 //!                                   (Chrome trace JSON; Perfetto-loadable)
 //! tpnc explain  <file>...           the self-validated scheduling witness:
-//!                                   critical cycle, runner-up slack, engine
-//!                                   audit, balanced issue words
+//!                                   critical cycle, rate certificate with
+//!                                   per-place slack, engine audit,
+//!                                   balanced issue words
 //! ```
 //!
 //! Every subcommand takes `--format text|json|prometheus`, `--profile` (append a
@@ -951,31 +952,25 @@ fn execute_text(invocation: &Invocation, lp: &CompiledLoop) -> Result<String, St
                     );
                 }
             }
-            match &e.cycles {
-                Some(cycles) => {
-                    let critical = cycles.iter().filter(|c| c.critical).count();
-                    let _ = writeln!(
-                        out,
-                        "cycles: {} enumerated, {} critical",
-                        cycles.len(),
-                        critical
-                    );
-                    for c in cycles {
-                        let _ = writeln!(
-                            out,
-                            "  [{}] omega/tokens = {}/{} = {}, slack {}{}",
-                            c.transitions.join(" -> "),
-                            c.total_time,
-                            c.token_count,
-                            c.cycle_time,
-                            c.slack,
-                            if c.critical { " (critical)" } else { "" }
-                        );
-                    }
-                }
-                None => {
-                    let _ = writeln!(out, "cycles: enumeration budget exceeded (witness only)");
-                }
+            let cert = &e.certificate;
+            let _ = writeln!(
+                out,
+                "certificate: alpha* = {}/{} over {} transitions and {} places, {} at zero slack",
+                cert.p,
+                cert.q,
+                cert.transitions.len(),
+                cert.places.len(),
+                cert.places.iter().filter(|pl| pl.slack == 0).count()
+            );
+            for pl in &cert.places {
+                let _ = writeln!(
+                    out,
+                    "  {} -> {}: tokens {}, slack {}",
+                    cert.transitions[pl.from].name,
+                    cert.transitions[pl.to].name,
+                    pl.tokens,
+                    pl.slack
+                );
             }
             let _ = writeln!(
                 out,
@@ -1472,7 +1467,18 @@ wat
         let out = execute(&inv, L5).unwrap();
         assert!(out.contains("cycle time alpha* = 2"), "got: {out}");
         assert!(out.contains("optimal computation rate 1/2"), "got: {out}");
-        assert!(out.contains("(critical)"), "got: {out}");
+        // The certificate line and one slack row per place: L5's data
+        // and acknowledgement cycles between X and X.1 are both critical,
+        // so all four places have zero slack.
+        assert!(
+            out.contains(
+                "certificate: alpha* = 2/1 over 2 transitions and 4 places, 4 at zero slack"
+            ),
+            "got: {out}"
+        );
+        assert!(out.contains("  X -> X.1: tokens 1, slack 0"), "got: {out}");
+        assert!(out.contains("  X.1 -> X: tokens 0, slack 0"), "got: {out}");
+        assert!(!out.contains("enumerated"), "got: {out}");
         assert!(out.contains("engine: auto -> analytic"), "got: {out}");
         assert!(out.contains("issue words"), "got: {out}");
         assert!(out.contains("validated: yes"), "got: {out}");
@@ -1482,6 +1488,10 @@ wat
         let out = execute(&inv, L5).unwrap();
         assert!(out.contains("\"validated\":true"), "got: {out}");
         assert!(out.contains("\"cycle_time\":\"2\""), "got: {out}");
+        assert!(
+            out.contains("\"certificate\":{\"p\":2,\"q\":1,"),
+            "got: {out}"
+        );
     }
 
     #[test]

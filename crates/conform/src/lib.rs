@@ -38,7 +38,10 @@ pub mod reference;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use exec::{build_env, check_exec, env_seed, ExecConfig, ExecReport};
 pub use gen::{generate, Shape};
-pub use oracle::{check_mutated, check_sdsp, CaseReport, Mutation, MutationOutcome, OracleConfig};
+pub use oracle::{
+    check_certificate, check_mutated, check_sdsp, CaseReport, Mutation, MutationOutcome,
+    OracleConfig,
+};
 pub use reference::{
     agree, detect_frustum_reference, minimize_storage_reference, storage_agree, ReferencePolicy,
     ReferenceRun,

@@ -25,7 +25,10 @@
 //!   synthesized firing trace must replay cleanly at the same rate;
 //! * **explain** — the scheduling witness (`CompiledLoop::explain`) must
 //!   pass its own in-process re-validation and report exactly the
-//!   parametric `α*` and rate;
+//!   parametric `α*` and rate, and its rate certificate must pass
+//!   [`check_certificate`]: the check itself, both engines' kernel II
+//!   equal to its `p/q`, and (when enumeration completed) a slack table
+//!   that agrees with every enumerated cycle;
 //! * **engine** — the production frustum detector must match the naive
 //!   [`reference`](crate::reference) stepper instant by instant, on the
 //!   plain net under the eager policy and on an SCP expansion at a
@@ -41,13 +44,17 @@ use serde::Serialize;
 use tpn_dataflow::to_petri::{to_petri, SdspPn};
 use tpn_dataflow::Sdsp;
 use tpn_petri::marked::check_live_safe;
-use tpn_petri::ratio::{analyze_cycles, critical_ratio, CriticalWitness};
+use tpn_petri::ratio::{
+    analyze_cycles, critical_ratio, explain_rate, CriticalWitness, CycleAnalysis,
+};
 use tpn_petri::timed::EagerPolicy;
 use tpn_petri::PetriError;
+use tpn_petri::Ratio;
 use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::frustum::{detect_frustum, detect_frustum_eager, FrustumReport};
 use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
 use tpn_sched::rate::RateReport;
+use tpn_sched::schedule::LoopSchedule;
 use tpn_sched::scp::build_scp;
 use tpn_sched::trace::FiringTrace;
 use tpn_sched::validate::{check_schedule, replay_trace};
@@ -240,7 +247,7 @@ fn run_case(
     report.rate = param.rate.to_string();
 
     // Oracle 2: exhaustive cycle enumeration must find the same α*.
-    match analyze_cycles(&pn.net, &pn.marking, config.cycle_limit) {
+    let analysis = match analyze_cycles(&pn.net, &pn.marking, config.cycle_limit) {
         Ok(analysis) => {
             report.enumerated = true;
             report.multiple_critical = analysis.has_multiple_critical_cycles();
@@ -250,12 +257,18 @@ fn run_case(
                     analysis.cycle_time, param.cycle_time
                 ));
             }
+            Some(analysis)
         }
-        Err(PetriError::TooManyCycles { .. }) => {}
-        Err(e) => report
-            .disagreements
-            .push(format!("enumeration: analyze_cycles failed: {e}")),
-    }
+        Err(PetriError::TooManyCycles { .. }) => None,
+        Err(e) => {
+            report
+                .disagreements
+                .push(format!("enumeration: analyze_cycles failed: {e}"));
+            None
+        }
+    };
+    // Kernel IIs of both engines on the pristine net, for oracle 7.
+    let mut kernel_iis: Vec<(&str, Ratio)> = Vec::new();
 
     // Inject the mutation into the simulated net only.
     let mut sim_net = pn.net.clone();
@@ -294,6 +307,9 @@ fn run_case(
                 ));
             }
             if mutation.is_none() {
+                if let Ok(schedule) = LoopSchedule::from_frustum(sdsp, &pn, &frustum) {
+                    kernel_iis.push(("frustum", schedule.initiation_interval()));
+                }
                 // The public RateReport path must agree with the direct
                 // per-transition measurement.
                 match RateReport::for_sdsp_pn(&pn, &frustum) {
@@ -394,6 +410,7 @@ fn run_case(
                     ));
                 }
                 let schedule = analytic.loop_schedule(sdsp, &pn);
+                kernel_iis.push(("analytic", schedule.initiation_interval()));
                 if schedule.initiation_interval() != param.cycle_time {
                     report.disagreements.push(format!(
                         "analytic: schedule II = {} but α* = {}",
@@ -426,9 +443,16 @@ fn run_case(
     }
 
     // Oracle 7: the explanation witness — `CompiledLoop::explain` must
-    // self-validate (its own internal re-derivation finds no
-    // discrepancy) and report exactly the parametric α* and rate.
+    // self-validate (its certificate checks in process) and report
+    // exactly the parametric α* and rate, and the certificate must
+    // agree with both engines and with the enumeration.
     if mutation.is_none() {
+        report.disagreements.extend(check_certificate(
+            &pn,
+            param.rate,
+            analysis.as_ref(),
+            &kernel_iis,
+        ));
         let lp = tpn::CompiledLoop::from_sdsp(sdsp.clone());
         match lp.explain() {
             Ok(e) => {
@@ -459,6 +483,74 @@ fn run_case(
     }
 
     report
+}
+
+/// Oracle 7's certificate checks on one SDSP-PN, returning each
+/// disagreement:
+///
+/// * the rate certificate `explain` serves passes
+///   [`RateCertificate::check`](tpn_petri::ratio::RateCertificate::check)
+///   at the parametric `rate`;
+/// * every `(engine, II)` in `kernel_iis` has its kernel II equal to the
+///   certificate's `p/q`, at any size;
+/// * when `analysis` (a completed Johnson enumeration) is given, every
+///   enumerated cycle `C`'s slacks sum to `p·M(C) − q·Ω(C)`, and every
+///   critical cycle's places have zero slack. Enumeration stays the
+///   slack table's oracle.
+pub fn check_certificate(
+    pn: &SdspPn,
+    rate: Ratio,
+    analysis: Option<&CycleAnalysis>,
+    kernel_iis: &[(&str, Ratio)],
+) -> Vec<String> {
+    let ex = match explain_rate(&pn.net, &pn.marking, 0) {
+        Ok(ex) => ex,
+        Err(e) => return vec![format!("explain: certificate not built: {e}")],
+    };
+    let cert = &ex.certificate;
+    let mut out: Vec<String> = cert
+        .check(&pn.net, &pn.marking, rate)
+        .into_iter()
+        .map(|e| format!("explain: certificate check failed: {e}"))
+        .collect();
+    for &(engine, ii) in kernel_iis {
+        if ii != cert.cycle_time {
+            out.push(format!(
+                "explain: {engine} kernel II = {ii} but the certificate proves {}",
+                cert.cycle_time
+            ));
+        }
+    }
+    let Some(analysis) = analysis else {
+        return out;
+    };
+    let slacks = match cert.slacks(&pn.net, &pn.marking) {
+        Ok(slacks) => slacks,
+        Err(e) => {
+            out.push(format!("explain: slacks do not compute: {e}"));
+            return out;
+        }
+    };
+    let (p, q) = (
+        i128::from(cert.cycle_time.numer()),
+        i128::from(cert.cycle_time.denom()),
+    );
+    for (i, info) in analysis.cycles.iter().enumerate() {
+        let places = info.cycle.places();
+        let sum: i128 = places.iter().map(|pl| slacks[pl.index()]).sum();
+        let expected = p * i128::from(info.token_sum) - q * i128::from(info.time_sum);
+        if sum != expected {
+            out.push(format!(
+                "explain: cycle {i} has slack sum {sum}, but p·M − q·Ω = {expected}"
+            ));
+        }
+        if analysis.critical.contains(&i) && places.iter().any(|pl| slacks[pl.index()] != 0) {
+            out.push(format!(
+                "explain: critical cycle {i} has a place with slack"
+            ));
+        }
+    }
+    out
 }
 
 /// The SCP depth, 1–8, at which the engine oracle checks case `case`.

@@ -63,9 +63,9 @@ pub mod metrics;
 use tpn_dataflow::to_petri::{to_petri, SdspPn};
 use tpn_dataflow::{DataflowError, Sdsp};
 use tpn_lang::LangError;
-use tpn_petri::ratio::{critical_ratio, explain_rate, CriticalWitness};
+use tpn_petri::ratio::{critical_ratio, explain_rate, CriticalWitness, RateCertificate};
 use tpn_petri::rational::Ratio;
-use tpn_petri::PetriError;
+use tpn_petri::{Marking, PetriError, PetriNet};
 use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::frustum::{detect_frustum, detect_frustum_eager, FrustumReport};
 pub use tpn_sched::policy::SchedulePolicy;
@@ -328,22 +328,49 @@ pub struct Analysis {
     pub critical_nodes: Vec<String>,
 }
 
-/// One enumerated simple cycle of an [`Explanation`], with its exact
-/// ratio and its slack against the critical cycle time.
+/// One transition of an [`Explanation`]'s rate certificate.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExplainedCycle {
-    /// Names of the loop nodes (and liveness buffers) on the cycle.
-    pub transitions: Vec<String>,
-    /// `Ω(C)`: summed execution time of the cycle's transitions.
-    pub total_time: u64,
-    /// `M(C)`: the cycle's token count.
-    pub token_count: u64,
-    /// `Ω(C)/M(C)` as an exact rational.
-    pub cycle_time: Ratio,
-    /// `α* − Ω(C)/M(C)`: zero exactly on critical cycles.
-    pub slack: Ratio,
-    /// Whether this cycle attains `α*`.
-    pub critical: bool,
+pub struct CertifiedTransition {
+    /// The loop node (or liveness buffer) name.
+    pub name: String,
+    /// Its execution time `τ`.
+    pub time: u64,
+    /// Its scaled potential `σ′`.
+    pub potential: i128,
+}
+
+/// One place `u → v` of an [`Explanation`]'s rate certificate.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CertifiedPlace {
+    /// The producer `u`, as an index into [`Certificate::transitions`].
+    pub from: usize,
+    /// The consumer `v`, as an index into [`Certificate::transitions`].
+    pub to: usize,
+    /// The tokens `m` the place holds initially.
+    pub tokens: u32,
+    /// `σ′_v − σ′_u − (q·τ_u − p·m)`: never negative, zero on every
+    /// critical cycle.
+    pub slack: i128,
+}
+
+/// The rate certificate of an [`Explanation`], complete enough to re-check
+/// without the net: every place `u → v` must satisfy
+/// `σ′_v − σ′_u ≥ q·τ_u − p·m`, every transition `q·τ ≤ p`, and the
+/// witness must attain `p/q`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Certificate {
+    /// `p` of `α* = p/q`.
+    pub p: u64,
+    /// `q` of `α* = p/q`.
+    pub q: u64,
+    /// Every transition, in net order.
+    pub transitions: Vec<CertifiedTransition>,
+    /// Every place, by ascending slack, then in net order; empty when the
+    /// slacks do not compute (the check has then failed).
+    pub places: Vec<CertifiedPlace>,
+    /// Positions in [`places`](Self::places) of the witness cycle's
+    /// places, in walk order (empty for a self-loop witness).
+    pub witness_places: Vec<usize>,
 }
 
 /// Why [`CompiledLoop::engine`] resolved the way it did.
@@ -377,10 +404,10 @@ pub struct IssueWords {
 }
 
 /// The scheduling witness behind [`CompiledLoop::explain`]: which cycle
-/// pins the rate, by how much every runner-up misses it, why the engine
-/// decision fell the way it did, and the balanced issue word of the
-/// periodic steady state — every quantity re-validated in process (see
-/// [`Explanation::validated`]).
+/// pins the rate, a certificate that no cycle beats it with each place's
+/// slack, why the engine decision fell the way it did, and the balanced
+/// issue word of the periodic steady state — every quantity re-validated
+/// in process (see [`Explanation::validated`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Explanation {
     /// The critical cycle time `α* = max Ω(C)/M(C)`.
@@ -396,31 +423,24 @@ pub struct Explanation {
     pub total_time: Option<u64>,
     /// `M(C)` of the witness cycle (`None` for a self-loop witness).
     pub token_count: Option<u64>,
-    /// Every simple cycle from the Johnson enumeration, critical cycles
-    /// first then by ascending slack; `None` when the net has more than
-    /// the enumeration budget's worth of cycles (the witness above is
-    /// still exact — only the runner-up table is unavailable).
-    pub cycles: Option<Vec<ExplainedCycle>>,
+    /// The rate certificate: potentials and per-place slack. The
+    /// zero-slack places hold every critical cycle.
+    pub certificate: Certificate,
     /// The engine-decision audit.
     pub engine: EngineAudit,
     /// Balanced issue words of the analytic steady state; `None` when the
     /// net is not a pure marked graph (no closed-form periodic regime).
     pub issue_words: Option<IssueWords>,
-    /// Whether every reported quantity re-derived exactly (witness ratio
-    /// equals `α*`, rate is its exact reciprocal, per-cycle ratios and
-    /// slacks re-compute, issue words are balanced). Always check this —
-    /// `false` means the explanation caught an internal inconsistency,
-    /// itemised in `validation_errors`.
+    /// Whether every reported quantity checked out: the rate certificate
+    /// passed [`RateCertificate::check`], which includes that the rate is
+    /// the exact reciprocal of `α*`, and the issue words are balanced.
+    /// Always check this — `false` means the explanation caught an
+    /// internal inconsistency, itemised in `validation_errors`.
     pub validated: bool,
     /// The discrepancies found during re-validation (empty when
     /// `validated`).
     pub validation_errors: Vec<String>,
 }
-
-/// Cycle-enumeration budget for [`CompiledLoop::explain`]: generous for
-/// any hand-written loop; nets beyond it degrade to a witness-only
-/// explanation instead of failing.
-const EXPLAIN_CYCLE_LIMIT: usize = 4096;
 
 /// Memoized stage results. Every slot is filled at most once (per SCP
 /// depth for `scp`) and shared across calls and clones.
@@ -524,6 +544,54 @@ pub struct ScpRun {
     /// The run's firing trace, derived from `frustum` on the first
     /// [`CompiledLoop::scp_trace`] call and shared after that.
     trace: OnceLock<Arc<FiringTrace>>,
+}
+
+/// The rows of `cert` by name, with its places sorted by ascending slack
+/// (a stable sort, so ties keep net order).
+fn certificate_rows(net: &PetriNet, marking: &Marking, cert: &RateCertificate) -> Certificate {
+    let transitions = net
+        .transitions()
+        .zip(&cert.potentials)
+        .map(|((_, t), &potential)| CertifiedTransition {
+            name: t.name().to_string(),
+            time: t.time(),
+            potential,
+        })
+        .collect();
+    let mut places: Vec<(usize, CertifiedPlace)> = match cert.slacks(net, marking) {
+        Ok(slacks) => net
+            .places()
+            .zip(slacks)
+            .map(|((pid, place), slack)| {
+                let row = CertifiedPlace {
+                    from: place.preset()[0].index(),
+                    to: place.postset()[0].index(),
+                    tokens: marking.tokens(pid),
+                    slack,
+                };
+                (pid.index(), row)
+            })
+            .collect(),
+        Err(_) => Vec::new(),
+    };
+    places.sort_by_key(|(_, row)| row.slack);
+    let mut row_of = vec![usize::MAX; net.num_places()];
+    for (row, &(place, _)) in places.iter().enumerate() {
+        row_of[place] = row;
+    }
+    let witness_places = match &cert.witness {
+        CriticalWitness::Cycle(c) if !places.is_empty() => {
+            c.places().iter().map(|p| row_of[p.index()]).collect()
+        }
+        _ => Vec::new(),
+    };
+    Certificate {
+        p: cert.cycle_time.numer(),
+        q: cert.cycle_time.denom(),
+        transitions,
+        places: places.into_iter().map(|(_, row)| row).collect(),
+        witness_places,
+    }
 }
 
 impl CompiledLoop {
@@ -671,12 +739,12 @@ impl CompiledLoop {
     }
 
     /// The full scheduling witness: the critical cycle with its token
-    /// count `M(C)`, total time `Ω(C)` and exact ratio, per-cycle slack
-    /// for every runner-up cycle from the Johnson enumeration, the
-    /// engine-decision audit, and the balanced issue word of the periodic
-    /// steady state. Every quantity is re-derived and cross-checked in
-    /// process before being returned — check
-    /// [`Explanation::validated`]. Memoized.
+    /// count `M(C)`, total time `Ω(C)` and exact ratio, the rate
+    /// certificate with every place's slack, the engine-decision audit,
+    /// and the balanced issue word of the periodic steady state. It costs
+    /// about two critical-ratio solves and a pass over the places; no
+    /// cycles are enumerated. The certificate is checked in process
+    /// before being returned — check [`Explanation::validated`]. Memoized.
     ///
     /// # Errors
     ///
@@ -694,12 +762,12 @@ impl CompiledLoop {
     fn build_explanation(&self) -> Result<Explanation, Error> {
         let net = &self.pn.net;
         let marking = &self.pn.marking;
-        let ex = explain_rate(net, marking, EXPLAIN_CYCLE_LIMIT)?;
+        let ex = explain_rate(net, marking, 0)?;
         let mut validation_errors = ex.validate(net, marking);
 
         let name_of = |t: tpn_petri::TransitionId| net.transition(t).name().to_string();
         let (witness_transitions, witness_self_loop, total_time, token_count) =
-            match &ex.critical.witness {
+            match &ex.certificate.witness {
                 CriticalWitness::Cycle(c) => (
                     c.transitions().iter().copied().map(name_of).collect(),
                     None,
@@ -708,40 +776,7 @@ impl CompiledLoop {
                 ),
                 CriticalWitness::SelfLoop(t) => (Vec::new(), Some(name_of(*t)), None, None),
             };
-
-        let cycles = ex.analysis.as_ref().map(|analysis| {
-            let mut rows: Vec<ExplainedCycle> = analysis
-                .cycles
-                .iter()
-                .enumerate()
-                .map(|(i, info)| ExplainedCycle {
-                    transitions: info
-                        .cycle
-                        .transitions()
-                        .iter()
-                        .copied()
-                        .map(name_of)
-                        .collect(),
-                    total_time: info.time_sum,
-                    token_count: info.token_sum,
-                    cycle_time: info.cycle_time,
-                    slack: ex.slack(info).unwrap_or(Ratio::ZERO),
-                    critical: analysis.critical.contains(&i),
-                })
-                .collect();
-            rows.sort_by(|a, b| {
-                b.critical
-                    .cmp(&a.critical)
-                    .then(a.slack.cmp(&b.slack))
-                    .then(a.transitions.cmp(&b.transitions))
-            });
-            // Distinct place-level cycles (data vs. liveness-buffer
-            // places) can thread the same transitions with the same
-            // Ω and M; they are indistinguishable in this view, so
-            // collapse exact duplicates.
-            rows.dedup();
-            rows
-        });
+        let certificate = certificate_rows(net, marking, &ex.certificate);
 
         let engine = self.engine_audit();
         let marked_graph = engine.marked_graph;
@@ -781,15 +816,6 @@ impl CompiledLoop {
             None
         };
 
-        // The acceptance bar stated plainly: the reported rate must be the
-        // exact reciprocal of the reported cycle time.
-        if ex.critical.rate != ex.critical.cycle_time.recip() {
-            validation_errors.push(format!(
-                "rate {} != 1 / cycle time {}",
-                ex.critical.rate, ex.critical.cycle_time
-            ));
-        }
-
         Ok(Explanation {
             cycle_time: ex.critical.cycle_time,
             rate: ex.critical.rate,
@@ -797,7 +823,7 @@ impl CompiledLoop {
             witness_self_loop,
             total_time,
             token_count,
-            cycles,
+            certificate,
             engine,
             issue_words,
             validated: validation_errors.is_empty(),
@@ -1247,16 +1273,28 @@ mod tests {
             ex.cycle_time
         );
         assert_eq!(ex.witness_transitions.len(), 3);
-        // Enumeration fits easily; critical cycles sort first, runner-ups
-        // carry positive slack.
-        let cycles = ex.cycles.as_ref().unwrap();
-        assert!(!cycles.is_empty());
-        assert!(cycles[0].critical);
-        assert_eq!(cycles[0].slack, Ratio::ZERO);
-        for c in cycles {
-            assert_eq!(Ratio::new(c.total_time, c.token_count), c.cycle_time);
-            assert_eq!(c.critical, c.slack == Ratio::ZERO);
+        // The certificate: α* = p/q, one row per transition and place,
+        // places by ascending slack; the witness's places have zero slack
+        // and so sort first.
+        let cert = &ex.certificate;
+        assert_eq!((cert.p, cert.q), (3, 1));
+        let pn = lp.petri_net();
+        assert_eq!(cert.transitions.len(), pn.net.num_transitions());
+        assert_eq!(cert.places.len(), pn.net.num_places());
+        assert!(cert.places.windows(2).all(|w| w[0].slack <= w[1].slack));
+        assert_eq!(cert.witness_places.len(), 3);
+        for &k in &cert.witness_places {
+            assert_eq!(cert.places[k].slack, 0);
         }
+        // Every row re-checks from the rows alone.
+        let (p, q) = (i128::from(cert.p), i128::from(cert.q));
+        for row in &cert.places {
+            let (u, v) = (&cert.transitions[row.from], &cert.transitions[row.to]);
+            let weight = q * i128::from(u.time) - p * i128::from(row.tokens);
+            assert_eq!(row.slack, v.potential - u.potential - weight);
+            assert!(row.slack >= 0);
+        }
+        assert!(cert.transitions.iter().all(|t| q * i128::from(t.time) <= p));
         // Engine audit: L2 is a pure marked graph, so Auto goes analytic.
         assert!(ex.engine.marked_graph);
         assert_eq!(ex.engine.configured, SchedulePolicy::Auto);

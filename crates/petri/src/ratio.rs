@@ -17,7 +17,8 @@
 //!
 //! * [`analyze_cycles`] — exhaustive enumeration via [`crate::cycles`],
 //!   exact but potentially exponential; returns every cycle with its ratio.
-//!   It serves `explain`'s runner-up table and is the tests' oracle.
+//!   It is the tests' oracle and backs the storage balancing report; no
+//!   served request runs it.
 //! * [`critical_ratio`] — Howard's policy iteration over the transition
 //!   multigraph, the one solver production uses: exact rational arithmetic
 //!   throughout, a handful of sweeps in practice, with the critical cycle
@@ -25,6 +26,13 @@
 //!   connected component's cycle time ([`critical_ratio_by_component`]).
 //!   Policy iteration always terminates (the argument is on the solver),
 //!   but no polynomial bound on its sweep count is known.
+//!
+//! What `explain` serves is a [`RateCertificate`]: the solver's witness
+//! cycle (some cycle attains `α* = p/q`) and the least scaled potentials
+//! at `p/q` (no cycle beats it). [`RateCertificate::check`] verifies both
+//! halves in one pass over the places, with integer arithmetic only and
+//! no code shared with the solver, and each place's slack ranks how close
+//! it comes to being critical.
 //!
 //! The implicit self-loop of Assumption A.6.1 (a transition cannot overlap
 //! its own firings) contributes the candidate cycle time `τ(t)` for every
@@ -199,114 +207,208 @@ pub fn critical_ratio(net: &PetriNet, marking: &Marking) -> Result<CriticalRatio
     Ok(solve(net, marking)?.0)
 }
 
-/// The full scheduling witness behind an `explain` request: the solver's
-/// [`CriticalRatio`] next to the exhaustive [`CycleAnalysis`] (when the
-/// Johnson enumeration fits its budget), so callers can show *which*
-/// cycle pins the rate and how much slack every runner-up cycle has.
+/// A certificate that `α* = p/q` is the critical cycle time of a marked
+/// graph, checkable without solving anything ([`check`](Self::check)).
+///
+/// * *Primal:* the witness, a cycle with `q·Ω = p·M` or a transition with
+///   `q·τ = p`. So `α* ≥ p/q`.
+/// * *Dual:* scaled potentials `σ′`, one per transition, with
+///   `σ′_v − σ′_u ≥ q·τ_u − p·m` on every place `u → v` holding `m`
+///   tokens, and `q·τ ≤ p` on every transition (the implicit self-loop of
+///   Assumption A.6.1). The potentials telescope around any cycle `C`, so
+///   summing its places' constraints gives `q·Ω(C) ≤ p·M(C)`: no cycle
+///   beats `p/q`.
+///
+/// A place's *slack* is `σ′_v − σ′_u − (q·τ_u − p·m)`. Around a cycle the
+/// slacks sum to `p·M(C) − q·Ω(C)`, so every place of a critical cycle has
+/// zero slack, and small slack marks the near-critical places.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RateCertificate {
+    /// The certified cycle time `p/q`, in lowest terms.
+    pub cycle_time: Ratio,
+    /// What attains `p/q`.
+    pub witness: CriticalWitness,
+    /// `σ′` of each transition, by transition index.
+    pub potentials: Vec<i128>,
+}
+
+impl RateCertificate {
+    /// Checks the certificate against `net` under `marking`, and that
+    /// `rate` is exactly `q/p`. Returns what fails, at most one line per
+    /// condition; empty means the certificate proves `α* = p/q`.
+    ///
+    /// One pass over the transitions and one over the places, in checked
+    /// integer arithmetic; an overflow fails the check. It verifies:
+    ///
+    /// * (a) the witness attains `p/q`: a cycle is a closed walk (place
+    ///   `k` runs from transition `k` to transition `k + 1`, the last one
+    ///   back to the first) with `M > 0` and `q·Ω = p·M`; a self-loop has
+    ///   `q·τ = p`;
+    /// * (b) every place has non-negative slack;
+    /// * (c) every transition has `1 ≤ τ` and `q·τ ≤ p`;
+    /// * (d) `rate = q/p`.
+    ///
+    /// With `τ ≥ 1`, (b) also rules out a token-free cycle, whose
+    /// constraints would sum to `q·Ω ≤ 0`.
+    pub fn check(&self, net: &PetriNet, marking: &Marking, rate: Ratio) -> Vec<String> {
+        let (p, q) = (self.cycle_time.numer(), self.cycle_time.denom());
+        if self.potentials.len() != net.num_transitions() {
+            return vec![format!(
+                "{} potentials for {} transitions",
+                self.potentials.len(),
+                net.num_transitions()
+            )];
+        }
+        let mut errors = Vec::new();
+        if let Err(e) = self.check_witness(net, marking) {
+            errors.push(e);
+        }
+        match self.slacks(net, marking) {
+            Ok(slacks) => {
+                let mut short = slacks.iter().enumerate().filter(|&(_, &s)| s < 0);
+                if let Some((k, s)) = short.next() {
+                    errors.push(format!(
+                        "place {} has slack {s} < 0 ({} places violate σ′_v − σ′_u ≥ q·τ_u − p·m)",
+                        PlaceId::from_index(k),
+                        1 + short.count()
+                    ));
+                }
+            }
+            Err(e) => errors.push(e),
+        }
+        let (p_wide, q_wide) = (u128::from(p), u128::from(q));
+        if let Some((t, tr)) = net
+            .transitions()
+            .find(|(_, tr)| tr.time() == 0 || q_wide * u128::from(tr.time()) > p_wide)
+        {
+            errors.push(format!(
+                "transition {t} has τ = {}, outside 1 ≤ τ ≤ p/q = {p}/{q}",
+                tr.time()
+            ));
+        }
+        if (rate.numer(), rate.denom()) != (q, p) {
+            errors.push(format!("rate {rate} is not q/p = {q}/{p}"));
+        }
+        errors
+    }
+
+    /// The slack `σ′_v − σ′_u − (q·τ_u − p·m)` of every place `u → v`
+    /// holding `m` tokens, in place order.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first place that is not one arc of a marked
+    /// graph, names a transition without a potential, or whose slack
+    /// overflows `i128`.
+    pub fn slacks(&self, net: &PetriNet, marking: &Marking) -> Result<Vec<i128>, String> {
+        let p = i128::from(self.cycle_time.numer());
+        let q = i128::from(self.cycle_time.denom());
+        net.places()
+            .map(|(pid, place)| {
+                let (&[u], &[v]) = (place.preset(), place.postset()) else {
+                    return Err(format!("place {pid} is not one arc of a marked graph"));
+                };
+                let sigma = |t: TransitionId| self.potentials.get(t.index()).copied();
+                let slack = q
+                    .checked_mul(i128::from(net.transition(u).time()))
+                    .zip(p.checked_mul(i128::from(marking.tokens(pid))))
+                    .and_then(|(time, tokens)| time.checked_sub(tokens))
+                    .zip(sigma(u).zip(sigma(v)))
+                    .and_then(|(weight, (su, sv))| sv.checked_sub(su)?.checked_sub(weight));
+                slack.ok_or_else(|| format!("the slack of place {pid} does not compute"))
+            })
+            .collect()
+    }
+
+    /// Condition (a) of [`check`](Self::check).
+    fn check_witness(&self, net: &PetriNet, marking: &Marking) -> Result<(), String> {
+        let (p, q) = (
+            u128::from(self.cycle_time.numer()),
+            u128::from(self.cycle_time.denom()),
+        );
+        let in_net = |t: TransitionId| t.index() < net.num_transitions();
+        match &self.witness {
+            CriticalWitness::SelfLoop(t) => {
+                if !in_net(*t) {
+                    return Err(format!("self-loop witness {t} is not in the net"));
+                }
+                let tau = net.transition(*t).time();
+                if q * u128::from(tau) != p {
+                    return Err(format!(
+                        "self-loop witness {t} has τ = {tau}, not p/q = {p}/{q}"
+                    ));
+                }
+            }
+            CriticalWitness::Cycle(cycle) => {
+                let ts = cycle.transitions();
+                let (mut omega, mut tokens) = (0u64, 0u64);
+                for (k, (&t, &pl)) in ts.iter().zip(cycle.places()).enumerate() {
+                    let next = ts[(k + 1) % ts.len()];
+                    let closes = pl.index() < net.num_places()
+                        && in_net(t)
+                        && net.place(pl).preset() == [t]
+                        && net.place(pl).postset() == [next];
+                    if !closes {
+                        return Err(format!(
+                            "witness place {k} ({pl}) does not run from {t} to {next}"
+                        ));
+                    }
+                    omega = omega
+                        .checked_add(net.transition(t).time())
+                        .ok_or("witness Ω overflows")?;
+                    tokens = tokens
+                        .checked_add(u64::from(marking.tokens(pl)))
+                        .ok_or("witness M overflows")?;
+                }
+                if tokens == 0 {
+                    return Err("witness cycle carries no tokens".into());
+                }
+                if q * u128::from(omega) != p * u128::from(tokens) {
+                    return Err(format!(
+                        "witness cycle has Ω/M = {omega}/{tokens}, not p/q = {p}/{q}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The scheduling witness behind an `explain` request: the solver's
+/// [`CriticalRatio`] and a [`RateCertificate`] that proves it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RateExplanation {
     /// The solver's answer: cycle time, rate, and an attaining witness.
     pub critical: CriticalRatio,
-    /// The exhaustive per-cycle spectrum; `None` when enumeration
-    /// exceeded the caller's cycle limit (the witness above stays exact —
-    /// only the runner-up slack table is unavailable).
-    pub analysis: Option<CycleAnalysis>,
+    /// The witness with the least scaled potentials at the cycle time.
+    pub certificate: RateCertificate,
 }
 
 impl RateExplanation {
-    /// Slack `α* − Ω(C)/M(C)` of one enumerated cycle: zero exactly on
-    /// critical cycles, positive on runner-ups. `None` only on `u64`
-    /// overflow of the reduced difference.
-    pub fn slack(&self, info: &CycleInfo) -> Option<Ratio> {
-        self.critical.cycle_time.checked_sub(info.cycle_time)
-    }
-
-    /// Re-derives every quantity the explanation reports and checks exact
-    /// agreement, returning the list of discrepancies (empty means the
-    /// witness is validated). This is what makes `explain` output a
-    /// tested claim rather than a pretty-printer: the reported cycle's
-    /// `Ω(C)/M(C)` must equal the reported cycle time, the rate must be
-    /// its exact reciprocal, and the enumerated spectrum (when present)
-    /// must agree cycle by cycle.
+    /// Runs the certificate check ([`RateCertificate::check`]) against
+    /// the solver's rate, and checks that the certificate is about the
+    /// solver's cycle time. Returns the discrepancies; empty means the
+    /// explanation is validated.
     pub fn validate(&self, net: &PetriNet, marking: &Marking) -> Vec<String> {
-        let mut errors = Vec::new();
-        let alpha = self.critical.cycle_time;
-        if self.critical.rate != alpha.recip() {
+        let mut errors = self.certificate.check(net, marking, self.critical.rate);
+        if self.certificate.cycle_time != self.critical.cycle_time {
             errors.push(format!(
-                "rate {} is not the reciprocal of cycle time {alpha}",
-                self.critical.rate
+                "certificate is for cycle time {}, the solver reports {}",
+                self.certificate.cycle_time, self.critical.cycle_time
             ));
-        }
-        match &self.critical.witness {
-            CriticalWitness::Cycle(cycle) => {
-                let time_sum = cycle.time_sum(net);
-                let token_sum = cycle.token_sum(marking);
-                if token_sum == 0 {
-                    errors.push("witness cycle carries no tokens".into());
-                } else if Ratio::new(time_sum, token_sum) != alpha {
-                    errors.push(format!(
-                        "witness cycle ratio {time_sum}/{token_sum} != cycle time {alpha}"
-                    ));
-                }
-            }
-            CriticalWitness::SelfLoop(t) => {
-                let tau = net.transition(*t).time();
-                if Ratio::from_integer(tau) != alpha {
-                    errors.push(format!("self-loop witness τ = {tau} != cycle time {alpha}"));
-                }
-            }
-        }
-        if let Some(analysis) = &self.analysis {
-            if analysis.cycle_time != alpha {
-                errors.push(format!(
-                    "enumeration cycle time {} != solver cycle time {alpha}",
-                    analysis.cycle_time
-                ));
-            }
-            if analysis.rate != self.critical.rate {
-                errors.push(format!(
-                    "enumeration rate {} != solver rate {}",
-                    analysis.rate, self.critical.rate
-                ));
-            }
-            for (i, info) in analysis.cycles.iter().enumerate() {
-                let time_sum = info.cycle.time_sum(net);
-                let token_sum = info.cycle.token_sum(marking);
-                if time_sum != info.time_sum || token_sum != info.token_sum {
-                    errors.push(format!(
-                        "cycle {i}: reported Ω={}, M={} but net says Ω={time_sum}, M={token_sum}",
-                        info.time_sum, info.token_sum
-                    ));
-                    continue;
-                }
-                if token_sum == 0 || Ratio::new(time_sum, token_sum) != info.cycle_time {
-                    errors.push(format!(
-                        "cycle {i}: ratio {} does not re-derive from Ω={time_sum}, M={token_sum}",
-                        info.cycle_time
-                    ));
-                }
-                let is_critical = analysis.critical.contains(&i);
-                let slack = self.slack(info);
-                if is_critical && slack != Some(Ratio::ZERO) {
-                    errors.push(format!("critical cycle {i} has nonzero slack {slack:?}"));
-                }
-                if !is_critical && slack.is_none_or(|s| s == Ratio::ZERO) {
-                    errors.push(format!(
-                        "runner-up cycle {i} has zero slack but is not marked critical"
-                    ));
-                }
-            }
         }
         errors
     }
 }
 
-/// Critical-cycle analysis with an explicit, self-checkable witness: runs
-/// the policy-iteration solver ([`critical_ratio`]) and the exhaustive
-/// Johnson enumeration ([`analyze_cycles`]) side by side. Enumeration
-/// blowing the `limit` degrades the runner-up table to `None` instead of
-/// failing; every other enumeration error is a real input defect and is
-/// returned.
+/// The rate certificate of a live marked graph: one solve
+/// ([`critical_ratio`]) and one relaxation for the least scaled potentials
+/// at its cycle time ([`MarkedArcs::scaled_potentials`]). No cycles are
+/// enumerated, so the cost does not grow with the number of cycles.
+///
+/// `_cycle_limit` is ignored. It bounded a cycle enumeration that this
+/// function no longer runs, and stays only so that callers written
+/// against that signature still compile.
 ///
 /// # Errors
 ///
@@ -314,15 +416,21 @@ impl RateExplanation {
 pub fn explain_rate(
     net: &PetriNet,
     marking: &Marking,
-    limit: usize,
+    _cycle_limit: usize,
 ) -> Result<RateExplanation, PetriError> {
-    let critical = critical_ratio(net, marking)?;
-    let analysis = match analyze_cycles(net, marking, limit) {
-        Ok(a) => Some(a),
-        Err(PetriError::TooManyCycles { .. }) => None,
-        Err(e) => return Err(e),
+    // Times first: a zero time is reported before a malformed place.
+    net.validate_times()?;
+    let arcs = MarkedArcs::new(net, marking)?;
+    let critical = arcs.critical_ratio()?;
+    let certificate = RateCertificate {
+        cycle_time: critical.cycle_time,
+        witness: critical.witness.clone(),
+        potentials: arcs.scaled_potentials(critical.cycle_time)?,
     };
-    Ok(RateExplanation { critical, analysis })
+    Ok(RateExplanation {
+        critical,
+        certificate,
+    })
 }
 
 /// The critical cycle time of one weakly connected component of the
@@ -919,9 +1027,10 @@ mod tests {
         assert_eq!(dist, vec![0, 2, 5]);
     }
 
-    #[test]
-    fn explain_rate_produces_a_validated_witness() {
-        // Two nested cycles (ring + chord) so there is a runner-up.
+    /// A ring `t0 → t1 → t2 → t0` (τ = 1, 2, 3; one token) with a chord
+    /// `t1 → t0` holding one token: the ring (Ω = 6, M = 1) is critical,
+    /// and the 2-cycle `{t0, t1}` (Ω = 3, M = 2) is a runner-up.
+    fn ring_with_chord() -> (PetriNet, Marking) {
         let mut net = PetriNet::new();
         let ts: Vec<_> = (0..3)
             .map(|i| net.add_transition(format!("t{i}"), 1 + i as u64))
@@ -933,45 +1042,188 @@ mod tests {
             net.connect_pt(p, ts[(i + 1) % 3]);
             pairs.push((p, u32::from(i == 0)));
         }
-        // Chord t1 -> t0 with a token: the 2-cycle {t0, t1} has Ω = 3,
-        // M = 2; the full ring has Ω = 6, M = 1 and is critical.
         let chord = net.add_place("chord".to_string());
         net.connect_tp(ts[1], chord);
         net.connect_pt(chord, ts[0]);
         pairs.push((chord, 1));
         let m = Marking::from_pairs(&net, pairs);
+        (net, m)
+    }
 
+    #[test]
+    fn explain_rate_produces_a_validated_witness() {
+        let (net, m) = ring_with_chord();
         let ex = explain_rate(&net, &m, 1_000).unwrap();
         assert_eq!(ex.critical.cycle_time, Ratio::new(6, 1));
         assert!(ex.validate(&net, &m).is_empty());
-        let analysis = ex.analysis.as_ref().unwrap();
-        assert_eq!(analysis.cycles.len(), 2);
-        assert_eq!(analysis.critical.len(), 1);
-        // The runner-up 2-cycle has slack 6 − 3/2 = 9/2.
-        let runner = analysis
-            .cycles
-            .iter()
-            .enumerate()
-            .find(|(i, _)| !analysis.critical.contains(i))
-            .map(|(_, info)| info)
-            .unwrap();
-        assert_eq!(ex.slack(runner), Some(Ratio::new(9, 2)));
+        let cert = &ex.certificate;
+        assert_eq!(cert.cycle_time, ex.critical.cycle_time);
+        assert_eq!(cert.witness, ex.critical.witness);
+        // The ring's places are critical; the chord closes the runner-up
+        // 2-cycle, whose slacks sum to p·M − q·Ω = 6·2 − 1·3 = 9.
+        let slacks = cert.slacks(&net, &m).unwrap();
+        assert_eq!(&slacks[..3], &[0, 0, 0]);
+        assert_eq!(slacks[0] + slacks[3], 9);
+        // The least potentials touch zero.
+        assert!(cert.potentials.contains(&0));
 
-        // A doctored witness fails validation instead of passing silently.
+        // A doctored rate fails validation instead of passing silently.
         let mut forged = ex.clone();
         forged.critical.rate = Ratio::new(1, 7);
         assert!(!forged.validate(&net, &m).is_empty());
     }
 
     #[test]
-    fn explain_rate_degrades_gracefully_past_the_cycle_limit() {
-        let (net, m) = ring(&[2, 1, 1], &[1, 1, 0]);
-        // limit 0 forces TooManyCycles inside enumeration; the solver's
-        // witness must survive with the spectrum absent.
+    fn explain_rate_ignores_the_cycle_limit() {
+        // A limit of 0 used to abort the enumeration; nothing enumerates
+        // now, so the certificate is the same at every limit.
+        let (net, m) = ring(&[5, 1, 1], &[1, 1, 0]);
         let ex = explain_rate(&net, &m, 0).unwrap();
-        assert!(ex.analysis.is_none());
-        assert_eq!(ex.critical.cycle_time, Ratio::new(2, 1));
+        assert_eq!(ex.critical.cycle_time, Ratio::new(5, 1));
         assert!(ex.validate(&net, &m).is_empty());
+        assert_eq!(ex, explain_rate(&net, &m, usize::MAX).unwrap());
+        // A self-loop witness (τ = 5 beats the ring's 7/2) checks too.
+        assert_eq!(
+            ex.certificate.witness,
+            CriticalWitness::SelfLoop(TransitionId::from_index(0))
+        );
+    }
+
+    /// The certificate of `ring_with_chord` and its net, with the check's
+    /// verdict on an untouched copy.
+    fn certified() -> (PetriNet, Marking, RateCertificate, Ratio) {
+        let (net, m) = ring_with_chord();
+        let ex = explain_rate(&net, &m, 0).unwrap();
+        assert!(ex.certificate.check(&net, &m, ex.critical.rate).is_empty());
+        (net, m, ex.certificate, ex.critical.rate)
+    }
+
+    #[test]
+    fn shifting_a_tight_potential_fails_the_check() {
+        let (net, m, cert, rate) = certified();
+        let slacks = cert.slacks(&net, &m).unwrap();
+        // Raise the producer of a zero-slack place by one: that place
+        // now falls one short.
+        let (_, place) = net
+            .places()
+            .find(|&(pid, _)| slacks[pid.index()] == 0)
+            .unwrap();
+        let mut forged = cert.clone();
+        forged.potentials[place.preset()[0].index()] += 1;
+        let errors = forged.check(&net, &m, rate);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("slack -1"), "{errors:?}");
+        // Lowering its consumer breaks the same place.
+        let mut forged = cert;
+        forged.potentials[place.postset()[0].index()] -= 1;
+        assert!(!forged.check(&net, &m, rate).is_empty());
+    }
+
+    #[test]
+    fn raising_a_witness_time_fails_the_check() {
+        let (mut net, m, cert, rate) = certified();
+        let CriticalWitness::Cycle(cycle) = &cert.witness else {
+            panic!("the ring is the witness");
+        };
+        let t = cycle.transitions()[0];
+        net.set_time(t, net.transition(t).time() + 1);
+        let errors = cert.check(&net, &m, rate);
+        // The witness no longer attains p/q, and the place leaving t is
+        // one q·τ short.
+        assert!(errors.iter().any(|e| e.contains("Ω/M")), "{errors:?}");
+        assert!(errors.iter().any(|e| e.contains("slack")), "{errors:?}");
+    }
+
+    #[test]
+    fn a_lowered_or_raised_cycle_time_fails_the_check() {
+        let (net, m, cert, _) = certified();
+        let alpha = cert.cycle_time;
+        for forged_alpha in [
+            Ratio::new(alpha.numer() * 10 - 1, alpha.denom() * 10),
+            Ratio::new(alpha.numer() * 10 + 1, alpha.denom() * 10),
+        ] {
+            let mut forged = cert.clone();
+            forged.cycle_time = forged_alpha;
+            // Even with the rate forged to match, the witness does not
+            // attain the forged p/q.
+            let errors = forged.check(&net, &m, forged_alpha.recip());
+            assert!(!errors.is_empty(), "{forged_alpha} passed");
+            assert!(errors.iter().any(|e| e.contains("Ω/M")), "{errors:?}");
+        }
+        // A lowered α* also breaks the potentials: the ring's places go
+        // short.
+        let mut lowered = cert.clone();
+        lowered.cycle_time = Ratio::new(alpha.numer() * 10 - 1, alpha.denom() * 10);
+        let errors = lowered.check(&net, &m, lowered.cycle_time.recip());
+        assert!(errors.iter().any(|e| e.contains("slack")), "{errors:?}");
+        // The right α* with a wrong rate fails condition (d) alone.
+        let errors = cert.check(&net, &m, Ratio::new(1, 5));
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("not q/p"), "{errors:?}");
+    }
+
+    #[test]
+    fn a_witness_that_does_not_close_fails_the_check() {
+        let (net, m, cert, rate) = certified();
+        let CriticalWitness::Cycle(cycle) = &cert.witness else {
+            panic!("the ring is the witness");
+        };
+        // The same places in another order: each still exists, but place
+        // k no longer runs from transition k to transition k + 1.
+        let mut places = cycle.places().to_vec();
+        places.rotate_left(1);
+        let mut forged = cert.clone();
+        forged.witness = CriticalWitness::Cycle(Cycle::new(cycle.transitions().to_vec(), places));
+        let errors = forged.check(&net, &m, rate);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("does not run from"), "{errors:?}");
+        // The runner-up 2-cycle closes but does not attain p/q.
+        let (t0, t1) = (TransitionId::from_index(0), TransitionId::from_index(1));
+        let (p0, chord) = (PlaceId::from_index(0), PlaceId::from_index(3));
+        forged.witness = CriticalWitness::Cycle(Cycle::new(vec![t0, t1], vec![p0, chord]));
+        let errors = forged.check(&net, &m, rate);
+        assert!(errors[0].contains("Ω/M = 3/2"), "{errors:?}");
+    }
+
+    #[test]
+    fn a_violated_self_loop_bound_fails_the_check() {
+        // A tail t3 hangs off the ring: its τ enters no place constraint,
+        // so slowing it past α* = 6 breaks condition (c) alone.
+        let (mut net, m) = ring_with_chord();
+        let tail = net.add_transition("t3", 1);
+        let feed = net.add_place("feed".to_string());
+        net.connect_tp(TransitionId::from_index(0), feed);
+        net.connect_pt(feed, tail);
+        let m = Marking::from_pairs(&net, m.marked_places().collect::<Vec<_>>());
+        let ex = explain_rate(&net, &m, 0).unwrap();
+        assert!(ex.validate(&net, &m).is_empty());
+        net.set_time(tail, 7);
+        let errors = ex.validate(&net, &m);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("outside 1 ≤ τ"), "{errors:?}");
+        // A zero execution time fails (c) as well.
+        net.set_time(tail, 0);
+        let errors = ex.validate(&net, &m);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        // A self-loop witness that does not attain p/q fails (a).
+        let (net, m, cert, rate) = certified();
+        let mut forged = cert;
+        forged.witness = CriticalWitness::SelfLoop(TransitionId::from_index(2));
+        let errors = forged.check(&net, &m, rate);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("self-loop witness"), "{errors:?}");
+    }
+
+    #[test]
+    fn the_check_reports_overflow_instead_of_wrapping() {
+        let (net, m, cert, rate) = certified();
+        let mut forged = cert;
+        forged.potentials[0] = i128::MIN;
+        let errors = forged.check(&net, &m, rate);
+        assert!(
+            errors.iter().any(|e| e.contains("does not compute")),
+            "{errors:?}"
+        );
     }
 
     #[test]

@@ -150,9 +150,17 @@ impl AnalyticSchedule {
     /// consecutive starts never share a cycle, so every word carries
     /// exactly `q` ones — the balanced placement of the periodic-regime
     /// construction (Millo & de Simone).
+    ///
+    /// Costs `O(p + q)`: the firings before the window are skipped, not
+    /// walked.
     pub fn issue_word(&self, t: TransitionId) -> Vec<bool> {
         let mut word = vec![false; self.period as usize];
-        for j in 0.. {
+        // S_t(j) ≤ anchor − 1 whenever σ'_t + j·p ≤ q·(anchor − 1), so
+        // every firing before `first` precedes the window.
+        let (p, q) = (self.period as i128, self.iterations as i128);
+        let before = q * (self.anchor as i128 - 1) - self.offsets[t.index()];
+        let first = if before > 0 { (before / p) as u64 } else { 0 };
+        for j in first.. {
             let s = self.start_time(t, j);
             if s >= self.anchor + self.period {
                 break;
@@ -373,6 +381,38 @@ mod tests {
                 let hits = (0..8).any(|j| a.start_time(t, j) == cycle);
                 assert_eq!(fired, hits, "transition {idx}, cycle {cycle}");
             }
+        }
+        // A 40-node chain in front of the 5/2 ring puts the window far
+        // past the first firings; the word still matches a scan from
+        // iteration zero.
+        let mut b = SdspBuilder::new();
+        let mut prev = b.node("c0", OpKind::Id, [Operand::env("X", 0)]);
+        for i in 1..40 {
+            prev = b.node(format!("c{i}"), OpKind::Id, [Operand::node(prev)]);
+        }
+        let u = b.node("u", OpKind::Add, [Operand::node(prev), Operand::lit(0.0)]);
+        let v1 = b.node("v1", OpKind::Id, [Operand::node(u)]);
+        let v2 = b.node("v2", OpKind::Id, [Operand::node(v1)]);
+        let v3 = b.node("v3", OpKind::Id, [Operand::node(v2)]);
+        let w = b.node("w", OpKind::Id, [Operand::feedback(v3, 1)]);
+        b.set_operand(u, 1, Operand::feedback(w, 1));
+        let sdsp = b.finish().unwrap();
+        let pn = to_petri(&sdsp);
+        let a = AnalyticSchedule::for_sdsp_pn(&pn).unwrap();
+        assert!(a.anchor() > a.period(), "the window should start late");
+        assert!(a.iterations_per_period() > 1, "a fractional rate");
+        for t in pn.net.transition_ids() {
+            let mut scanned = vec![false; a.period() as usize];
+            for j in 0.. {
+                let s = a.start_time(t, j);
+                if s >= a.anchor() + a.period() {
+                    break;
+                }
+                if s >= a.anchor() {
+                    scanned[(s - a.anchor()) as usize] = true;
+                }
+            }
+            assert_eq!(a.issue_word(t), scanned, "transition {t}");
         }
         // Integer case: exactly one start per word.
         let pn = to_petri(&l2());

@@ -1327,8 +1327,16 @@ mod tests {
         assert!(first.ok, "{}", first.line);
         assert!(first.line.contains("\"validated\":true"));
         assert!(first.line.contains("\"engine_resolved\":\"analytic\""));
+        // The certificate replaced the enumerated cycle table.
+        assert!(
+            first.line.contains("\"certificate\":{\"p\":"),
+            "{}",
+            first.line
+        );
+        assert!(!first.line.contains("\"cycles\""), "{}", first.line);
         let second = service.call(request(2, Verb::Explain)).unwrap();
         assert!(second.cache_hit);
+        assert_eq!(first.line.replace("\"id\":1,", "\"id\":2,"), second.line);
     }
 
     #[test]

@@ -822,25 +822,46 @@ pub fn trace_payload(
     })
 }
 
-/// One cycle row of the `explain` payload.
+/// One transition row of the `explain` certificate.
 #[derive(Serialize)]
-pub struct ExplainCycleJson {
-    /// Names of the loop nodes (and liveness buffers) on the cycle.
-    pub transitions: Vec<String>,
-    /// `Ω(C)`: summed execution time of the cycle's transitions.
-    pub total_time: u64,
-    /// `M(C)`: the cycle's token count.
-    pub token_count: u64,
-    /// `Ω(C)/M(C)` as an exact ratio string.
-    pub cycle_time: String,
-    /// `Ω(C)/M(C)` as an exact `{num, den}` pair.
-    pub cycle_time_rational: RationalJson,
-    /// `α* − Ω(C)/M(C)` as an exact ratio string (zero iff critical).
-    pub slack: String,
-    /// The slack as an exact `{num, den}` pair.
-    pub slack_rational: RationalJson,
-    /// Whether this cycle attains `α*`.
-    pub critical: bool,
+pub struct ExplainTransitionJson {
+    /// The loop node (or liveness buffer).
+    pub name: String,
+    /// Its execution time `τ`.
+    pub time: u64,
+    /// Its scaled potential `σ′`.
+    pub potential: i128,
+}
+
+/// One place row of the `explain` certificate.
+#[derive(Serialize)]
+pub struct ExplainPlaceJson {
+    /// The producer `u`, as an index into the transition rows.
+    pub from: usize,
+    /// The consumer `v`, as an index into the transition rows.
+    pub to: usize,
+    /// The tokens `m` the place holds initially.
+    pub tokens: u32,
+    /// `σ′_v − σ′_u − (q·τ_u − p·m)`: never negative, zero on every
+    /// critical cycle.
+    pub slack: i128,
+}
+
+/// The rate certificate of the `explain` payload: with it a client
+/// re-checks `α* = p/q` without the net.
+#[derive(Serialize)]
+pub struct ExplainCertificateJson {
+    /// `p` of `α* = p/q`.
+    pub p: u64,
+    /// `q` of `α* = p/q`.
+    pub q: u64,
+    /// Every transition, in net order.
+    pub transitions: Vec<ExplainTransitionJson>,
+    /// Every place, by ascending slack, then in net order.
+    pub places: Vec<ExplainPlaceJson>,
+    /// Positions in `places` of the witness cycle's places, in walk
+    /// order (empty for a self-loop witness).
+    pub witness_places: Vec<usize>,
 }
 
 /// One issue-word row of the `explain` payload.
@@ -881,10 +902,8 @@ pub struct ExplainJson {
     pub total_time: Option<u64>,
     /// `M(C)` of the witness cycle (`null` for a self-loop witness).
     pub token_count: Option<u64>,
-    /// Every simple cycle, critical first then by ascending slack;
-    /// `null` when the net exceeded the enumeration budget (the witness
-    /// above is still exact).
-    pub cycles: Option<Vec<ExplainCycleJson>>,
+    /// The rate certificate: potentials and per-place slack.
+    pub certificate: ExplainCertificateJson,
     /// The engine the compile options asked for.
     pub engine_configured: String,
     /// The engine actually used after `auto` resolution.
@@ -901,7 +920,8 @@ pub struct ExplainJson {
     pub issue_anchor: Option<u64>,
     /// Balanced issue words, one row per loop node (marked graphs only).
     pub issue_words: Option<Vec<ExplainWordJson>>,
-    /// Whether every reported quantity re-derived exactly in process.
+    /// Whether the certificate checked in process, the rate is the exact
+    /// reciprocal of `α*`, and the issue words are balanced.
     pub validated: bool,
     /// The discrepancies found during re-validation (empty when
     /// `validated`).
@@ -927,21 +947,32 @@ pub fn explain_payload(lp: &CompiledLoop, file: Option<String>) -> Result<Explai
         witness_self_loop: e.witness_self_loop.clone(),
         total_time: e.total_time,
         token_count: e.token_count,
-        cycles: e.cycles.as_ref().map(|cycles| {
-            cycles
+        certificate: ExplainCertificateJson {
+            p: e.certificate.p,
+            q: e.certificate.q,
+            transitions: e
+                .certificate
+                .transitions
                 .iter()
-                .map(|c| ExplainCycleJson {
-                    transitions: c.transitions.clone(),
-                    total_time: c.total_time,
-                    token_count: c.token_count,
-                    cycle_time: c.cycle_time.to_string(),
-                    cycle_time_rational: c.cycle_time.into(),
-                    slack: c.slack.to_string(),
-                    slack_rational: c.slack.into(),
-                    critical: c.critical,
+                .map(|t| ExplainTransitionJson {
+                    name: t.name.clone(),
+                    time: t.time,
+                    potential: t.potential,
                 })
-                .collect()
-        }),
+                .collect(),
+            places: e
+                .certificate
+                .places
+                .iter()
+                .map(|pl| ExplainPlaceJson {
+                    from: pl.from,
+                    to: pl.to,
+                    tokens: pl.tokens,
+                    slack: pl.slack,
+                })
+                .collect(),
+            witness_places: e.certificate.witness_places.clone(),
+        },
         engine_configured: e.engine.configured.as_str().into(),
         engine_resolved: e.engine.resolved.as_str().into(),
         marked_graph: e.engine.marked_graph,
@@ -1089,7 +1120,8 @@ impl JsonValue {
 
 /// The deepest nesting of objects and arrays [`parse_json`] accepts. The
 /// deepest request has 3 levels (envelope, `body`, `options`) and the
-/// deepest response the router re-parses has 5 (in `explain`); the cap
+/// deepest response the router re-parses has 5 (`explain`'s certificate
+/// rows); the cap
 /// keeps a hostile line from overflowing the parsing thread's stack.
 pub const MAX_DEPTH: usize = 64;
 
@@ -1639,6 +1671,28 @@ mod tests {
         assert_eq!(payload.engine_resolved, "analytic");
         let words = payload.issue_words.as_ref().expect("marked graph");
         assert!(!words.is_empty());
+        // The certificate re-checks from the payload alone: every place
+        // meets its constraint, every τ its self-loop bound, and the
+        // witness attains p/q through zero-slack places.
+        let cert = &payload.certificate;
+        let (p, q) = (i128::from(cert.p), i128::from(cert.q));
+        for pl in &cert.places {
+            let (u, v) = (&cert.transitions[pl.from], &cert.transitions[pl.to]);
+            let weight = q * i128::from(u.time) - p * i128::from(pl.tokens);
+            assert!(v.potential - u.potential >= weight);
+            assert_eq!(pl.slack, v.potential - u.potential - weight);
+        }
+        assert!(cert.transitions.iter().all(|t| q * i128::from(t.time) <= p));
+        let (mut omega, mut tokens) = (0, 0);
+        for (k, &row) in cert.witness_places.iter().enumerate() {
+            let next = cert.witness_places[(k + 1) % cert.witness_places.len()];
+            assert_eq!(cert.places[row].to, cert.places[next].from);
+            assert_eq!(cert.places[row].slack, 0);
+            omega += i128::from(cert.transitions[cert.places[row].from].time);
+            tokens += i128::from(cert.places[row].tokens);
+        }
+        assert!(tokens > 0);
+        assert_eq!(q * omega, p * tokens);
         // The payload is a single serializable line.
         let line = serde_json::to_string(&payload).unwrap();
         assert!(!line.contains('\n'));

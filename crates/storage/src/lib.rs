@@ -255,25 +255,35 @@ pub fn minimize_storage_steps(
     let target = arcs.critical_ratio()?.cycle_time;
     let mut check = MergeCheck::new(&arcs, place_of_ack, target)?;
 
-    let mut current = sdsp.clone();
-    let mut tokens: Vec<u32> = current
-        .acks()
-        .map(|(_, a)| {
+    // The acknowledgements in the greedy's order, with the initial tokens
+    // on each one's chain.
+    let mut acks: Vec<AckArc> = sdsp.acks().map(|(_, a)| a.clone()).collect();
+    let mut tokens: Vec<u32> = acks
+        .iter()
+        .map(|a| {
             a.covers
                 .iter()
-                .map(|&arc| current.arc(arc).initial_tokens())
+                .map(|&arc| sdsp.arc(arc).initial_tokens())
                 .sum()
         })
         .collect();
     let mut merges = 0usize;
     while merges < max_merges {
-        let Some((next, i, j)) = next_merge(&current, &tokens, &mut check) else {
+        let Some((merged, i, j)) = next_merge(&acks, sdsp.num_nodes(), &tokens, &mut check) else {
             break;
         };
         tokens = merged_order(tokens.iter().copied(), i, j, tokens[i] + tokens[j]);
-        current = next;
+        acks = merged_order(acks.into_iter(), i, j, merged);
         merges += 1;
     }
+    // Every merge joins two valid chains into one valid chain: chain i
+    // ends where chain j begins, so the covers stay contiguous; the
+    // capacity is the smaller of two capacities ≥ 1; `next_merge` bounds
+    // the chain's tokens by it; and i ≠ j, so every data arc is still
+    // covered exactly once. Validation therefore cannot fail here, and
+    // validating once, not once per merge, is enough. An error is a bug in
+    // that argument, and is returned rather than hidden.
+    let current = sdsp.with_acks(acks)?;
 
     let groups = current
         .acks()
@@ -294,16 +304,16 @@ pub fn minimize_storage_steps(
 }
 
 /// The greedy's next merge: the first admitted candidate `(i, j)` in
-/// acknowledgement order, applied to `current`, with `check` committed to
-/// it. `tokens[k]` counts the initial tokens on acknowledgement `k`'s
-/// chain.
+/// acknowledgement order, as the merged acknowledgement, with `check`
+/// committed to it. `tokens[k]` counts the initial tokens on
+/// acknowledgement `k`'s chain, and `nodes` is the loop's node count.
 fn next_merge(
-    current: &Sdsp,
+    acks: &[AckArc],
+    nodes: usize,
     tokens: &[u32],
     check: &mut MergeCheck,
-) -> Option<(Sdsp, usize, usize)> {
-    let acks: Vec<&AckArc> = current.acks().map(|(_, a)| a).collect();
-    let partners = ByTo::new(&acks, current.num_nodes());
+) -> Option<(AckArc, usize, usize)> {
+    let partners = ByTo::new(acks, nodes);
     for (i, ack) in acks.iter().enumerate() {
         // Chain i ends where chain j begins.
         for &j in partners.get(ack.from) {
@@ -312,12 +322,13 @@ fn next_merge(
             }
             let capacity = ack.capacity.min(acks[j].capacity);
             let Some(free) = capacity.checked_sub(tokens[i] + tokens[j]) else {
-                continue; // overfull: `with_acks` rejects it
+                continue; // overfull: more live values than locations
             };
             let (from, to) = (acks[j].from, ack.to);
             let Some(merge) = check.admits(i, j, from.index(), to.index(), free) else {
                 continue;
             };
+            check.commit(merge);
             let mut covers = ack.covers.clone();
             covers.extend_from_slice(&acks[j].covers);
             let merged = AckArc {
@@ -326,13 +337,7 @@ fn next_merge(
                 covers,
                 capacity,
             };
-            let rest = acks.iter().map(|&a| a.clone());
-            let Ok(next) = current.with_acks(merged_order(rest, i, j, merged)) else {
-                check.rollback();
-                continue;
-            };
-            check.commit(merge);
-            return Some((next, i, j));
+            return Some((merged, i, j));
         }
     }
     None
@@ -358,7 +363,7 @@ struct ByTo {
 }
 
 impl ByTo {
-    fn new(acks: &[&AckArc], nodes: usize) -> Self {
+    fn new(acks: &[AckArc], nodes: usize) -> Self {
         let mut start = vec![0usize; nodes + 1];
         for ack in acks {
             start[ack.to.index() + 1] += 1;

@@ -2,18 +2,26 @@
 //! population passes the full differential oracle stack, frustum
 //! detection on single-critical-cycle nets stays inside the proven §4
 //! polynomial bounds (with the bound constants pinned), injected rate
-//! bugs are caught by at least two independent oracles, and per-component
-//! cycle times of a disjoint union match each part solved alone.
+//! bugs are caught by at least two independent oracles, per-component
+//! cycle times of a disjoint union match each part solved alone, and the
+//! rate certificate `explain` serves checks on the Livermore kernels and
+//! synthetic loops up to 512 nodes.
 
 use proptest::prelude::*;
-use tpn_conform::{check_mutated, check_sdsp, Mutation, MutationOutcome, OracleConfig, Shape};
+use tpn_conform::{
+    check_certificate, check_mutated, check_sdsp, Mutation, MutationOutcome, OracleConfig, Shape,
+};
 use tpn_dataflow::to_petri::to_petri;
+use tpn_dataflow::Sdsp;
+use tpn_livermore::synth::{chain, generate, recurrence_ring, SynthConfig};
 use tpn_petri::gen::MarkedGraphGen;
 use tpn_petri::ratio::{analyze_cycles, component_cycle_times, critical_ratio};
+use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::bounds::{
     bd_sdsp, theoretical_steps_multiple_critical, theoretical_steps_single_critical, BoundCheck,
 };
 use tpn_sched::frustum::detect_frustum_eager;
+use tpn_sched::schedule::LoopSchedule;
 
 fn shapes() -> impl Strategy<Value = Shape> {
     prop::sample::select(Shape::ALL.to_vec())
@@ -27,6 +35,74 @@ fn bound_constants_are_pinned() {
         assert_eq!(bd_sdsp(n), 2 * n as u64);
         assert_eq!(theoretical_steps_single_critical(n), (n as u64).pow(4));
         assert_eq!(theoretical_steps_multiple_critical(n), (n as u64).pow(3));
+    }
+}
+
+/// Oracle 7's certificate checks ([`check_certificate`]) on one loop: the
+/// certificate checks, both engines' kernel II equal its `p/q` (on
+/// weakly connected bodies, which have one kernel), and, whenever Johnson
+/// enumeration completes within 4096 cycles, the slack table agrees with
+/// every enumerated cycle.
+fn certificate_disagreements(sdsp: &Sdsp) -> Vec<String> {
+    let pn = to_petri(sdsp);
+    let rate = critical_ratio(&pn.net, &pn.marking).unwrap().rate;
+    let analysis = analyze_cycles(&pn.net, &pn.marking, 4096).ok();
+    let mut kernel_iis = Vec::new();
+    if sdsp.is_weakly_connected() {
+        let analytic = AnalyticSchedule::for_sdsp_pn(&pn).unwrap();
+        let schedule = analytic.loop_schedule(sdsp, &pn);
+        kernel_iis.push(("analytic", schedule.initiation_interval()));
+        let budget = (64 * sdsp.num_nodes() as u64).max(100_000);
+        let frustum = detect_frustum_eager(&pn.net, pn.marking.clone(), budget).unwrap();
+        let schedule = LoopSchedule::from_frustum(sdsp, &pn, &frustum).unwrap();
+        kernel_iis.push(("frustum", schedule.initiation_interval()));
+    }
+    check_certificate(&pn, rate, analysis.as_ref(), &kernel_iis)
+}
+
+/// The paper's Livermore kernels, and chains and whole-body recurrence
+/// rings from 1 to 512 nodes: far past `tpn_sched::exact`'s 12-transition
+/// optimality gate, the certificate proves the kernel II optimal.
+#[test]
+fn rate_certificates_check_on_the_kernels_and_synthetic_loops() {
+    let mut loops: Vec<(String, Sdsp)> = tpn_livermore::kernels()
+        .into_iter()
+        .map(|k| (k.name.to_string(), k.sdsp()))
+        .collect();
+    for n in [1usize, 2, 13, 64, 512] {
+        loops.push((format!("chain/{n}"), chain(n)));
+        loops.push((format!("ring/{n}"), recurrence_ring(n)));
+    }
+    for (name, sdsp) in &loops {
+        let disagreements = certificate_disagreements(sdsp);
+        assert!(disagreements.is_empty(), "{name}: {disagreements:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random forward bodies with planted recurrences, up to 512 nodes.
+    #[test]
+    fn rate_certificates_check_on_random_synthetic_loops(
+        seed in any::<u64>(),
+        nodes in 1usize..513,
+        recurrences in 0usize..6,
+        distance in 1u32..4,
+    ) {
+        let sdsp = generate(&SynthConfig {
+            nodes,
+            forward_density: 0.7,
+            recurrences,
+            distance,
+            seed,
+        });
+        let disagreements = certificate_disagreements(&sdsp);
+        prop_assert!(
+            disagreements.is_empty(),
+            "seed {seed}, {nodes} nodes, {recurrences} recurrences at distance {distance}: {:?}",
+            disagreements
+        );
     }
 }
 
