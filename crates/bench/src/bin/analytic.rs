@@ -15,6 +15,10 @@
 //! potentials) instead of enumerating cycles, so it costs a few solves at
 //! any size, and checking the certificate costs one pass over the places.
 //!
+//! A fourth group times the paper's own method on its heaviest served
+//! replies: checking and rendering a chain's firing trace, per event, and
+//! detecting the frustum of a chain's depth-8 SCP run, per instant.
+//!
 //! Run: `cargo run --release -p tpn-bench --bin analytic [-- --json]
 //! [-- --bench-json FILE]`; `--bench-json` additionally writes the
 //! before/after comparison in the `BENCH_*.json` house format.
@@ -22,15 +26,19 @@
 use std::time::Instant;
 
 use serde::Serialize;
-use tpn::CompiledLoop;
+use tpn::{CompiledLoop, ISSUE_WORDS_BUDGET};
 use tpn_bench::{emit, table};
 use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::Sdsp;
 use tpn_livermore::synth::{chain, recurrence_ring};
 use tpn_petri::ratio::{critical_ratio, explain_rate};
 use tpn_sched::analytic::AnalyticSchedule;
-use tpn_sched::frustum::detect_frustum_eager;
+use tpn_sched::frustum::{detect_frustum, detect_frustum_eager};
+use tpn_sched::policy::FifoPolicy;
 use tpn_sched::schedule::LoopSchedule;
+use tpn_sched::scp::build_scp;
+use tpn_sched::trace::FiringTrace;
+use tpn_sched::validate::replay_trace;
 use tpn_storage::minimize_storage;
 
 /// Frustum measurement ceiling: above this the simulated engine's
@@ -102,19 +110,16 @@ struct ExplainRow {
     n: usize,
     /// Places of the SDSP-PN: the certificate has one slack row each.
     places: usize,
-    /// `CompiledLoop::explain` on a freshly built loop, best of the reps;
-    /// `None` past [`WORDS_LIMIT`].
-    explain_ns: Option<u128>,
+    /// Characters of the issue words, `T·p`; `explain` renders them only
+    /// up to `ISSUE_WORDS_BUDGET`.
+    words: u64,
+    /// `CompiledLoop::explain` on a freshly built loop, best of the reps.
+    explain_ns: u128,
     /// The certificate check alone, best of the reps.
     certify_ns: u128,
     /// One `critical_ratio` on the loop's SDSP-PN, best of the same reps.
     solve_ns: u128,
 }
-
-/// `explain`'s issue words hold one character per transition per cycle of
-/// the period: 2.5·10⁹ on `recurrence_ring(50000)`. Past this many, the
-/// row times the certificate and the solve but not `explain`.
-const WORDS_LIMIT: u64 = 1 << 26;
 
 fn run_explain(shape: &'static str, sdsp: Sdsp) -> ExplainRow {
     let reps = if sdsp.num_nodes() <= 512 { 9 } else { 3 };
@@ -134,25 +139,111 @@ fn run_explain(shape: &'static str, sdsp: Sdsp) -> ExplainRow {
     );
     // Each rep explains a loop built outside the clock, so nothing is
     // memoized yet.
-    let explain_ns = (words <= WORDS_LIMIT).then(|| {
-        let mut best = u128::MAX;
-        for _ in 0..reps {
-            let lp = CompiledLoop::from_sdsp(sdsp.clone());
-            let begin = Instant::now();
-            let explanation = lp.explain().expect("synthetic loops are live");
-            best = best.min(begin.elapsed().as_nanos());
-            assert!(explanation.validated, "{:?}", explanation.validation_errors);
-        }
-        best
-    });
+    let mut explain_ns = u128::MAX;
+    for _ in 0..reps {
+        let lp = CompiledLoop::from_sdsp(sdsp.clone());
+        let begin = Instant::now();
+        let explanation = lp.explain().expect("synthetic loops are live");
+        explain_ns = explain_ns.min(begin.elapsed().as_nanos());
+        assert!(explanation.validated, "{:?}", explanation.validation_errors);
+        assert_eq!(
+            explanation.issue_words.is_some(),
+            words <= ISSUE_WORDS_BUDGET,
+            "{shape}/{}: {words} word characters",
+            sdsp.num_nodes()
+        );
+    }
     ExplainRow {
         shape,
         n: sdsp.num_nodes(),
         places: pn.net.num_places(),
+        words,
         explain_ns,
         certify_ns,
         solve_ns,
     }
+}
+
+/// A chain's plain firing trace: the replay check and the Chrome
+/// rendering, which `trace` replies run on every request.
+#[derive(Clone, Debug, Serialize)]
+struct TraceRow {
+    shape: &'static str,
+    n: usize,
+    /// Start and complete events in the trace.
+    events: usize,
+    /// `replay_trace`, best of [`TRACE_REPS`].
+    validate_ns: u128,
+    /// `FiringTrace::chrome_trace_json`, best of [`TRACE_REPS`].
+    render_ns: u128,
+}
+
+/// Frustum detection of a chain's SCP run under the FIFO issue policy,
+/// which `scp` replies run on every request.
+#[derive(Clone, Debug, Serialize)]
+struct ScpRow {
+    shape: &'static str,
+    n: usize,
+    depth: u64,
+    /// `detect_frustum` with a fresh `FifoPolicy`, best of [`TRACE_REPS`].
+    detect_ns: u128,
+    /// Instants the detection simulated.
+    instants: u64,
+}
+
+const TRACE_REPS: u32 = 7;
+
+fn detection_budget(n: usize) -> u64 {
+    (n as u64 * 70).max(100_000)
+}
+
+fn run_trace(shape: &'static str, sdsp: Sdsp) -> TraceRow {
+    let pn = to_petri(&sdsp);
+    let frustum = detect_frustum_eager(
+        &pn.net,
+        pn.marking.clone(),
+        detection_budget(sdsp.num_nodes()),
+    )
+    .expect("detection in budget");
+    let trace = FiringTrace::from_frustum(&pn.net, &pn.marking, &frustum);
+    let (validate_ns, validation) = best_of(TRACE_REPS, || {
+        replay_trace(&pn.net, &pn.marking, &trace).expect("derived traces replay")
+    });
+    assert_eq!(validation.events_checked, trace.events.len());
+    let (render_ns, _) = best_of(TRACE_REPS, || trace.chrome_trace_json());
+    TraceRow {
+        shape,
+        n: sdsp.num_nodes(),
+        events: trace.events.len(),
+        validate_ns,
+        render_ns,
+    }
+}
+
+fn run_scp(shape: &'static str, sdsp: Sdsp, depth: u64) -> ScpRow {
+    let pn = to_petri(&sdsp);
+    let model = build_scp(&pn, depth);
+    let budget = detection_budget(sdsp.num_nodes()) * depth;
+    let (detect_ns, frustum) = best_of(TRACE_REPS, || {
+        detect_frustum(
+            &model.net,
+            model.marking.clone(),
+            FifoPolicy::new(&model),
+            budget,
+        )
+        .expect("detection in budget")
+    });
+    ScpRow {
+        shape,
+        n: sdsp.num_nodes(),
+        depth,
+        detect_ns,
+        instants: frustum.stats.instants,
+    }
+}
+
+fn per(ns: u128, count: u64) -> f64 {
+    ns as f64 / count.max(1) as f64
 }
 
 /// Times `f` as the minimum over `reps` runs — the usual defence against
@@ -226,7 +317,13 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
     }
 }
 
-fn bench_json(rows: &[Row], storage: &[StorageRow], explain: &[ExplainRow]) -> String {
+fn bench_json(
+    rows: &[Row],
+    storage: &[StorageRow],
+    explain: &[ExplainRow],
+    traces: &[TraceRow],
+    scp: &[ScpRow],
+) -> String {
     let mut cases = String::new();
     for (i, r) in rows.iter().enumerate() {
         if i > 0 {
@@ -271,20 +368,52 @@ fn bench_json(rows: &[Row], storage: &[StorageRow], explain: &[ExplainRow]) -> S
     let explain_cases = explain
         .iter()
         .map(|r| {
-            let explain_ns = match r.explain_ns {
-                Some(ns) => ns.to_string(),
-                None => format!(
-                    "null,\n        \"note\": \"explain skipped: its issue words \
-                     exceed {WORDS_LIMIT} characters\""
-                ),
-            };
             format!(
-                "      \"{}/{}\": {{\n        \"explain_ns\": {explain_ns},\n        \
+                "      \"{}/{}\": {{\n        \"explain_ns\": {},\n        \
                  \"certify_ns\": {},\n        \"solve_ns\": {},\n        \
-                 \"places\": {}\n      }}",
-                r.shape, r.n, r.certify_ns, r.solve_ns, r.places
+                 \"places\": {},\n        \"words\": {},\n        \
+                 \"words_rendered\": {}\n      }}",
+                r.shape,
+                r.n,
+                r.explain_ns,
+                r.certify_ns,
+                r.solve_ns,
+                r.places,
+                r.words,
+                r.words <= ISSUE_WORDS_BUDGET
             )
         })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let trace_cases = traces
+        .iter()
+        .map(|r| {
+            format!(
+                "      \"{}/{}\": {{\n        \"events\": {},\n        \
+                 \"validate_ns\": {},\n        \"render_ns\": {},\n        \
+                 \"validate_ns_per_event\": {:.1},\n        \
+                 \"render_ns_per_event\": {:.1}\n      }}",
+                r.shape,
+                r.n,
+                r.events,
+                r.validate_ns,
+                r.render_ns,
+                per(r.validate_ns, r.events as u64),
+                per(r.render_ns, r.events as u64)
+            )
+        })
+        .chain(scp.iter().map(|r| {
+            format!(
+                "      \"{}/{}/scp{}\": {{\n        \"detect_ns\": {},\n        \
+                 \"instants\": {},\n        \"ns_per_instant\": {:.1}\n      }}",
+                r.shape,
+                r.n,
+                r.depth,
+                r.detect_ns,
+                r.instants,
+                per(r.detect_ns, r.instants)
+            )
+        }))
         .collect::<Vec<_>>()
         .join(",\n");
     format!(
@@ -297,7 +426,8 @@ fn bench_json(rows: &[Row], storage: &[StorageRow], explain: &[ExplainRow]) -> S
          simulation\",\n  \"unit\": \"ns\",\n  \"groups\": {{\n    \
          \"schedule_derivation\": {{\n{cases}\n    }},\n    \
          \"storage_minimization\": {{\n{storage_cases}\n    }},\n    \
-         \"explain\": {{\n{explain_cases}\n    }}\n  }}\n}}\n"
+         \"explain\": {{\n{explain_cases}\n    }},\n    \
+         \"trace\": {{\n{trace_cases}\n    }}\n  }}\n}}\n"
     )
 }
 
@@ -331,6 +461,11 @@ fn main() {
         run_explain("chain", chain(50_000)),
         run_explain("ring", recurrence_ring(50_000)),
     ];
+    let traces = vec![
+        run_trace("chain", chain(128)),
+        run_trace("chain", chain(512)),
+    ];
+    let scp = vec![run_scp("chain", chain(160), 8)];
     emit(&rows, |rows| {
         let mut out =
             String::from("Schedule derivation: analytic construction vs frustum simulation:\n");
@@ -409,6 +544,7 @@ fn main() {
                 "certify(ns)",
                 "solve(ns)",
                 "explain/solve",
+                "words",
             ],
             &rows
                 .iter()
@@ -417,12 +553,71 @@ fn main() {
                         r.shape.to_string(),
                         r.n.to_string(),
                         r.places.to_string(),
-                        r.explain_ns.map_or("skipped".into(), |v| v.to_string()),
+                        r.explain_ns.to_string(),
                         r.certify_ns.to_string(),
                         r.solve_ns.to_string(),
-                        r.explain_ns.map_or("-".into(), |v| {
-                            format!("{:.1}x", v as f64 / r.solve_ns.max(1) as f64)
-                        }),
+                        format!("{:.1}x", r.explain_ns as f64 / r.solve_ns.max(1) as f64),
+                        if r.words <= ISSUE_WORDS_BUDGET {
+                            r.words.to_string()
+                        } else {
+                            format!("{} (not rendered)", r.words)
+                        },
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        ));
+        out
+    });
+    emit(&traces, |rows| {
+        let mut out = String::from("\nTrace replay check and Chrome rendering:\n");
+        out.push_str(&table::render(
+            &[
+                "shape",
+                "n",
+                "events",
+                "validate(ns)",
+                "ns/event",
+                "render(ns)",
+                "ns/event",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.shape.to_string(),
+                        r.n.to_string(),
+                        r.events.to_string(),
+                        r.validate_ns.to_string(),
+                        format!("{:.1}", per(r.validate_ns, r.events as u64)),
+                        r.render_ns.to_string(),
+                        format!("{:.1}", per(r.render_ns, r.events as u64)),
+                    ]
+                })
+                .collect::<Vec<_>>(),
+        ));
+        out
+    });
+    emit(&scp, |rows| {
+        let mut out = String::from("\nSCP frustum detection (FIFO issue queue):\n");
+        out.push_str(&table::render(
+            &[
+                "shape",
+                "n",
+                "depth",
+                "detect(ns)",
+                "instants",
+                "ns/instant",
+            ],
+            &rows
+                .iter()
+                .map(|r| {
+                    vec![
+                        r.shape.to_string(),
+                        r.n.to_string(),
+                        r.depth.to_string(),
+                        r.detect_ns.to_string(),
+                        r.instants.to_string(),
+                        format!("{:.0}", per(r.detect_ns, r.instants)),
                     ]
                 })
                 .collect::<Vec<_>>(),
@@ -430,7 +625,7 @@ fn main() {
         out
     });
     if let Some(path) = bench_path {
-        std::fs::write(&path, bench_json(&rows, &storage, &explain))
+        std::fs::write(&path, bench_json(&rows, &storage, &explain, &traces, &scp))
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("bench comparison written to {path}");
     }

@@ -20,8 +20,10 @@
 //!   initiation-interval optimality cross-check on small nets;
 //! * [`reference`](mod@reference) — a naive earliest-firing stepper and full-state-key
 //!   frustum detector that shares no stepping code with the production
-//!   engine, compared with it instant by instant, and the storage greedy
-//!   that re-solves the critical ratio for every candidate merge;
+//!   engine, compared with it instant by instant, the storage greedy
+//!   that re-solves the critical ratio for every candidate merge, the
+//!   trace replay that rehashes every marking, and the `format!`-built
+//!   trace renderers;
 //! * [`chaos`] — a deterministic fault-injection mode for the compile
 //!   service, asserting byte-identity and cache coherence under
 //!   cancellations, deadline expiries and worker panics.
@@ -43,6 +45,7 @@ pub use oracle::{
     OracleConfig,
 };
 pub use reference::{
-    agree, detect_frustum_reference, minimize_storage_reference, storage_agree, ReferencePolicy,
+    agree, chrome_trace_json_reference, detect_frustum_reference, jsonl_reference,
+    minimize_storage_reference, replay_trace_reference, storage_agree, ReferencePolicy,
     ReferenceRun,
 };

@@ -23,6 +23,17 @@
 //! its critical ratio. It shares no code with the potentials check of
 //! [`tpn_storage::minimize_storage_steps`], and the two must return
 //! identical reports and acknowledgement structures.
+//!
+//! [`replay_trace_reference`] is the trace-replay validator the plain
+//! way: every event rehashes the whole marking with
+//! [`marking_digest`], where [`tpn_sched::validate::replay_trace`] keeps a
+//! running sum. The two must return the same validation or the same first
+//! violation on any event stream, genuine or tampered.
+//!
+//! [`chrome_trace_json_reference`] and [`jsonl_reference`] render a
+//! [`FiringTrace`] one `format!`-built string per item, joined at the
+//! end; the one-pass writers of [`FiringTrace`] must match them byte for
+//! byte.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -32,9 +43,11 @@ use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::{AckArc, Sdsp};
 use tpn_petri::marked::check_live;
 use tpn_petri::ratio::critical_ratio;
-use tpn_petri::timed::{state_digest, InstantaneousState, StepRecord};
+use tpn_petri::timed::{marking_digest, state_digest, InstantaneousState, StepRecord};
+use tpn_petri::trace::EventKind;
 use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
-use tpn_sched::{FrustumReport, SchedError, ScpPn};
+use tpn_sched::validate::{TraceValidation, TraceViolation};
+use tpn_sched::{FiringTrace, FrustumReport, SchedError, ScpPn};
 use tpn_storage::{minimize_storage_steps, CoalescedGroup, StorageError, StorageReport};
 
 /// Conflict resolution as the reference stepper runs it.
@@ -477,6 +490,248 @@ pub fn storage_agree(sdsp: &Sdsp, max_merges: usize) -> Result<(), String> {
             want.map(|(_, report)| report)
         )),
     }
+}
+
+/// [`tpn_sched::validate::replay_trace`] as it was first written: the same
+/// checks in the same order, with the stamped digest compared at every
+/// event against the marking rehashed from scratch, O(places) per event.
+///
+/// # Errors
+///
+/// The first [`TraceViolation`] found.
+pub fn replay_trace_reference(
+    net: &PetriNet,
+    initial: &Marking,
+    trace: &FiringTrace,
+) -> Result<TraceValidation, TraceViolation> {
+    let initial_max = (0..net.num_places())
+        .map(|i| initial.tokens(PlaceId::from_index(i)))
+        .max()
+        .unwrap_or(0);
+    let bound = initial_max.max(1);
+    let mut marking = initial.clone();
+    let mut in_flight: Vec<Option<u64>> = vec![None; net.num_transitions()];
+    let mut window_counts = vec![0u64; net.num_transitions()];
+    let mut max_tokens = initial_max;
+    let mut prev_time = 0u64;
+    for (index, e) in trace.events.iter().enumerate() {
+        if e.time < prev_time {
+            return Err(TraceViolation::TimeRegression {
+                index,
+                time: e.time,
+                prev: prev_time,
+            });
+        }
+        prev_time = e.time;
+        let t = e.transition;
+        let tau = net.transition(t).time();
+        match e.kind {
+            EventKind::Start => {
+                if in_flight[t.index()].is_some() {
+                    return Err(TraceViolation::StartWhileBusy {
+                        transition: t,
+                        time: e.time,
+                    });
+                }
+                if !marking.enables(net, t) {
+                    return Err(TraceViolation::StartWithoutTokens {
+                        transition: t,
+                        time: e.time,
+                    });
+                }
+                if e.residual != tau {
+                    return Err(TraceViolation::ResidualMismatch {
+                        transition: t,
+                        time: e.time,
+                        residual: e.residual,
+                        expected: tau,
+                    });
+                }
+                marking.consume_inputs(net, t);
+                in_flight[t.index()] = Some(e.time);
+                if e.time > trace.start_time && e.time <= trace.repeat_time {
+                    window_counts[t.index()] += 1;
+                }
+            }
+            EventKind::Complete => {
+                let Some(started) = in_flight[t.index()].take() else {
+                    return Err(TraceViolation::CompleteWithoutStart {
+                        transition: t,
+                        time: e.time,
+                    });
+                };
+                if e.time != started + tau {
+                    return Err(TraceViolation::WrongLatency {
+                        transition: t,
+                        start: started,
+                        complete: e.time,
+                        expected: tau,
+                    });
+                }
+                marking.produce_outputs(net, t);
+                for &p in net.transition(t).outputs() {
+                    let tokens = marking.tokens(p);
+                    max_tokens = max_tokens.max(tokens);
+                    if tokens > bound {
+                        return Err(TraceViolation::Unsafe {
+                            place: p,
+                            time: e.time,
+                            tokens,
+                            bound,
+                        });
+                    }
+                }
+            }
+        }
+        if e.marking_digest != marking_digest(&marking) {
+            return Err(TraceViolation::DigestMismatch {
+                index,
+                time: e.time,
+            });
+        }
+    }
+    for t in net.transition_ids() {
+        if window_counts[t.index()] == 0 {
+            return Err(TraceViolation::DeadTransition { transition: t });
+        }
+    }
+    Ok(TraceValidation {
+        events_checked: trace.events.len(),
+        max_tokens,
+        bound,
+        period: trace.period().max(1),
+        window_counts,
+    })
+}
+
+/// [`FiringTrace::chrome_trace_json`] built the plain way: one `format!`
+/// string per trace event, escaped per use, joined at the end.
+pub fn chrome_trace_json_reference(trace: &FiringTrace) -> String {
+    let mut items: Vec<String> = Vec::new();
+    let scp = trace.is_scp();
+    items.push(
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
+         \"args\":{\"name\":\"tpn earliest-firing run\"}}"
+            .to_string(),
+    );
+    items.push(meta_thread(0, "timeline"));
+    if scp {
+        items.push(meta_thread(1, "issue slot"));
+    }
+    for (idx, info) in trace.transitions.iter().enumerate() {
+        items.push(meta_thread(idx as u64 + 2, &info.name));
+    }
+    for span in &trace.spans {
+        items.push(format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":{},\"dur\":{},\"name\":{}}}",
+            span.begin,
+            span.end - span.begin,
+            json_str(&span.name)
+        ));
+    }
+    for (name, ts) in [
+        ("frustum start", trace.start_time),
+        ("frustum repeat", trace.repeat_time),
+    ] {
+        items.push(format!(
+            "{{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":{ts},\"s\":\"p\",\"name\":{}}}",
+            json_str(name)
+        ));
+    }
+    for e in &trace.events {
+        if e.kind != EventKind::Start {
+            continue;
+        }
+        let info = &trace.transitions[e.transition.index()];
+        let slice = format!(
+            "\"ts\":{},\"dur\":{},\"name\":{},\"args\":{{\"digest\":\"{:#018x}\"}}}}",
+            e.time,
+            info.time,
+            json_str(&info.name),
+            e.marking_digest
+        );
+        items.push(format!(
+            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},{slice}",
+            e.transition.index() as u64 + 2
+        ));
+        if scp && info.is_node {
+            items.push(format!("{{\"ph\":\"X\",\"pid\":1,\"tid\":1,{slice}"));
+        }
+    }
+    format!("{{\"traceEvents\":[{}]}}", items.join(","))
+}
+
+/// [`FiringTrace::jsonl`] built the plain way, one `format!` per line.
+pub fn jsonl_reference(trace: &FiringTrace) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{{\"kind\":\"meta\",\"start_time\":{},\"repeat_time\":{},\"period\":{},\
+         \"transitions\":[",
+        trace.start_time,
+        trace.repeat_time,
+        trace.period()
+    ));
+    for (i, info) in trace.transitions.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"name\":{},\"time\":{},\"node\":{}}}",
+            json_str(&info.name),
+            info.time,
+            info.is_node
+        ));
+    }
+    out.push_str("]}\n");
+    for span in &trace.spans {
+        out.push_str(&format!(
+            "{{\"kind\":\"span\",\"name\":{},\"begin\":{},\"end\":{}}}\n",
+            json_str(&span.name),
+            span.begin,
+            span.end
+        ));
+    }
+    for e in &trace.events {
+        let kind = match e.kind {
+            EventKind::Start => "start",
+            EventKind::Complete => "complete",
+        };
+        out.push_str(&format!(
+            "{{\"kind\":\"{kind}\",\"time\":{},\"transition\":{},\"name\":{},\
+             \"residual\":{},\"digest\":\"{:#018x}\"}}\n",
+            e.time,
+            e.transition.index(),
+            json_str(&trace.transitions[e.transition.index()].name),
+            e.residual,
+            e.marking_digest
+        ));
+    }
+    out
+}
+
+fn meta_thread(tid: u64, name: &str) -> String {
+    format!(
+        "{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\
+         \"args\":{{\"name\":{}}}}}",
+        json_str(name)
+    )
+}
+
+/// A JSON string literal: quotes and backslashes escaped, other control
+/// characters as `\u00XX`.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]

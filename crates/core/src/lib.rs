@@ -161,6 +161,18 @@ pub enum IssuePolicy {
 /// [`SchedError::FrustumNotFound`].
 pub const MAX_STEP_BUDGET: u64 = 1 << 20;
 
+/// The most characters [`Explanation::issue_words`] may hold. The words
+/// carry one character per loop node per cycle of the period, `T·p` in
+/// all, which is quadratic in the loop: a whole-body recurrence of `n`
+/// nodes has `p = n`. `tpnc serve` takes request lines of up to 1 MiB
+/// (`MAX_LINE` in `tpn-service`), enough source for a ring of about
+/// 40 000 nodes, whose words would take 1.6·10⁹ bytes. At 16 MiB the words
+/// of one explanation cost at most sixteen maximal request lines; past
+/// that, `issue_words` is `None` and `validated` covers the certificate
+/// alone. The words are a rendering of the analytic offsets, which
+/// `schedule` serves at any size.
+pub const ISSUE_WORDS_BUDGET: u64 = 16 << 20;
+
 /// Tunable compilation parameters, built fluent-style:
 ///
 /// ```
@@ -429,11 +441,13 @@ pub struct Explanation {
     /// The engine-decision audit.
     pub engine: EngineAudit,
     /// Balanced issue words of the analytic steady state; `None` when the
-    /// net is not a pure marked graph (no closed-form periodic regime).
+    /// net is not a pure marked graph (no closed-form periodic regime), or
+    /// when the words would exceed [`ISSUE_WORDS_BUDGET`] characters.
     pub issue_words: Option<IssueWords>,
     /// Whether every reported quantity checked out: the rate certificate
     /// passed [`RateCertificate::check`], which includes that the rate is
-    /// the exact reciprocal of `α*`, and the issue words are balanced.
+    /// the exact reciprocal of `α*`, and the issue words, when rendered,
+    /// are balanced.
     /// Always check this — `false` means the explanation caught an
     /// internal inconsistency, itemised in `validation_errors`.
     pub validated: bool,
@@ -782,7 +796,11 @@ impl CompiledLoop {
         let marked_graph = engine.marked_graph;
 
         let issue_words = if marked_graph {
-            AnalyticSchedule::for_sdsp_pn(&self.pn).ok().map(|a| {
+            let analytic = AnalyticSchedule::for_sdsp_pn(&self.pn).ok();
+            let nodes = self.pn.transition_of.len() as u64;
+            let within =
+                |a: &AnalyticSchedule| nodes.saturating_mul(a.period()) <= ISSUE_WORDS_BUDGET;
+            analytic.filter(within).map(|a| {
                 let words: Vec<(String, String)> = self
                     .pn
                     .transition_of

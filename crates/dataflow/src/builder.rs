@@ -142,8 +142,9 @@ impl SdspBuilder {
         loop {
             let sdsp = self.build_candidate();
             sdsp.validate()?;
-            let pn = crate::to_petri::to_petri(&sdsp);
-            match tpn_petri::marked::check_live(&pn.net, &pn.marking) {
+            // The arcs list the SDSP-PN's places in `to_petri`'s order, so
+            // the check reports the same cycle without naming a net.
+            match crate::to_petri::to_marked_arcs(&sdsp).0.check_live() {
                 Ok(()) => return Ok(sdsp),
                 Err(tpn_petri::PetriError::NotLive { cycle }) => {
                     let producer = self
@@ -295,6 +296,69 @@ impl SdspBuilder {
 mod tests {
     use super::*;
     use crate::graph::ArcKind;
+
+    /// `finish` as first written: each repair round checks liveness on
+    /// the named SDSP-PN that `to_petri` builds.
+    fn finish_on_named_nets(mut b: SdspBuilder) -> Result<Sdsp, DataflowError> {
+        b.expand_long_feedback();
+        loop {
+            let sdsp = b.build_candidate();
+            sdsp.validate()?;
+            let pn = crate::to_petri::to_petri(&sdsp);
+            match tpn_petri::marked::check_live(&pn.net, &pn.marking) {
+                Ok(()) => return Ok(sdsp),
+                Err(tpn_petri::PetriError::NotLive { cycle }) => {
+                    let producer = b.find_feedback_producer_on(&sdsp, &cycle).unwrap();
+                    b.buffer_feedback_of(producer);
+                }
+                Err(other) => panic!("{other}"),
+            }
+        }
+    }
+
+    #[test]
+    fn liveness_repair_matches_the_named_net_check() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Random bodies whose recurrences cross-couple at distances 1-3:
+        // the shapes that need buffers inserted, often more than one.
+        let mut repaired = 0;
+        for seed in 0..200u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(2..10usize);
+            let mut b = SdspBuilder::new();
+            let ids: Vec<NodeId> = (0..n)
+                .map(|j| {
+                    let first = if j > 0 && rng.random_range(0..3u32) > 0 {
+                        Operand::node(NodeId::from_index(rng.random_range(0..j)))
+                    } else {
+                        Operand::env("X", 0)
+                    };
+                    b.node(format!("N{j}"), OpKind::Add, [first, Operand::lit(1.0)])
+                })
+                .collect();
+            for _ in 0..rng.random_range(1..4usize) {
+                let to = ids[rng.random_range(0..n)];
+                let from = ids[rng.random_range(0..n)];
+                let distance = rng.random_range(1..4u32);
+                b.set_operand(to, 1, Operand::feedback(from, distance));
+            }
+            let fast = b.clone().finish();
+            let named = finish_on_named_nets(b.clone());
+            match (&fast, &named) {
+                (Ok(fast), Ok(named)) => {
+                    assert_eq!(
+                        crate::acode::write(fast),
+                        crate::acode::write(named),
+                        "{seed}"
+                    );
+                    repaired += usize::from(fast.num_nodes() > n);
+                }
+                _ => assert_eq!(fast.err(), named.err(), "{seed}"),
+            }
+        }
+        assert!(repaired > 20, "only {repaired} bodies needed a buffer");
+    }
 
     #[test]
     fn distance_two_inserts_buffers_and_stays_live() {

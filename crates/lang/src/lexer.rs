@@ -1,12 +1,15 @@
 //! Tokeniser for the loop language.
+//!
+//! Tokens borrow their identifiers from the source, so lexing allocates
+//! only the token vector, and a [`SpannedTok`] is `Copy`.
 
 use crate::error::{LangError, Span};
 
 /// A lexical token.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Tok {
-    /// An identifier or keyword.
-    Ident(String),
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Tok<'a> {
+    /// An identifier or keyword, borrowed from the source.
+    Ident(&'a str),
     /// A numeric literal.
     Number(f64),
     /// `:=`
@@ -51,7 +54,7 @@ pub enum Tok {
     Eof,
 }
 
-impl std::fmt::Display for Tok {
+impl std::fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "identifier {s:?}"),
@@ -81,10 +84,10 @@ impl std::fmt::Display for Tok {
 }
 
 /// A token with its source span.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpannedTok {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpannedTok<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Where it came from.
     pub span: Span,
 }
@@ -94,7 +97,7 @@ pub struct SpannedTok {
 /// # Errors
 ///
 /// [`LangError::UnexpectedChar`] and [`LangError::BadNumber`].
-pub fn lex(source: &str) -> Result<Vec<SpannedTok>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<SpannedTok<'_>>, LangError> {
     let bytes = source.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0;
@@ -216,7 +219,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, LangError> {
                     i += 1;
                 }
                 toks.push(SpannedTok {
-                    tok: Tok::Ident(source[start..i].to_string()),
+                    tok: Tok::Ident(&source[start..i]),
                     span: Span::new(start, i),
                 });
             }
@@ -235,7 +238,7 @@ pub fn lex(source: &str) -> Result<Vec<SpannedTok>, LangError> {
     Ok(toks)
 }
 
-fn tok1(tok: Tok, start: usize) -> SpannedTok {
+fn tok1(tok: Tok<'_>, start: usize) -> SpannedTok<'_> {
     SpannedTok {
         tok,
         span: Span::new(start, start + 1),
@@ -246,7 +249,7 @@ fn tok1(tok: Tok, start: usize) -> SpannedTok {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -256,14 +259,14 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Tok::Ident("A".into()),
+                Tok::Ident("A"),
                 Tok::LBracket,
-                Tok::Ident("i".into()),
+                Tok::Ident("i"),
                 Tok::RBracket,
                 Tok::Assign,
-                Tok::Ident("X".into()),
+                Tok::Ident("X"),
                 Tok::LBracket,
-                Tok::Ident("i".into()),
+                Tok::Ident("i"),
                 Tok::RBracket,
                 Tok::Plus,
                 Tok::Number(5.0),
@@ -293,7 +296,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             kinds("a // comment\n b"),
-            vec![Tok::Ident("a".into()), Tok::Ident("b".into()), Tok::Eof]
+            vec![Tok::Ident("a"), Tok::Ident("b"), Tok::Eof]
         );
     }
 

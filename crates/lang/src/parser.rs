@@ -47,18 +47,18 @@ pub fn parse(source: &str) -> Result<LoopAst, LangError> {
     Ok(ast)
 }
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &SpannedTok {
-        &self.toks[self.pos]
+impl<'a> Parser<'a> {
+    fn peek(&self) -> SpannedTok<'a> {
+        self.toks[self.pos]
     }
 
-    fn bump(&mut self) -> SpannedTok {
-        let t = self.toks[self.pos].clone();
+    fn bump(&mut self) -> SpannedTok<'a> {
+        let t = self.toks[self.pos];
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -74,34 +74,30 @@ impl Parser {
         }
     }
 
-    fn eat(&mut self, tok: &Tok, what: &str) -> Result<Span, LangError> {
-        if &self.peek().tok == tok {
+    fn eat(&mut self, tok: Tok<'_>, what: &str) -> Result<Span, LangError> {
+        if self.peek().tok == tok {
             Ok(self.bump().span)
         } else {
             Err(self.expected(what))
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<(String, Span), LangError> {
-        match &self.peek().tok {
-            Tok::Ident(s) => {
-                let s = s.clone();
-                let span = self.bump().span;
-                Ok((s, span))
-            }
+    fn ident(&mut self, what: &str) -> Result<(&'a str, Span), LangError> {
+        match self.peek().tok {
+            Tok::Ident(s) => Ok((s, self.bump().span)),
             _ => Err(self.expected(what)),
         }
     }
 
     fn keyword(&mut self, kw: &str) -> Result<Span, LangError> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Ident(s) if s == kw => Ok(self.bump().span),
             _ => Err(self.expected(&format!("`{kw}`"))),
         }
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().tok, Tok::Ident(s) if s == kw)
+        matches!(self.peek().tok, Tok::Ident(s) if s == kw)
     }
 
     fn expect_eof(&self) -> Result<(), LangError> {
@@ -122,24 +118,24 @@ impl Parser {
         } else {
             return Err(self.expected("`doall` or `do`"));
         };
-        let (index, _) = self.ident("loop index variable")?;
+        let index = self.ident("loop index variable")?.0.to_string();
         self.keyword("from")?;
         self.bound()?;
         self.keyword("to")?;
         self.bound()?;
-        self.eat(&Tok::LBrace, "`{`")?;
+        self.eat(Tok::LBrace, "`{`")?;
         let mut body = Vec::new();
         while self.peek().tok != Tok::RBrace {
             body.push(self.stmt()?);
         }
-        self.eat(&Tok::RBrace, "`}`")?;
+        self.eat(Tok::RBrace, "`}`")?;
         Ok(LoopAst { kind, index, body })
     }
 
     /// Loop bounds are documentation only (the schedule is iteration-count
     /// independent): a number or a symbolic name.
     fn bound(&mut self) -> Result<(), LangError> {
-        match &self.peek().tok {
+        match self.peek().tok {
             Tok::Number(_) | Tok::Ident(_) => {
                 self.bump();
                 Ok(())
@@ -153,17 +149,18 @@ impl Parser {
             return self.if_stmt();
         }
         let (name, start_span) = self.ident("an assignment target")?;
+        let name = name.to_string();
         let target = if self.peek().tok == Tok::LBracket {
             self.bump();
             self.ident("the loop index")?;
-            self.eat(&Tok::RBracket, "`]`")?;
+            self.eat(Tok::RBracket, "`]`")?;
             Target::Array { name }
         } else {
             Target::Scalar { name }
         };
-        self.eat(&Tok::Assign, "`:=`")?;
+        self.eat(Tok::Assign, "`:=`")?;
         let value = self.expr()?;
-        let end = self.eat(&Tok::Semi, "`;`")?;
+        let end = self.eat(Tok::Semi, "`;`")?;
         Ok(Stmt::Assign {
             target,
             value,
@@ -292,7 +289,7 @@ impl Parser {
     }
 
     fn primary(&mut self) -> Result<Expr, LangError> {
-        match self.peek().tok.clone() {
+        match self.peek().tok {
             Tok::Number(value) => {
                 let span = self.bump().span;
                 Ok(Expr::Number { value, span })
@@ -300,16 +297,16 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.eat(&Tok::RParen, "`)`")?;
+                self.eat(Tok::RParen, "`)`")?;
                 Ok(e)
             }
             Tok::Ident(name) if name == "min" || name == "max" => {
                 let start = self.bump().span;
-                self.eat(&Tok::LParen, "`(`")?;
+                self.eat(Tok::LParen, "`(`")?;
                 let a = self.expr()?;
-                self.eat(&Tok::Comma, "`,`")?;
+                self.eat(Tok::Comma, "`,`")?;
                 let b = self.expr()?;
-                let end = self.eat(&Tok::RParen, "`)`")?;
+                let end = self.eat(Tok::RParen, "`)`")?;
                 Ok(Expr::Binary {
                     op: if name == "min" {
                         BinOp::Min
@@ -321,11 +318,11 @@ impl Parser {
                     span: start.merge(end),
                 })
             }
-            Tok::Ident(name) if name == "old" => {
+            Tok::Ident("old") => {
                 let start = self.bump().span;
                 let (name, end) = self.ident("a scalar name after `old`")?;
                 Ok(Expr::Scalar {
-                    name,
+                    name: name.to_string(),
                     old: true,
                     span: start.merge(end),
                 })
@@ -334,7 +331,7 @@ impl Parser {
                 let start = self.bump().span;
                 if self.peek().tok == Tok::LBracket {
                     self.bump();
-                    let (var, _) = self.ident("a subscript variable")?;
+                    let var = self.ident("a subscript variable")?.0.to_string();
                     let mut offset = 0i64;
                     match self.peek().tok {
                         Tok::Plus | Tok::Minus => {
@@ -350,16 +347,16 @@ impl Parser {
                         }
                         _ => {}
                     }
-                    let end = self.eat(&Tok::RBracket, "`]`")?;
+                    let end = self.eat(Tok::RBracket, "`]`")?;
                     Ok(Expr::ArrayRef {
-                        array: name,
+                        array: name.to_string(),
                         var,
                         offset,
                         span: start.merge(end),
                     })
                 } else {
                     Ok(Expr::Scalar {
-                        name,
+                        name: name.to_string(),
                         old: false,
                         span: start,
                     })

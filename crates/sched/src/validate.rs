@@ -21,14 +21,17 @@
 //!   `tpn-conform`'s reference detector re-steps the net naively and
 //!   compares every instant, this validator runs no stepper at all — it
 //!   is an end-to-end oracle that the engine, the frustum detector, and
-//!   the rate analysis agree.
+//!   the rate analysis agree. It costs O(arcs) per event: the digest
+//!   it compares is a running sum over its own token moves, re-anchored
+//!   against a from-scratch hash at the window bounds and at the end
+//!   (`tpn-conform` keeps the rehash-every-event replay as a reference).
 
 use std::collections::HashMap;
 
 use tpn_dataflow::interp::{execute, Env, Trace};
 use tpn_dataflow::{DataflowError, NodeId, Operand, Sdsp};
 use tpn_petri::rational::Ratio;
-use tpn_petri::timed::marking_digest;
+use tpn_petri::timed::{marking_digest, mix64, place_word};
 use tpn_petri::trace::EventKind;
 use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
 
@@ -465,14 +468,21 @@ impl TraceValidation {
 /// `initial` and applying only recorded token movements — and checks, per
 /// event: monotone time, enabledness at starts, non-reentrance, exact
 /// firing latency `τ`, boundedness against the initial marking's maximum,
-/// and the stamped marking digest, rehashed from scratch. After replay,
-/// liveness over the window: every transition must fire in
-/// `(start_time, repeat_time]`.
+/// and the stamped marking digest. After replay, liveness over the window:
+/// every transition must fire in `(start_time, repeat_time]`.
 ///
-/// No engine, residual vector, frustum machinery or incremental hash is
-/// consulted, so this is an independent oracle for all of them (contrast
-/// `tpn-conform`'s reference detector, which re-steps the net naively
-/// under the earliest firing rule).
+/// The digest is compared at every event against a running sum of
+/// [`place_word`]s that the replay keeps over its own token moves, so an
+/// event costs O(arcs) rather than O(places). At the last event of each
+/// window bound's instant and at the final event the sum is re-anchored:
+/// the marking is rehashed from scratch with [`marking_digest`] and must
+/// agree too.
+///
+/// No engine, residual vector, frustum machinery or producer-side hash
+/// ([`MarkingHash`](tpn_petri::timed::MarkingHash)) is consulted, so this
+/// is an independent oracle for all of them (contrast `tpn-conform`'s
+/// reference detector, which re-steps the net naively under the earliest
+/// firing rule).
 ///
 /// # Errors
 ///
@@ -488,6 +498,11 @@ pub fn replay_trace(
         .unwrap_or(0);
     let bound = initial_max.max(1);
     let mut marking = initial.clone();
+    // `mix64(raw)` is the digest of `marking`: each token adds its place's
+    // word.
+    let mut raw = marking.marked_places().fold(0u64, |raw, (p, n)| {
+        raw.wrapping_add(place_word(p).wrapping_mul(u64::from(n)))
+    });
     let mut in_flight: Vec<Option<u64>> = vec![None; net.num_transitions()];
     let mut window_counts = vec![0u64; net.num_transitions()];
     let mut max_tokens = initial_max;
@@ -526,6 +541,9 @@ pub fn replay_trace(
                     });
                 }
                 marking.consume_inputs(net, t);
+                for &p in net.transition(t).inputs() {
+                    raw = raw.wrapping_sub(place_word(p));
+                }
                 in_flight[t.index()] = Some(e.time);
                 if e.time > trace.start_time && e.time <= trace.repeat_time {
                     window_counts[t.index()] += 1;
@@ -548,6 +566,7 @@ pub fn replay_trace(
                 }
                 marking.produce_outputs(net, t);
                 for &p in net.transition(t).outputs() {
+                    raw = raw.wrapping_add(place_word(p));
                     let tokens = marking.tokens(p);
                     max_tokens = max_tokens.max(tokens);
                     if tokens > bound {
@@ -561,7 +580,12 @@ pub fn replay_trace(
                 }
             }
         }
-        if e.marking_digest != marking_digest(&marking) {
+        let next = trace.events.get(index + 1).map(|n| n.time);
+        let crosses = |bound: u64| e.time <= bound && next.is_none_or(|n| n > bound);
+        let anchor = next.is_none() || crosses(trace.start_time) || crosses(trace.repeat_time);
+        if e.marking_digest != mix64(raw)
+            || (anchor && e.marking_digest != marking_digest(&marking))
+        {
             return Err(TraceViolation::DigestMismatch {
                 index,
                 time: e.time,

@@ -1014,7 +1014,7 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
             let depth = req.depth.expect("protocol validated scp depth");
             protocol::schedule_payload(&lp, Some(depth), file).map(|p| to_json(&p))
         }
-        Verb::Trace => protocol::trace_payload(&lp, req.depth, file).map(|p| to_json(&p)),
+        Verb::Trace => protocol::trace_payload_json(&lp, req.depth, file),
         Verb::Storage => protocol::storage_payload(&lp, file).map(|p| to_json(&p)),
         Verb::Explain => protocol::explain_payload(&lp, file).map(|p| to_json(&p)),
         Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal | Verb::Cancel => {

@@ -143,3 +143,76 @@ fn deadlock_prone_mixed_feedback_is_buffered_by_the_frontend() {
     let outcome = replay_semantics(lp.sdsp(), &schedule, &env, 50).expect("runs");
     assert!(outcome.semantics_preserved());
 }
+
+#[test]
+fn every_kernel_scp_engine_stats_are_pinned() {
+    // The FIFO detection run at depth 8 of each kernel, as the engine
+    // counts it: [instants, firings, completions, startable_scanned,
+    // startable_pruned]. A change to how the engine lists, gates or prunes
+    // its candidates shows here even when every schedule stays the same.
+    let pinned = [
+        ("loop1", [37, 24, 22, 31, 7]),
+        ("loop7", [117, 226, 212, 261, 35]),
+        ("loop12", [2, 2, 1, 2, 0]),
+        ("loop3", [17, 6, 5, 6, 0]),
+        ("loop5", [17, 7, 6, 7, 0]),
+        ("loop9", [103, 88, 84, 127, 39]),
+        ("loop9-doall", [112, 222, 208, 302, 80]),
+    ];
+    let all = kernels();
+    assert_eq!(all.len(), pinned.len());
+    for (kernel, (name, want)) in all.iter().zip(pinned) {
+        assert_eq!(kernel.name, name);
+        let lp = CompiledLoop::from_source(kernel.source).expect(kernel.name);
+        let s = lp.scp(8).expect(kernel.name).frustum.stats.engine;
+        let got = [
+            s.instants,
+            s.firings,
+            s.completions,
+            s.startable_scanned,
+            s.startable_pruned,
+        ];
+        assert_eq!(got, want, "{}", kernel.name);
+    }
+}
+
+#[test]
+fn every_kernel_checks_liveness_on_the_arcs_of_its_named_net() {
+    // The front end's liveness repair checks `to_marked_arcs`, not the
+    // named net: the two list the same places in the same order, so the
+    // check reports the same cycle and every repair is unchanged. The
+    // last source needs a buffer inserted.
+    let mixed = "do i from 1 to n { E[i] := S[i]; Y[i] := E[i] * 2; V[i] := E[i-1] + Y[i]; }";
+    let sources = kernels().into_iter().map(|k| k.source).chain([mixed]);
+    for source in sources {
+        let lp = CompiledLoop::from_source(source).expect(source);
+        let pn = lp.petri_net();
+        let (arcs, _) = tpn::dataflow::to_petri::to_marked_arcs(lp.sdsp());
+        assert_eq!(
+            arcs,
+            tpn_petri::marked::MarkedArcs::new(&pn.net, &pn.marking).unwrap(),
+            "{source}"
+        );
+        assert_eq!(
+            arcs.check_live(),
+            check_live(&pn.net, &pn.marking),
+            "{source}"
+        );
+    }
+}
+
+#[test]
+fn explain_renders_issue_words_only_within_the_budget() {
+    use tpn_livermore::synth::recurrence_ring;
+    // A whole-body ring of n nodes has period n, so its words take n²
+    // characters: 4 096² is exactly the budget, 4 100² is past it.
+    for (n, rendered) in [(64, true), (4_096, true), (4_100, false)] {
+        let lp = CompiledLoop::from_sdsp(recurrence_ring(n));
+        let ex = lp.explain().expect("rings are live");
+        let chars = n as u64 * n as u64;
+        assert_eq!(chars <= tpn::ISSUE_WORDS_BUDGET, rendered, "ring/{n}");
+        assert_eq!(ex.issue_words.is_some(), rendered, "ring/{n}");
+        assert!(ex.validated, "ring/{n}: {:?}", ex.validation_errors);
+        assert_eq!(ex.cycle_time, Ratio::from_integer(n as u64), "ring/{n}");
+    }
+}
