@@ -1590,8 +1590,7 @@ wat
             \"digest_candidates\":1,\"replays\":1,\"confirmed\":1,\
             \"collisions\":0,\"checkpoints\":0,\
             \"engine\":{\"instants\":3,\"firings\":3,\"completions\":2,\
-            \"startable_scanned\":3,\"startable_pruned\":0}}],\
-            \"batch\":null}}";
+            \"startable_scanned\":3,\"startable_pruned\":0}}]}}";
         assert_eq!(zero_nanos(lines[1]), EXPECTED);
     }
 

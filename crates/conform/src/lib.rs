@@ -9,7 +9,8 @@
 //!
 //! * [`gen`] — a seeded generator of live, safe SDSP loop bodies biased
 //!   toward the hard regimes (multiple critical cycles, near-critical
-//!   ties, long recurrence rings);
+//!   ties, long recurrence rings), and [`marked_gen`] — deterministic
+//!   ring/chord composition of live marked graphs;
 //! * [`oracle`] — the differential oracle stack cross-checking every
 //!   path on every generated case, plus [`oracle::Mutation`] harnesses
 //!   that prove the stack actually catches injected rate bugs;
@@ -24,6 +25,11 @@
 //!   that re-solves the critical ratio for every candidate merge, the
 //!   trace replay that rehashes every marking, and the `format!`-built
 //!   trace renderers;
+//! * [`reach`], [`invariants`] and [`coverability`] — behavioural
+//!   re-derivations of the Petri-net properties the production crates
+//!   establish structurally: explicit reachability (liveness, safety,
+//!   persistence), S/T-invariants of the incidence matrix, and the
+//!   Karp–Miller coverability tree;
 //! * [`chaos`] — a deterministic fault-injection mode for the compile
 //!   service, asserting byte-identity and cache coherence under
 //!   cancellations, deadline expiries and worker panics.
@@ -32,9 +38,13 @@
 //! cases are dumped as replayable `.sdsp` A-code files.
 
 pub mod chaos;
+pub mod coverability;
 pub mod exec;
 pub mod gen;
+pub mod invariants;
+pub mod marked_gen;
 pub mod oracle;
+pub mod reach;
 pub mod reference;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};

@@ -1,40 +1,20 @@
-//! Batched compilation: drive many loops through the pipeline
-//! concurrently on a scoped `std::thread` worker pool.
+//! A scoped `std::thread` worker pool for independent items.
 //!
-//! The [`parallel_map`] primitive distributes an item slice over a fixed
-//! number of workers (work-stealing by atomic index claiming) and returns
-//! results **in input order**, so batched runs are deterministic and
-//! bit-identical to sequential ones. [`Batch`] layers the façade on top:
-//! it compiles each source (or wraps each SDSP) with shared
-//! [`CompileOptions`] and *warms* the memoized stages — analysis, frustum
-//! detection, schedule derivation — inside the worker, so the expensive
-//! work runs concurrently and later calls on the returned
-//! [`CompiledLoop`]s are cache hits.
+//! [`parallel_map`] distributes an item slice over a fixed number of
+//! workers (work-stealing by atomic index claiming) and returns results
+//! **in input order**, so parallel runs are deterministic and
+//! bit-identical to sequential ones. `tpnc`'s multi-file invocations,
+//! `tpnc fuzz`, `tpnc serve --self-test` and the table binaries run on it.
 //!
 //! ```
-//! use tpn::batch::Batch;
+//! use tpn::batch::parallel_map;
 //!
-//! let sources = [
-//!     "do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); }",
-//!     "do i from 1 to n { A[i] := X[i] + 5; B[i] := Y[i] + A[i]; }",
-//! ];
-//! let loops = Batch::new().compile_sources(&sources);
-//! assert_eq!(loops.len(), 2);
-//! for lp in &loops {
-//!     let lp = lp.as_ref().expect("both loops compile");
-//!     assert!(lp.schedule().is_ok()); // already computed by the batch
-//! }
+//! let squares = parallel_map(&[1u64, 2, 3, 4], 2, |_, &x| x * x);
+//! assert_eq!(squares, [1, 4, 9, 16]);
 //! ```
 
-use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-use tpn_dataflow::Sdsp;
-
-use crate::metrics::{latency_histogram, BatchCounters};
-use crate::{CompileOptions, CompiledLoop, Error};
 
 /// The worker count used when none is configured: the machine's available
 /// parallelism, at least 1.
@@ -44,38 +24,9 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A panic caught inside a batch worker while it processed one item.
-///
-/// The panic is confined to the item that raised it: the worker keeps
-/// draining the queue and every other item's result is unaffected.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchPanic {
-    /// Input index of the poisoned item.
-    pub index: usize,
-    /// The panic payload, stringified (`&str` and `String` payloads are
-    /// carried verbatim).
-    pub message: String,
-}
-
-impl fmt::Display for BatchPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "batch worker panicked on item {}: {}",
-            self.index, self.message
-        )
-    }
-}
-
-impl std::error::Error for BatchPanic {}
-
-/// The raw payload of a caught panic.
-type Payload = Box<dyn std::any::Any + Send + 'static>;
-
 /// Stringifies a caught panic payload: `&str` and `String` payloads are
 /// carried verbatim, anything else becomes a placeholder. Shared with
-/// the service layer's worker pool, which isolates per-request panics
-/// the same way this pool isolates per-item ones.
+/// the service layer's worker pool, which isolates per-request panics.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -86,46 +37,39 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn payload_message(payload: &Payload) -> String {
-    panic_message(payload.as_ref())
-}
-
-/// Work-stealing core shared by every public map flavour: applies `f`
-/// under `catch_unwind`, optionally timing each item, and returns
-/// per-item results in input order plus (when `collect_stats`) the pool
-/// counters.
-fn run_items<T, R, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-    collect_stats: bool,
-) -> (Vec<Result<R, Payload>>, Option<BatchCounters>)
+/// Applies `f` to every item of `items` on `threads` scoped workers and
+/// returns the results in input order.
+///
+/// Items are claimed one at a time from a shared atomic counter, so
+/// uneven per-item costs balance across workers. `f` receives the item's
+/// index alongside the item. With `threads <= 1` (or a single item) the
+/// map runs on the calling thread — the output is identical either way.
+///
+/// # Panics
+///
+/// Propagates the panic of the lowest-index panicking item — but only
+/// after every other item has been processed (per-item panics are caught,
+/// so one poisoned item cannot abandon the rest of the batch).
+pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let started = collect_stats.then(Instant::now);
     let workers = if threads <= 1 || items.len() <= 1 {
         1
     } else {
         threads.min(items.len())
     };
-    type WorkerOut<R> = (Vec<(usize, Result<R, Payload>)>, Vec<u64>);
+    type WorkerOut<R> = Vec<(usize, std::thread::Result<R>)>;
     let run_worker = |next: &AtomicUsize| -> WorkerOut<R> {
         let mut out = Vec::new();
-        let mut latencies = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(item) = items.get(i) else { break };
-            let item_start = collect_stats.then(Instant::now);
-            let result = catch_unwind(AssertUnwindSafe(|| f(i, item)));
-            if let Some(t0) = item_start {
-                latencies.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-            }
-            out.push((i, result));
+            out.push((i, catch_unwind(AssertUnwindSafe(|| f(i, item)))));
         }
-        (out, latencies)
+        out
     };
     let next = AtomicUsize::new(0);
     let chunks: Vec<WorkerOut<R>> = if workers == 1 {
@@ -141,198 +85,13 @@ where
                 .collect()
         })
     };
-    let stats = started.map(|t0| {
-        let drain_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut all_latencies: Vec<u64> = Vec::with_capacity(items.len());
-        for (_, latencies) in &chunks {
-            all_latencies.extend_from_slice(latencies);
-        }
-        BatchCounters {
-            threads: workers,
-            items: items.len(),
-            items_per_worker: chunks.iter().map(|(out, _)| out.len() as u64).collect(),
-            drain_nanos,
-            latency: latency_histogram(&all_latencies),
-        }
-    });
-    let mut indexed: Vec<(usize, Result<R, Payload>)> =
-        chunks.into_iter().flat_map(|(out, _)| out).collect();
+    let mut indexed: WorkerOut<R> = chunks.into_iter().flatten().collect();
     indexed.sort_by_key(|(i, _)| *i);
     debug_assert_eq!(indexed.len(), items.len());
-    (indexed.into_iter().map(|(_, r)| r).collect(), stats)
-}
-
-/// Applies `f` to every item of `items` on `threads` scoped workers and
-/// returns the results in input order.
-///
-/// Items are claimed one at a time from a shared atomic counter, so
-/// uneven per-item costs balance across workers. `f` receives the item's
-/// index alongside the item. With `threads <= 1` (or a single item) the
-/// map runs on the calling thread — the output is identical either way.
-///
-/// # Panics
-///
-/// Propagates the panic of the lowest-index panicking item — but only
-/// after every other item has been processed (per-item panics are caught,
-/// so one poisoned item cannot abandon the rest of the batch). Use
-/// [`parallel_map_isolated`] to receive panics as per-item errors instead.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let (results, _) = run_items(items, threads, f, false);
-    results
+    indexed
         .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+        .map(|(_, r)| r.unwrap_or_else(|payload| resume_unwind(payload)))
         .collect()
-}
-
-/// [`parallel_map`] with per-item panic isolation: a panicking item
-/// yields `Err(`[`BatchPanic`]`)` in its slot and every other item
-/// completes normally. Results are in input order.
-pub fn parallel_map_isolated<T, R, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<Result<R, BatchPanic>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let (results, _) = run_items(items, threads, f, false);
-    to_isolated(results)
-}
-
-/// [`parallel_map_isolated`] plus pool statistics: items per worker,
-/// queue drain time, and a per-item latency histogram (the
-/// [`BatchCounters`] slot of a
-/// [`MetricsReport`](crate::metrics::MetricsReport)).
-pub fn parallel_map_profiled<T, R, F>(
-    items: &[T],
-    threads: usize,
-    f: F,
-) -> (Vec<Result<R, BatchPanic>>, BatchCounters)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let (results, stats) = run_items(items, threads, f, true);
-    (to_isolated(results), stats.expect("stats requested"))
-}
-
-fn to_isolated<R>(results: Vec<Result<R, Payload>>) -> Vec<Result<R, BatchPanic>> {
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(index, r)| {
-            r.map_err(|payload| BatchPanic {
-                index,
-                message: payload_message(&payload),
-            })
-        })
-        .collect()
-}
-
-/// A batched compilation driver: shared options, a worker pool, and
-/// warmed per-loop stage caches.
-#[derive(Clone, Debug, Default)]
-pub struct Batch {
-    options: CompileOptions,
-    threads: Option<usize>,
-}
-
-impl Batch {
-    /// A batch with default options and [`default_threads`] workers.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the [`CompileOptions`] applied to every loop in the batch.
-    #[must_use]
-    pub fn options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Fixes the worker count (default: [`default_threads`]).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// The effective worker count.
-    pub fn effective_threads(&self) -> usize {
-        self.threads.unwrap_or_else(default_threads)
-    }
-
-    /// Compiles every source concurrently, warming each loop's analysis,
-    /// frustum and schedule caches in the worker. Results are in input
-    /// order; per-source failures are per-slot `Err`s — including a panic
-    /// raised while compiling one source, which surfaces as
-    /// [`Error::Panic`] for that slot only.
-    pub fn compile_sources<S: AsRef<str> + Sync>(
-        &self,
-        sources: &[S],
-    ) -> Vec<Result<CompiledLoop, Error>> {
-        parallel_map_isolated(sources, self.effective_threads(), |_, src| {
-            let lp = CompiledLoop::from_source_with(src.as_ref(), self.options.clone())?;
-            warm(&lp);
-            Ok(lp)
-        })
-        .into_iter()
-        .map(|slot| match slot {
-            Ok(result) => result,
-            Err(panic) => Err(Error::Panic(panic)),
-        })
-        .collect()
-    }
-
-    /// Wraps every SDSP concurrently (no front-end involved), warming the
-    /// stage caches as [`compile_sources`](Self::compile_sources) does.
-    pub fn compile_sdsps(&self, sdsps: &[Sdsp]) -> Vec<CompiledLoop> {
-        parallel_map(sdsps, self.effective_threads(), |_, sdsp| {
-            let lp = CompiledLoop::from_sdsp_with(sdsp.clone(), self.options.clone());
-            warm(&lp);
-            lp
-        })
-    }
-
-    /// Runs `f` over already-compiled loops on the batch's worker pool —
-    /// the generic escape hatch for custom per-loop stages (SCP runs,
-    /// storage rewrites, report rendering, …). Results are in input order.
-    pub fn map<R, F>(&self, loops: &[CompiledLoop], f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&CompiledLoop) -> R + Sync,
-    {
-        parallel_map(loops, self.effective_threads(), |_, lp| f(lp))
-    }
-
-    /// [`map`](Self::map) with per-loop panic isolation: a panicking stage
-    /// poisons only its own slot (see [`parallel_map_isolated`]).
-    pub fn map_isolated<R, F>(&self, loops: &[CompiledLoop], f: F) -> Vec<Result<R, BatchPanic>>
-    where
-        R: Send,
-        F: Fn(&CompiledLoop) -> R + Sync,
-    {
-        parallel_map_isolated(loops, self.effective_threads(), |_, lp| f(lp))
-    }
-}
-
-/// Forces the memoized stages whose results every downstream consumer
-/// needs. Errors are not propagated here — they are memoized too, and
-/// surface (cheaply) when the stage accessor is called.
-fn warm(lp: &CompiledLoop) {
-    let _ = lp.analyze();
-    if lp.frustum().is_ok() {
-        let _ = lp.schedule();
-        let _ = lp.rate_report();
-    }
 }
 
 #[cfg(test)]
@@ -355,40 +114,5 @@ mod tests {
         let seq = parallel_map(&items, 1, |_, &x| x * x);
         let par = parallel_map(&items, 4, |_, &x| x * x);
         assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn batch_matches_sequential_compilation() {
-        let sources = [
-            "do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); }",
-            "do i from 1 to n { A[i] := X[i] + 5; B[i] := Y[i] + A[i]; }",
-            "not a loop at all",
-        ];
-        let batched = Batch::new().threads(3).compile_sources(&sources);
-        for (src, got) in sources.iter().zip(&batched) {
-            match CompiledLoop::from_source(src) {
-                Ok(expected) => {
-                    let got = got.as_ref().expect(src);
-                    assert_eq!(
-                        got.schedule().unwrap().kernel(),
-                        expected.schedule().unwrap().kernel()
-                    );
-                    assert_eq!(got.analyze().unwrap(), expected.analyze().unwrap());
-                }
-                Err(expected) => {
-                    assert_eq!(got.as_ref().unwrap_err(), &expected);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_applies_shared_options() {
-        let sources = ["do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); }"];
-        let loops = Batch::new()
-            .options(CompileOptions::new().node_time(2))
-            .compile_sources(&sources);
-        let lp = loops[0].as_ref().unwrap();
-        assert_eq!(lp.analyze().unwrap().optimal_rate.to_string(), "1/4");
     }
 }

@@ -5,8 +5,8 @@
 //! makes the recording part first-class for the whole pipeline:
 //!
 //! * **stage spans** — wall-clock time of each pipeline stage (parse,
-//!   lower, to_petri, frustum detection, SCP expansion, steady-state
-//!   coalescing, storage minimisation), collected by a [`Profiler`]
+//!   lower, to_petri, frustum detection, SCP expansion, storage
+//!   minimisation), collected by a [`Profiler`]
 //!   attached to a [`CompiledLoop`](crate::CompiledLoop) when
 //!   [`CompileOptions::profile`](crate::CompileOptions::profile) is set;
 //! * **engine counters** — instants simulated, transitions fired,
@@ -15,9 +15,7 @@
 //! * **detection counters** — digest candidate hits versus
 //!   replay-confirmed repetitions, checkpoints written
 //!   ([`DetectionCounters`], mirroring
-//!   [`tpn_sched::frustum::DetectionStats`]);
-//! * **batch counters** — items per worker, queue drain time and a
-//!   per-item latency histogram from the [`batch`](crate::batch) pool.
+//!   [`tpn_sched::frustum::DetectionStats`]).
 //!
 //! Everything funnels into one stable serde type, [`MetricsReport`],
 //! surfaced as `tpnc --profile` (text and `--format json`) and by the
@@ -279,24 +277,8 @@ pub struct ServiceCounters {
     pub store: Option<StoreCounters>,
 }
 
-/// Worker-pool statistics for one batched run (see
-/// [`batch::parallel_map_profiled`](crate::batch::parallel_map_profiled)).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct BatchCounters {
-    /// Workers the pool ran with.
-    pub threads: usize,
-    /// Items processed.
-    pub items: usize,
-    /// Items each worker claimed (length = `threads`).
-    pub items_per_worker: Vec<u64>,
-    /// Wall-clock nanoseconds from first claim to full queue drain.
-    pub drain_nanos: u64,
-    /// Per-item latency histogram.
-    pub latency: Vec<HistogramBucket>,
-}
-
 /// The full profile of a compilation: stage spans, aggregated engine
-/// counters, per-detection counters, and (for batched runs) pool stats.
+/// counters and per-detection counters.
 ///
 /// This is the stable serde payload behind `tpnc --profile --format json`
 /// and the bench binaries' `--profile` output.
@@ -309,8 +291,6 @@ pub struct MetricsReport {
     pub engine: EngineCounters,
     /// One entry per detection run (plain frustum, SCP depths).
     pub detections: Vec<DetectionCounters>,
-    /// Worker-pool stats, present for batched runs.
-    pub batch: Option<BatchCounters>,
 }
 
 impl MetricsReport {
@@ -349,25 +329,6 @@ impl MetricsReport {
                 d.checkpoints
             );
         }
-        if let Some(b) = &self.batch {
-            let _ = writeln!(
-                out,
-                "  batch: {} items on {} workers, drain {:.3} us, per-worker {:?}",
-                b.items,
-                b.threads,
-                b.drain_nanos as f64 / 1e3,
-                b.items_per_worker
-            );
-            for bucket in &b.latency {
-                if bucket.count > 0 {
-                    let _ = writeln!(
-                        out,
-                        "    latency <= {:>8} us: {}",
-                        bucket.le_micros, bucket.count
-                    );
-                }
-            }
-        }
         out
     }
 }
@@ -378,9 +339,8 @@ impl MetricsReport {
 // Counters end in `_total`, gauges are bare, and the power-of-two
 // latency histograms map onto native Prometheus histograms: per-bucket
 // counts become cumulative `_bucket{le="..."}` samples plus `+Inf`,
-// `_count` is the sample size, and `_sum` is either the exact sum (the
-// service tracks one) or an upper-bound estimate from bucket bounds
-// (batch pools only keep the histogram).
+// `_count` is the sample size, and `_sum` is the exact sum the service
+// tracks beside the histogram.
 // ---------------------------------------------------------------------
 
 /// The content type Prometheus scrapers expect for [`prometheus_service`]
@@ -410,16 +370,6 @@ fn prom_metric(out: &mut String, name: &str, kind: &str, help: &str, samples: &[
 
 fn prom_scalar(out: &mut String, name: &str, kind: &str, help: &str, value: u64) {
     prom_metric(out, name, kind, help, &[(String::new(), value)]);
-}
-
-/// Upper-bound estimate of the sum of a histogram's samples, from each
-/// bucket's inclusive upper bound. Used as `_sum` when the exact sum was
-/// not tracked alongside the histogram.
-pub fn histogram_upper_sum_micros(buckets: &[HistogramBucket]) -> u64 {
-    buckets
-        .iter()
-        .map(|b| b.le_micros.saturating_mul(b.count))
-        .fold(0, u64::saturating_add)
 }
 
 fn prom_histogram(
@@ -628,8 +578,8 @@ pub fn prometheus_service(c: &ServiceCounters) -> String {
     out
 }
 
-/// Renders a [`MetricsReport`] (stage spans, engine/detection counters,
-/// batch pool stats) as a Prometheus text exposition. The payload behind
+/// Renders a [`MetricsReport`] (stage spans, engine/detection counters)
+/// as a Prometheus text exposition. The payload behind
 /// `tpnc --format prometheus`.
 pub fn prometheus_report(r: &MetricsReport) -> String {
     let mut out = String::new();
@@ -744,36 +694,6 @@ pub fn prometheus_report(r: &MetricsReport) -> String {
             "counter",
             "Packed checkpoints written along the trace.",
             &checkpoints,
-        );
-    }
-    if let Some(b) = &r.batch {
-        prom_scalar(
-            &mut out,
-            "tpn_batch_threads",
-            "gauge",
-            "Workers the batch pool ran with.",
-            b.threads as u64,
-        );
-        prom_scalar(
-            &mut out,
-            "tpn_batch_items",
-            "gauge",
-            "Items processed by the batch pool.",
-            b.items as u64,
-        );
-        prom_scalar(
-            &mut out,
-            "tpn_batch_drain_nanos",
-            "gauge",
-            "Wall-clock nanoseconds from first claim to full queue drain.",
-            b.drain_nanos,
-        );
-        prom_histogram(
-            &mut out,
-            "tpn_batch_item_duration_micros",
-            "Per-item batch latency, microseconds (sum is an upper-bound estimate).",
-            &b.latency,
-            histogram_upper_sum_micros(&b.latency),
         );
     }
     out
@@ -945,7 +865,7 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_report_covers_stages_detections_and_batch() {
+    fn prometheus_report_covers_stages_and_detections() {
         let report = MetricsReport {
             stages: vec![StageSpan {
                 stage: "parse".into(),
@@ -969,21 +889,11 @@ mod tests {
                     engine: Default::default(),
                 },
             )],
-            batch: Some(BatchCounters {
-                threads: 2,
-                items: 3,
-                items_per_worker: vec![2, 1],
-                drain_nanos: 5_000,
-                latency: latency_histogram(&[1_000, 1_500, 3_000]),
-            }),
         };
         let text = prometheus_report(&report);
         assert!(text.contains("tpn_stage_duration_nanos{stage=\"parse\"} 1234"));
         assert!(text.contains("tpn_engine_instants_total 10"));
         assert!(text.contains("tpn_detection_replays_total{context=\"scp[l=2]\"} 2"));
-        assert!(text.contains("tpn_batch_item_duration_micros_count 3"));
-        // Upper-bound sum: 1 + 2 + 4 us.
-        assert!(text.contains("tpn_batch_item_duration_micros_sum 7"));
     }
 
     #[test]
@@ -1040,12 +950,10 @@ mod tests {
                     engine: Default::default(),
                 },
             )],
-            batch: None,
         };
         let json = serde_json::to_string(&report).unwrap();
         assert!(json.contains("\"stages\":[{\"stage\":\"parse\",\"nanos\":1234}]"));
         assert!(json.contains("\"collisions\":1"));
-        assert!(json.contains("\"batch\":null"));
         let text = report.render_text();
         assert!(text.contains("detection frustum"));
         assert!(text.contains("10 instants"));

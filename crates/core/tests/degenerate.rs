@@ -1,9 +1,13 @@
-//! Degenerate-input hardening: empty sources, zero-node loops, trivial
-//! self-feedback loops and poisoned batch items must flow through the
-//! whole façade as typed errors (or succeed), never as panics.
+//! Degenerate-input hardening: empty sources, zero-node loops and trivial
+//! self-feedback loops must flow through the whole façade as typed errors
+//! (or succeed), never as panics; a poisoned batch item must not abandon
+//! the rest of its batch.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
-use tpn::batch::{parallel_map_isolated, parallel_map_profiled, Batch, BatchPanic};
+use tpn::batch::{panic_message, parallel_map};
 use tpn::dataflow::SdspBuilder;
 use tpn::sched::SchedError;
 use tpn::{CompileOptions, CompiledLoop, Error, SchedulePolicy};
@@ -42,7 +46,6 @@ fn zero_node_sdsp_never_panics() {
     }
     let _ = lp.storage();
     let _ = lp.balance();
-    let _ = lp.steady_net();
     // The metrics report of a failed pipeline is well-formed and empty.
     let report = lp.metrics_report();
     assert!(report.detections.is_empty());
@@ -188,77 +191,24 @@ fn engines_agree_on_rates_for_connected_bodies() {
 }
 
 #[test]
-fn poisoned_batch_item_is_isolated() {
+fn poisoned_batch_items_run_the_rest_then_raise_the_lowest_index() {
     let items: Vec<u64> = (0..16).collect();
-    let results = parallel_map_isolated(&items, 4, |i, &x| {
-        assert!(i != 5, "poisoned item five");
-        x * 2
-    });
-    assert_eq!(results.len(), 16);
-    for (i, r) in results.iter().enumerate() {
-        if i == 5 {
-            let panic = r.as_ref().unwrap_err();
-            assert_eq!(panic.index, 5);
-            assert!(panic.message.contains("poisoned item five"));
-        } else {
-            assert_eq!(*r.as_ref().unwrap(), items[i] * 2);
-        }
-    }
-}
-
-#[test]
-fn profiled_batch_reports_pool_stats() {
-    let items: Vec<u64> = (0..12).collect();
-    let (results, stats) = parallel_map_profiled(&items, 3, |_, &x| x + 1);
-    assert!(results.iter().all(|r| r.is_ok()));
-    assert_eq!(stats.threads, 3);
-    assert_eq!(stats.items, 12);
-    assert_eq!(stats.items_per_worker.iter().sum::<u64>(), 12);
-    assert_eq!(
-        stats.latency.iter().map(|b| b.count).sum::<u64>(),
-        12,
-        "histogram covers every item"
+    let ran = AtomicUsize::new(0);
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        parallel_map(&items, 4, |i, &x| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            assert!(i != 11, "poisoned item eleven");
+            assert!(i != 5, "poisoned item five");
+            x * 2
+        })
+    }));
+    let payload = caught.expect_err("a poisoned item panics the map");
+    assert_eq!(ran.load(Ordering::SeqCst), items.len(), "every item ran");
+    assert!(
+        panic_message(&*payload).contains("poisoned item five"),
+        "the lowest-index panic propagates: {}",
+        panic_message(&*payload)
     );
-}
-
-#[test]
-fn batch_panic_surfaces_as_typed_error() {
-    let panic = BatchPanic {
-        index: 7,
-        message: "boom".into(),
-    };
-    let err: Error = panic.into();
-    assert!(matches!(err, Error::Panic(_)));
-    assert_eq!(err.to_string(), "batch worker panicked on item 7: boom");
-    assert!(std::error::Error::source(&err).is_some());
-}
-
-#[test]
-fn batch_map_isolated_confines_stage_panics() {
-    let sources = [
-        "do i from 2 to n { X[i] := Z[i] * (Y[i] - X[i-1]); }",
-        "do i from 1 to n {\
-            A[i] := X[i] + 5;\
-            B[i] := Y[i] + A[i];\
-            C[i] := A[i] + E[i-1];\
-            D[i] := B[i] + C[i];\
-            E[i] := W[i] + D[i];\
-        }",
-    ];
-    let batch = Batch::new().threads(2);
-    let loops: Vec<CompiledLoop> = batch
-        .compile_sources(&sources)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    let results = batch.map_isolated(&loops, |lp| {
-        assert!(lp.size() != 5, "no five-node loops allowed");
-        lp.size()
-    });
-    assert_eq!(*results[0].as_ref().unwrap(), 2);
-    let panic = results[1].as_ref().unwrap_err();
-    assert_eq!(panic.index, 1);
-    assert!(panic.message.contains("no five-node loops"));
 }
 
 proptest! {

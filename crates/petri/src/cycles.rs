@@ -83,26 +83,6 @@ impl Cycle {
             .map(|&t| net.transition(t).time())
             .sum()
     }
-
-    /// Canonical rotation: the cycle rotated so the smallest transition id
-    /// comes first. Useful for comparing cycles found by different
-    /// algorithms.
-    pub fn canonicalize(&self) -> Cycle {
-        let pivot = self
-            .transitions
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, t)| **t)
-            .map(|(i, _)| i)
-            .expect("cycles are nonempty");
-        let n = self.len();
-        let transitions = (0..n).map(|i| self.transitions[(pivot + i) % n]).collect();
-        let places = (0..n).map(|i| self.places[(pivot + i) % n]).collect();
-        Cycle {
-            transitions,
-            places,
-        }
-    }
 }
 
 /// Adjacency representation of the transition multigraph of a marked graph.
@@ -514,17 +494,6 @@ mod tests {
             simple_cycles(&net, 16),
             Err(PetriError::NotAMarkedGraph { .. })
         ));
-    }
-
-    #[test]
-    fn canonicalize_rotates_to_least_transition() {
-        let (net, _) = two_cycle_net();
-        let cycles = simple_cycles(&net, 16).unwrap();
-        let c = cycles[0].canonicalize();
-        assert_eq!(c.transitions()[0], TransitionId::from_index(0));
-        // Rotating a canonical cycle is a no-op.
-        assert_eq!(c.canonicalize(), c);
-        let _ = &net;
     }
 
     #[test]

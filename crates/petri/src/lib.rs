@@ -8,9 +8,8 @@
 //! * [`PetriNet`] — places, transitions, arcs, with deterministic integer
 //!   execution times on transitions (a *timed* Petri net in the sense of
 //!   Ramchandani).
-//! * [`Marking`] — token assignments, the untimed firing rule, and the
-//!   classical behavioural properties (enabledness, reachability on bounded
-//!   nets, liveness / safety / persistence).
+//! * [`Marking`] — token assignments and the untimed firing rule
+//!   (enabledness, firing).
 //! * [`marked`] — the marked-graph subclass (`|•p| = |p•| = 1` for every
 //!   place) together with the classical structure theorems used throughout
 //!   the paper: liveness ⇔ every simple cycle carries a token, safety ⇔
@@ -62,19 +61,15 @@
 //! assert_eq!(step1.started, vec![b]);
 //! ```
 
-pub mod coverability;
 pub mod cycles;
 pub mod dot;
 pub mod error;
-pub mod gen;
 pub mod ids;
-pub mod invariants;
 pub mod marked;
 pub mod marking;
 pub mod net;
 pub mod ratio;
 pub mod rational;
-pub mod reach;
 pub mod timed;
 pub mod trace;
 

@@ -171,35 +171,6 @@ impl Marking {
             self.add(p, 1);
         }
     }
-
-    /// Whether the marking is safe (at most one token per place) — the
-    /// structural snapshot check; see [`crate::marked::check_safe`] for the
-    /// behavioural property over all reachable markings.
-    pub fn is_safe_snapshot(&self) -> bool {
-        self.tokens.iter().all(|&n| n <= 1)
-    }
-
-    /// Fires the whole sequence `seq` in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some transition in the sequence is not enabled when its
-    /// turn comes.
-    pub fn fire_sequence(&mut self, net: &PetriNet, seq: &[TransitionId]) {
-        for &t in seq {
-            self.fire(net, t);
-        }
-    }
-
-    /// The firing vector `f(σ)` of a sequence: occurrence counts per
-    /// transition (Appendix A.2).
-    pub fn firing_vector(net: &PetriNet, seq: &[TransitionId]) -> Vec<u64> {
-        let mut v = vec![0u64; net.num_transitions()];
-        for &t in seq {
-            v[t.index()] += 1;
-        }
-        v
-    }
 }
 
 impl fmt::Debug for Marking {
@@ -286,22 +257,11 @@ mod tests {
     }
 
     #[test]
-    fn fire_sequence_and_vector() {
-        let (net, t0, t1, p0, ..) = chain();
-        let mut m = Marking::from_pairs(&net, [(p0, 2)]);
-        m.fire_sequence(&net, &[t0, t1, t0]);
-        let v = Marking::firing_vector(&net, &[t0, t1, t0]);
-        assert_eq!(v, vec![2, 1]);
-        assert_eq!(m.total(), 2);
-    }
-
-    #[test]
     fn marked_places_skips_empty() {
         let (net, _, _, p0, _, p2) = chain();
         let m = Marking::from_pairs(&net, [(p0, 1), (p2, 3)]);
         let pairs: Vec<_> = m.marked_places().collect();
         assert_eq!(pairs, vec![(p0, 1), (p2, 3)]);
-        assert!(!m.is_safe_snapshot());
     }
 
     #[test]

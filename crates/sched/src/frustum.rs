@@ -148,11 +148,6 @@ impl FrustumReport {
         &self.steps[(self.start_time + 1) as usize..=(self.repeat_time as usize)]
     }
 
-    /// The steps before the window (the pipeline fill / prologue).
-    pub fn prologue_steps(&self) -> &[StepRecord] {
-        &self.steps[..=(self.start_time as usize)]
-    }
-
     /// Reconstructs the full instantaneous state after instant `time` by
     /// replaying the recorded events from the nearest checkpoint.
     /// `net` must be the net the frustum was detected on.
@@ -181,14 +176,6 @@ impl FrustumReport {
                     .map(move |_| s.time)
             })
             .collect()
-    }
-
-    /// Total firings of `t` over the whole recorded trace.
-    pub fn total_starts_of(&self, t: TransitionId) -> u64 {
-        self.steps
-            .iter()
-            .map(|s| s.started.iter().filter(|&&x| x == t).count() as u64)
-            .sum()
     }
 }
 
@@ -464,13 +451,15 @@ mod tests {
         let f = detect_frustum_eager(&pn.net, pn.marking.clone(), 1_000).unwrap();
         for t in pn.net.transition_ids() {
             let starts = f.start_times_of(t);
-            assert_eq!(starts.len() as u64, f.total_starts_of(t));
+            let total: usize = f
+                .steps
+                .iter()
+                .map(|s| s.started.iter().filter(|&&x| x == t).count())
+                .sum();
+            assert_eq!(starts.len(), total);
             assert!(starts.windows(2).all(|w| w[0] < w[1]));
         }
-        assert_eq!(
-            f.frustum_steps().len() as u64 + f.prologue_steps().len() as u64,
-            f.repeat_time + 1
-        );
+        assert_eq!(f.frustum_steps().len() as u64, f.period());
     }
 
     #[test]

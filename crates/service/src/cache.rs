@@ -16,16 +16,6 @@ use std::sync::{Arc, Mutex};
 use tpn::metrics::CacheCounters;
 use tpn::CompiledLoop;
 
-/// Weighs one cached entry; the shard evicts by total weight. The
-/// default weigher charges a loop its node count (minimum 1), so
-/// capacity is roughly "total loop nodes held".
-pub type Weigher = fn(&CompiledLoop) -> u64;
-
-/// The default weigher: `lp.size().max(1)`.
-pub fn default_weigher(lp: &CompiledLoop) -> u64 {
-    lp.size().max(1) as u64
-}
-
 struct Entry {
     value: Arc<CompiledLoop>,
     weight: u64,
@@ -38,12 +28,13 @@ struct Shard {
     weight: u64,
 }
 
-/// A sharded, weight-bounded LRU cache of compiled loops.
+/// A sharded, weight-bounded LRU cache of compiled loops. An entry
+/// weighs its loop's node count (minimum 1), so capacity is roughly
+/// "total loop nodes held".
 pub struct ShardedCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: u64,
     capacity: u64,
-    weigher: Weigher,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -53,13 +44,12 @@ pub struct ShardedCache {
 impl ShardedCache {
     /// A cache of `shards` shards holding at most `capacity` total
     /// weight (split evenly; each shard gets at least 1).
-    pub fn new(shards: usize, capacity: u64, weigher: Weigher) -> Self {
+    pub fn new(shards: usize, capacity: u64) -> Self {
         let shards = shards.max(1);
         ShardedCache {
             shard_capacity: (capacity / shards as u64).max(1),
             capacity,
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            weigher,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -94,7 +84,7 @@ impl ShardedCache {
     /// caches — alone).
     pub fn insert(&self, key: u64, value: Arc<CompiledLoop>) {
         let stamp = self.tick.fetch_add(1, Ordering::Relaxed);
-        let weight = (self.weigher)(&value).max(1);
+        let weight = value.size().max(1) as u64;
         let mut shard = self.shard_of(key).lock().expect("cache shard lock");
         if let Some(old) = shard.entries.insert(
             key,
@@ -182,7 +172,7 @@ mod tests {
 
     #[test]
     fn hit_miss_and_eviction_counters() {
-        let cache = ShardedCache::new(1, 2, default_weigher);
+        let cache = ShardedCache::new(1, 2);
         assert!(cache.get(1).is_none());
         cache.insert(1, lp(1));
         cache.insert(2, lp(1));
@@ -203,7 +193,7 @@ mod tests {
 
     #[test]
     fn oversized_entry_still_caches_alone() {
-        let cache = ShardedCache::new(1, 2, default_weigher);
+        let cache = ShardedCache::new(1, 2);
         cache.insert(1, lp(1));
         cache.insert(2, lp(5)); // weight 5 > capacity 2
         assert!(cache.get(2).is_some(), "oversized entry is kept");

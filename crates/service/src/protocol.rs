@@ -1025,13 +1025,8 @@ pub fn explain_payload(lp: &CompiledLoop, file: Option<String>) -> Result<Explai
 // ---------------------------------------------------------------------------
 
 /// Renders a success envelope around an already-serialized payload, in
-/// the v1 wire form (no `"v"` key — byte-stable since PR 4).
-pub fn ok_line(id: u64, verb: Verb, payload_json: &str) -> String {
-    ok_envelope(1, id, verb, payload_json)
-}
-
-/// Renders a success envelope in the requested version: v1 is the bare
-/// historical form, v2 leads with `"v":2`.
+/// the requested version: v1 is the bare historical form (no `"v"` key),
+/// v2 leads with `"v":2`.
 pub fn ok_envelope(v: u8, id: u64, verb: Verb, payload_json: &str) -> String {
     // Payloads run to hundreds of kilobytes (`trace`), so the envelope is
     // written around one copy of the payload into one buffer.
@@ -1634,7 +1629,10 @@ mod tests {
     fn versioned_envelopes_differ_only_by_the_v_prefix() {
         assert_eq!(
             ok_envelope(2, 3, Verb::Analyze, "{\"x\":1}"),
-            format!("{{\"v\":2,{}", &ok_line(3, Verb::Analyze, "{\"x\":1}")[1..])
+            format!(
+                "{{\"v\":2,{}",
+                &ok_envelope(1, 3, Verb::Analyze, "{\"x\":1}")[1..]
+            )
         );
         let err = error_envelope(
             2,
@@ -1770,7 +1768,7 @@ mod tests {
 
     #[test]
     fn envelopes_are_single_line_json() {
-        let ok = ok_line(3, Verb::Analyze, "{\"x\":1}");
+        let ok = ok_envelope(1, 3, Verb::Analyze, "{\"x\":1}");
         assert_eq!(
             ok,
             "{\"id\":3,\"ok\":true,\"verb\":\"analyze\",\"payload\":{\"x\":1}}"

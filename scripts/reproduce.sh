@@ -25,7 +25,6 @@ run compare
 run buffering
 run latency
 run modulo
-run service
 run conform
 run exec
 run analytic --bench-json BENCH_7.json

@@ -3,3 +3,9 @@
 //! package exists to host the repository-level `examples/` and `tests/`.
 
 pub use tpn;
+
+// Compiles every Rust block of the README as a doctest, so the
+// quickstart cannot drift from the API.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;

@@ -8,13 +8,13 @@
 //! synthetic loops up to 512 nodes.
 
 use proptest::prelude::*;
+use tpn_conform::marked_gen::MarkedGraphGen;
 use tpn_conform::{
     check_certificate, check_mutated, check_sdsp, Mutation, MutationOutcome, OracleConfig, Shape,
 };
 use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::Sdsp;
 use tpn_livermore::synth::{chain, generate, recurrence_ring, SynthConfig};
-use tpn_petri::gen::MarkedGraphGen;
 use tpn_petri::ratio::{analyze_cycles, component_cycle_times, critical_ratio};
 use tpn_sched::analytic::AnalyticSchedule;
 use tpn_sched::bounds::{

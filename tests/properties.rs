@@ -3,12 +3,12 @@
 //! examples.
 
 use proptest::prelude::*;
+use tpn_conform::reach::explore;
 use tpn_dataflow::to_petri::to_petri;
-use tpn_dataflow::Sdsp;
+use tpn_dataflow::{OpKind, Operand, Sdsp, SdspBuilder};
 use tpn_livermore::synth::{generate, SynthConfig};
 use tpn_petri::marked::{check_live_safe, is_consistent_with, marked_graph_consistency};
 use tpn_petri::ratio::{analyze_cycles, critical_ratio};
-use tpn_petri::reach::explore;
 use tpn_sched::frustum::detect_frustum_eager;
 use tpn_sched::steady::steady_state_net;
 use tpn_sched::validate::check_schedule;
@@ -155,7 +155,7 @@ proptest! {
     /// places of every simple cycle form an S-invariant.
     #[test]
     fn invariants_agree_with_marked_graph_theory(config in synth_config()) {
-        use tpn_petri::invariants::{cycle_s_invariant, is_consistent, is_t_invariant};
+        use tpn_conform::invariants::{cycle_s_invariant, is_consistent, is_t_invariant};
         let pn = to_petri(&sdsp_of(&config));
         let ones = vec![1i64; pn.net.num_transitions()];
         prop_assert!(is_t_invariant(&pn.net, &ones));
@@ -182,7 +182,7 @@ proptest! {
             },
         )
     ) {
-        use tpn_petri::coverability::analyze;
+        use tpn_conform::coverability::analyze;
         let sdsp = sdsp_of(&config);
         let pn = to_petri(&sdsp);
         let cov = analyze(&pn.net, &pn.marking, 300_000);
@@ -247,5 +247,41 @@ proptest! {
             prop_assert!(graph.is_safe());
             prop_assert!(graph.is_persistent(&pn.net));
         }
+    }
+}
+
+/// The paper's loop L1: a diamond with no recurrence.
+fn l1() -> Sdsp {
+    let mut b = SdspBuilder::new();
+    let a = b.node("A", OpKind::Add, [Operand::env("X", 0), Operand::lit(5.0)]);
+    let bb = b.node("B", OpKind::Add, [Operand::env("Y", 0), Operand::node(a)]);
+    let c = b.node("C", OpKind::Add, [Operand::node(a), Operand::env("Z", 0)]);
+    let d = b.node("D", OpKind::Add, [Operand::node(bb), Operand::node(c)]);
+    let _e = b.node("E", OpKind::Add, [Operand::env("W", 0), Operand::node(d)]);
+    b.finish().unwrap()
+}
+
+/// The paper's loop L2: L1 with a feedback edge E -> C.
+fn l2() -> Sdsp {
+    let mut b = SdspBuilder::new();
+    let a = b.node("A", OpKind::Add, [Operand::env("X", 0), Operand::lit(5.0)]);
+    let bb = b.node("B", OpKind::Add, [Operand::env("Y", 0), Operand::node(a)]);
+    let c = b.node("C", OpKind::Add, [Operand::node(a), Operand::lit(0.0)]);
+    let d = b.node("D", OpKind::Add, [Operand::node(bb), Operand::node(c)]);
+    let e = b.node("E", OpKind::Add, [Operand::env("W", 0), Operand::node(d)]);
+    b.set_operand(c, 1, Operand::feedback(e, 1));
+    b.finish().unwrap()
+}
+
+/// Appendix A.3's behavioural definitions, by explicit reachability,
+/// agree with the structural theorems on the paper's loops.
+#[test]
+fn reachability_confirms_structural_theorems() {
+    for sdsp in [l1(), l2()] {
+        let pn = to_petri(&sdsp);
+        let g = explore(&pn.net, pn.marking.clone(), 100_000).unwrap();
+        assert!(g.is_live(&pn.net));
+        assert!(g.is_safe());
+        assert!(g.is_persistent(&pn.net));
     }
 }
