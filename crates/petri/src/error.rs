@@ -44,11 +44,6 @@ pub enum PetriError {
         /// The offending transition.
         transition: TransitionId,
     },
-    /// Reachability exploration exceeded the configured state limit.
-    StateSpaceTooLarge {
-        /// The limit that was exceeded.
-        limit: usize,
-    },
     /// No scaled potentials exist for the trial cycle time: longest-path
     /// relaxation found a cycle of positive weight `q·Ω(C) − p·M(C)`, so
     /// some cycle's `Ω/M` exceeds `p/q` (or the cycle carries no tokens).
@@ -94,9 +89,6 @@ impl fmt::Display for PetriError {
                 f,
                 "transition {transition} has execution time 0; the engine requires at least 1"
             ),
-            PetriError::StateSpaceTooLarge { limit } => {
-                write!(f, "reachability exploration exceeded {limit} markings")
-            }
             PetriError::PositiveCycle {
                 cycle_time,
                 transition,
@@ -134,7 +126,6 @@ mod tests {
             PetriError::ZeroExecutionTime {
                 transition: TransitionId::from_index(2),
             },
-            PetriError::StateSpaceTooLarge { limit: 100 },
             PetriError::PositiveCycle {
                 cycle_time: Ratio::new(5, 2),
                 transition: TransitionId::from_index(1),
