@@ -32,6 +32,9 @@ use tpn_conform::{
 
 use crate::{Format, Invocation, Render};
 
+/// Requests one `--chaos` run sends through the service.
+const CHAOS_REQUESTS: u64 = 240;
+
 /// Aggregate result of a fuzz run, serialised under `--format json`.
 #[derive(Debug, Serialize)]
 struct FuzzSummary {
@@ -437,7 +440,7 @@ pub fn run(invocation: &Invocation) -> Result<(), String> {
             let chaos: Option<ChaosReport> = invocation.chaos.then(|| {
                 run_chaos(&ChaosConfig {
                     seed,
-                    requests: invocation.requests.min(1_000),
+                    requests: CHAOS_REQUESTS,
                     workers: threads.min(8),
                     restart: true,
                 })
@@ -518,7 +521,7 @@ mod tests {
     fn fuzz_flags_are_rejected_elsewhere() {
         assert!(parse("analyze x.tpn --seed 3").is_err());
         assert!(parse("analyze x.tpn --chaos").is_err());
-        assert!(parse("fuzz --self-test").is_err());
+        assert!(parse("fuzz --socket /tmp/t.sock").is_err());
         assert!(parse("fuzz --cases 0").is_err());
     }
 

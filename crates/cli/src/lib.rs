@@ -100,11 +100,6 @@ pub struct Invocation {
     pub max_in_flight: Option<usize>,
     /// `--shards N` (route): serve processes to spawn and route over.
     pub shards: Option<usize>,
-    /// `--self-test` (serve): run the in-process soak client instead of
-    /// listening.
-    pub self_test: bool,
-    /// `--requests N` (serve --self-test): soak request count.
-    pub requests: u64,
     /// `--queue N` (serve): admission queue capacity.
     pub queue: Option<usize>,
     /// `--cache W` (serve): result-cache weight capacity.
@@ -374,24 +369,6 @@ pub static OPTIONS: &[OptSpec] = &[
         },
     },
     OptSpec {
-        flag: "--self-test",
-        value: None,
-        help: "run the in-process soak client and print a summary (serve)",
-        apply: |inv, _| {
-            inv.self_test = true;
-            Ok(())
-        },
-    },
-    OptSpec {
-        flag: "--requests",
-        value: Some("N"),
-        help: "soak request count (serve --self-test; default 240)",
-        apply: |inv, v| {
-            inv.requests = parse_value("--requests", v.unwrap())?;
-            Ok(())
-        },
-    },
-    OptSpec {
         flag: "--queue",
         value: Some("N"),
         help: "admission queue capacity (serve; default 64)",
@@ -517,7 +494,7 @@ pub static OPTIONS: &[OptSpec] = &[
 /// [`static@OPTIONS`].
 pub fn usage() -> String {
     let mut s = String::from(
-        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR] [--self-test]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz [--seed N] [--cases N] [--shape S] [--chaos] [--mutate M] [--exec] [--replay FILE]",
+        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz [--seed N] [--cases N] [--shape S] [--chaos] [--mutate M] [--exec] [--replay FILE]",
     );
     for opt in OPTIONS {
         match opt.value {
@@ -576,8 +553,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
         burst: None,
         max_in_flight: None,
         shards: None,
-        self_test: false,
-        requests: 240,
         queue: None,
         cache: None,
         journal: None,
@@ -624,9 +599,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
             if invocation.inputs.is_empty() {
                 return Err(format!("missing input file\n{}", usage()));
             }
-            if !invocation.sockets.is_empty() || invocation.self_test {
+            if !invocation.sockets.is_empty() {
                 return Err(format!(
-                    "--socket and --self-test apply to serve and route only\n{}",
+                    "--socket applies to serve and route only\n{}",
                     usage()
                 ));
             }
@@ -649,13 +624,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
     if invocation.shards.is_some() && invocation.command != Command::Route {
         return Err(format!("--shards applies to route only\n{}", usage()));
     }
-    if invocation.command == Command::Route {
-        if invocation.sockets.is_empty() {
-            return Err(format!("route requires --socket PATH\n{}", usage()));
-        }
-        if invocation.self_test {
-            return Err(format!("--self-test applies to serve only\n{}", usage()));
-        }
+    if invocation.command == Command::Route && invocation.sockets.is_empty() {
+        return Err(format!("route requires --socket PATH\n{}", usage()));
     }
     if invocation.journal.is_some() && invocation.command != Command::Serve {
         return Err(format!("--journal applies to serve only\n{}", usage()));
@@ -687,11 +657,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
             usage()
         ));
     }
-    if invocation.command == Command::Fuzz
-        && (!invocation.sockets.is_empty() || invocation.self_test)
-    {
+    if invocation.command == Command::Fuzz && !invocation.sockets.is_empty() {
         return Err(format!(
-            "--socket and --self-test apply to serve and route only\n{}",
+            "--socket applies to serve and route only\n{}",
             usage()
         ));
     }
@@ -1265,9 +1233,7 @@ mod tests {
         assert!(inv.inputs.is_empty());
         assert_eq!(inv.input(), Err(NoInputError));
 
-        let inv = parse_args(args("serve --self-test --requests 300 --jobs 4")).unwrap();
-        assert!(inv.self_test);
-        assert_eq!(inv.requests, 300);
+        let inv = parse_args(args("serve --jobs 4")).unwrap();
         assert_eq!(inv.jobs, Some(4));
         let inv = parse_args(args("serve --socket /tmp/t.sock --queue 8 --cache 128")).unwrap();
         assert_eq!(inv.sockets, vec!["/tmp/t.sock"]);
@@ -1279,7 +1245,7 @@ mod tests {
         assert!(parse_args(args("serve a.loop")).is_err());
         assert!(parse_args(args("serve --queue 0")).is_err());
         assert!(parse_args(args("analyze")).is_err());
-        assert!(parse_args(args("analyze a --self-test")).is_err());
+        assert!(parse_args(args("serve --self-test")).is_err());
         assert!(parse_args(args("analyze a --socket /tmp/t.sock")).is_err());
     }
 

@@ -18,8 +18,8 @@
 //!   directly);
 //! - `cancel`: the shard the target id was forwarded to (tracked per
 //!   client connection), falling back to shard 0;
-//! - malformed lines and unsupported envelope versions are answered by
-//!   the router itself, without touching a shard.
+//! - malformed lines and unsupported versions are answered by the router
+//!   itself, without touching a shard, with the bytes `tpnc serve` sends.
 //!
 //! The router runs on one thread, in the loop shape of `tpnc serve`: it
 //! blocks in `poll(2)` on the front socket, every client connection and
@@ -55,7 +55,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use tpn_service::protocol::{self, ParseError, Request, Verb};
+use tpn_service::protocol::{self, Request, Verb};
 
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::serve::{accept_pending, bind_unix, drain, Wire, CHUNK, TICK};
@@ -352,26 +352,7 @@ fn route_line(
 ) {
     let request = match protocol::parse_request(line) {
         Ok(request) => request,
-        Err(ParseError::UnsupportedVersion { id, v }) => {
-            return wire.respond(&protocol::error_envelope(
-                1,
-                id.unwrap_or(0),
-                None,
-                "unsupported_version",
-                &format!("unsupported envelope version {v} (this server speaks 1 and 2)"),
-                None,
-                None,
-            ));
-        }
-        Err(ParseError::Bad(message)) => {
-            return wire.respond(&protocol::error_line(
-                0,
-                None,
-                "bad_request",
-                &message,
-                None,
-            ));
-        }
+        Err(error) => return wire.respond(&error.reply()),
     };
     let shard = shard_for(&request, routes, paths.len());
     if !matches!(
@@ -383,7 +364,6 @@ fn route_line(
     if !forward(&mut links[shard], &paths[shard], line) {
         routes.remove(&request.id);
         wire.respond(&protocol::error_envelope(
-            request.v,
             request.id,
             None,
             "unavailable",
@@ -596,6 +576,17 @@ mod tests {
         let invalid = next(&mut replies);
         assert!(invalid.contains("\"kind\":\"bad_request\""), "{invalid}");
         assert_eq!(next(&mut replies).trim_end(), request);
+        // A line that fails after its id echoes the id, byte for byte as
+        // `tpnc serve` answers it.
+        client
+            .write_all(
+                b"{\"id\":498,\"verb\":\"analyze\",\"source\":\"x\",\"options\":{\"node_time\":0}}\n",
+            )
+            .unwrap();
+        assert_eq!(
+            next(&mut replies).trim_end(),
+            r#"{"id":498,"ok":false,"error":{"kind":"bad_request","message":"\"node_time\" must be >= 1"}}"#
+        );
         // The line ending at EOF is still answered, and the closed
         // connection leaves the router serving.
         client.write_all(b"not json").unwrap();

@@ -2,8 +2,8 @@
 //!
 //! Requests are newline-delimited JSON objects (see
 //! [`tpn_service::protocol`]); responses come back one per line, in
-//! completion order, each echoing the request's `id` (and, for v2
-//! envelopes, its `"v"`). The front-end speaks stdin/stdout by default,
+//! completion order, each echoing the request's `id`. The front-end
+//! speaks stdin/stdout by default,
 //! or any number of `--socket PATH` (Unix-domain) and `--tcp ADDR`
 //! listeners. Either way every connection runs through one loop that
 //! blocks in `poll(2)` until a listener, a connection or a worker reply
@@ -16,7 +16,7 @@
 //! and the listener rests until a connection closes or a tick passes.
 //! `--store DIR` persists compiled artifacts across restarts,
 //! `--rate-limit`/`--burst`/`--max-in-flight` switch on per-client
-//! fairness, and `--self-test` runs the in-process soak client.
+//! fairness, and `--journal FILE` streams the request journal.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -25,20 +25,14 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use serde::Serialize;
-use tpn_service::protocol::{self, ParseError, Request, Verb, MAX_LINE};
+use tpn_service::protocol::{self, Verb, MAX_LINE};
 use tpn_service::{
-    journal_response_v, metrics_prometheus_response_v, metrics_response_v, Canceller, RateLimit,
+    journal_response, metrics_prometheus_response, metrics_response, Canceller, RateLimit,
     Rejected, Response, Service, ServiceConfig,
 };
 
-use crate::output::{OutputFormat, Render};
 use crate::poll::{self, PollFd, POLLIN, POLLOUT};
 use crate::Invocation;
-
-/// In-memory capacity of the serve front-end's request-journal ring:
-/// the window the `journal` verb can look back over.
-const JOURNAL_RING: usize = 256;
 
 /// Per-connection write-buffer cap: past this, the loop stops reading
 /// from the connection until its responses drain (back-pressure instead
@@ -55,12 +49,8 @@ pub(crate) const TICK: Duration = Duration::from_millis(100);
 /// Builds the service configuration from the invocation's flags
 /// (`--jobs` workers, `--queue` capacity, `--cache` weight, `--store`
 /// persistence, `--rate-limit`/`--burst`/`--max-in-flight` fairness).
-/// The serve front-end always keeps the request journal's in-memory
-/// ring — the `journal` verb reads it — while embedded [`Service`]
-/// users keep the zero-cost default of no journal at all; `--journal
-/// FILE` additionally streams every event to FILE as NDJSON.
 fn config(invocation: &Invocation) -> Result<ServiceConfig, String> {
-    let mut builder = ServiceConfig::builder().journal(JOURNAL_RING);
+    let mut builder = ServiceConfig::builder();
     if let Some(jobs) = invocation.jobs {
         builder = builder.workers(jobs);
     }
@@ -83,30 +73,20 @@ fn config(invocation: &Invocation) -> Result<ServiceConfig, String> {
     builder.build().map_err(|e| e.to_string())
 }
 
-/// Opens `--journal FILE` (truncating) and plugs it into the service as
-/// the journal's NDJSON sink.
-fn attach_journal_sink(service: &Service, invocation: &Invocation) -> Result<(), String> {
+/// Entry point of `tpnc serve`. `--journal FILE` is created
+/// (truncating) and streams every journal event as NDJSON.
+///
+/// # Errors
+///
+/// Socket/bind, store, journal-file and I/O failures.
+pub fn run(invocation: &Invocation) -> Result<(), String> {
+    let service = Service::try_start(config(invocation)?)
+        .map_err(|e| format!("error starting service: {e}"))?;
     if let Some(path) = &invocation.journal {
         let file = std::fs::File::create(path)
             .map_err(|e| format!("error creating journal file {path}: {e}"))?;
         service.set_journal_sink(Box::new(file));
     }
-    Ok(())
-}
-
-/// Entry point of `tpnc serve`.
-///
-/// # Errors
-///
-/// Socket/bind, store, and I/O failures, or (in `--self-test` mode) a
-/// summary of any soak failure.
-pub fn run(invocation: &Invocation) -> Result<(), String> {
-    if invocation.self_test {
-        return self_test(invocation);
-    }
-    let service = Service::try_start(config(invocation)?)
-        .map_err(|e| format!("error starting service: {e}"))?;
-    attach_journal_sink(&service, invocation)?;
     if invocation.sockets.is_empty() && invocation.tcp.is_empty() {
         serve(
             &service,
@@ -132,41 +112,13 @@ fn route_line(
 ) {
     let request = match protocol::parse_request(line) {
         Ok(request) => request,
-        Err(ParseError::UnsupportedVersion { id, v }) => {
-            return wire.respond(&protocol::error_envelope(
-                1,
-                id.unwrap_or(0),
-                None,
-                "unsupported_version",
-                &format!("unsupported envelope version {v} (this server speaks 1 and 2)"),
-                None,
-                None,
-            ));
-        }
-        Err(ParseError::Bad(message)) => {
-            // Best effort to echo the id even when the request is
-            // malformed beyond it.
-            let id = protocol::parse_json(line)
-                .ok()
-                .and_then(|v| match v.get("id") {
-                    Some(protocol::JsonValue::Num(n)) if *n >= 0.0 => Some(*n as u64),
-                    _ => None,
-                })
-                .unwrap_or(0);
-            return wire.respond(&protocol::error_line(
-                id,
-                None,
-                "bad_request",
-                &message,
-                None,
-            ));
-        }
+        Err(error) => return wire.respond(&error.reply()),
     };
-    let (v, id) = (request.v, request.id);
+    let id = request.id;
     let response = match request.verb {
-        Verb::Metrics => metrics_response_v(service, id, v).line,
-        Verb::MetricsPrometheus => metrics_prometheus_response_v(service, id, v).line,
-        Verb::Journal => journal_response_v(service, id, v).line,
+        Verb::Metrics => metrics_response(service, id).line,
+        Verb::MetricsPrometheus => metrics_prometheus_response(service, id).line,
+        Verb::Journal => journal_response(service, id).line,
         Verb::Cancel => {
             let target = request.target.expect("protocol validated cancel target");
             let mut delivered = false;
@@ -175,7 +127,6 @@ fn route_line(
                 delivered = true;
             }
             protocol::ok_envelope(
-                v,
                 id,
                 Verb::Cancel,
                 &format!("{{\"target\":{target},\"in_flight\":{delivered}}}"),
@@ -188,7 +139,6 @@ fn route_line(
                 waker.wake();
             }) {
                 Err(Rejected::Overloaded(overloaded)) => protocol::error_envelope(
-                    v,
                     id,
                     None,
                     "overloaded",
@@ -197,7 +147,6 @@ fn route_line(
                     None,
                 ),
                 Err(Rejected::RateLimited(limited)) => protocol::error_envelope(
-                    v,
                     id,
                     None,
                     "rate_limited",
@@ -246,11 +195,12 @@ impl Lines {
                 }
                 self.buf = Vec::new();
                 self.discarding = true;
-                return Some(Err(protocol::error_line(
+                return Some(Err(protocol::error_envelope(
                     0,
                     None,
                     "bad_request",
                     &format!("request line exceeds {MAX_LINE} bytes"),
+                    None,
                     None,
                 )));
             };
@@ -707,293 +657,6 @@ fn serve(
     result
 }
 
-// ---------------------------------------------------------------------------
-// --self-test: the in-process soak client.
-// ---------------------------------------------------------------------------
-
-/// The soak summary printed (as one JSON line) by `serve --self-test`.
-#[derive(Serialize)]
-struct SelfTestJson {
-    command: String,
-    workers: usize,
-    requests: u64,
-    distinct_keys: usize,
-    errors: u64,
-    overloaded_typed: u64,
-    rate_limited_typed: u64,
-    identity_checks: usize,
-    journal_events: usize,
-    hit_rate: f64,
-    p50_micros: u64,
-    p99_micros: u64,
-}
-
-impl Render for SelfTestJson {
-    fn render_text(&self) -> String {
-        format!(
-            "serve self-test: {} requests, {} errors, hit rate {:.3}, p50 {} us, p99 {} us",
-            self.requests, self.errors, self.hit_rate, self.p50_micros, self.p99_micros
-        )
-    }
-}
-
-/// A pool of distinct loop sources (1–3 nodes) for the soak.
-fn source_pool(distinct: usize) -> Vec<String> {
-    (0..distinct)
-        .map(|i| {
-            let nodes = i % 3 + 1;
-            let body: String = (0..nodes)
-                .map(|j| format!("X{j}[i] := X{j}[i-1] + {}; ", i + 1))
-                .collect();
-            format!("do i from 2 to n {{ {body}}}")
-        })
-        .collect()
-}
-
-fn soak_request(id: u64, pool: &[String]) -> Request {
-    let verb_cycle = [
-        (Verb::Analyze, None),
-        (Verb::Schedule, None),
-        (Verb::Rate, None),
-        (Verb::Scp, Some(2)),
-        (Verb::Trace, None),
-        (Verb::Storage, None),
-    ];
-    let (verb, depth) = verb_cycle[id as usize % verb_cycle.len()];
-    let mut request = Request::basic(id, verb, pool[id as usize % pool.len()].clone());
-    request.depth = depth;
-    request
-}
-
-fn self_test(invocation: &Invocation) -> Result<(), String> {
-    let workers = invocation
-        .jobs
-        .unwrap_or_else(tpn::batch::default_threads)
-        .max(4);
-    let mut builder = ServiceConfig::builder()
-        .workers(workers)
-        .journal(JOURNAL_RING);
-    if let Some(queue) = invocation.queue {
-        builder = builder.queue(queue);
-    }
-    if let Some(cache) = invocation.cache {
-        builder = builder.cache(cache);
-    }
-    let requests = invocation.requests.max(200);
-    // A quarter as many distinct keys as requests: every key repeats
-    // about four times, comfortably past the ≥50 % repeat target.
-    let pool = source_pool((requests as usize / 4).max(1));
-    let service = Service::start(builder.build().map_err(|e| e.to_string())?);
-    attach_journal_sink(&service, invocation)?;
-
-    // Phase 1: cached/uncached byte-identity for every protocol verb.
-    // The first call compiles, the second hits the cache; both lines
-    // (same id, so the whole envelope) must be byte-identical.
-    let mut identity_checks = 0;
-    for (verb, depth) in [
-        (Verb::Analyze, None),
-        (Verb::Schedule, None),
-        (Verb::Schedule, Some(2)),
-        (Verb::Rate, None),
-        (Verb::Rate, Some(2)),
-        (Verb::Scp, Some(2)),
-        (Verb::Trace, None),
-        (Verb::Trace, Some(2)),
-        (Verb::Storage, None),
-        (Verb::Explain, None),
-    ] {
-        let mut request = Request::basic(
-            1_000_000 + identity_checks as u64,
-            verb,
-            "do i from 2 to n { A[i] := A[i-1] + B[i]; C[i] := A[i] * 2; }",
-        );
-        request.depth = depth;
-        let uncached = service
-            .call(request.clone())
-            .map_err(|e| format!("identity check rejected: {e}"))?;
-        let cached = service
-            .call(request)
-            .map_err(|e| format!("identity check rejected: {e}"))?;
-        if !uncached.ok || !cached.ok {
-            return Err(format!(
-                "identity check failed for {:?}: {}",
-                verb.as_str(),
-                if uncached.ok {
-                    &cached.line
-                } else {
-                    &uncached.line
-                }
-            ));
-        }
-        if uncached.line != cached.line {
-            return Err(format!(
-                "cached response differs from uncached for {:?}:\n  uncached: {}\n  cached:   {}",
-                verb.as_str(),
-                uncached.line,
-                cached.line
-            ));
-        }
-        identity_checks += 1;
-    }
-
-    // Protocol v2: the same body in a v2 envelope must yield the same
-    // response bytes behind the "v":2 prefix — v1 clients keep working,
-    // byte for byte, against a v2-speaking server.
-    const V2_SRC: &str = "do i from 2 to n { A[i] := A[i-1] + B[i]; C[i] := A[i] * 2; }";
-    let v1_request = protocol::parse_request(&format!(
-        "{{\"id\":1000042,\"verb\":\"analyze\",\"source\":\"{V2_SRC}\"}}"
-    ))
-    .map_err(|e| format!("v1 parse: {e}"))?;
-    let v2_request = protocol::parse_request(&format!(
-        "{{\"v\":2,\"id\":1000042,\"verb\":\"analyze\",\"client\":\"soak\",\"body\":{{\"source\":\"{V2_SRC}\"}}}}"
-    ))
-    .map_err(|e| format!("v2 parse: {e}"))?;
-    let v1_response = service
-        .call(v1_request)
-        .map_err(|e| format!("v1 call rejected: {e}"))?;
-    let v2_response = service
-        .call(v2_request)
-        .map_err(|e| format!("v2 call rejected: {e}"))?;
-    if v2_response.line != format!("{{\"v\":2,{}", &v1_response.line[1..]) {
-        return Err(format!(
-            "v2 envelope is not the v1 bytes behind a \"v\":2 prefix:\n  v1: {}\n  v2: {}",
-            v1_response.line, v2_response.line
-        ));
-    }
-    identity_checks += 1;
-
-    // Phase 2: typed backpressure. A single-worker service with a
-    // capacity-1 queue must reject a burst with Overloaded, not hang.
-    let tiny = Service::start(
-        ServiceConfig::builder()
-            .workers(1)
-            .queue(1)
-            .build()
-            .unwrap(),
-    );
-    let mut overloaded_typed = 0u64;
-    let (reply, replies) = mpsc::channel();
-    for id in 0..16 {
-        let reply = reply.clone();
-        match tiny.submit(soak_request(id, &pool), move |r| {
-            let _ = reply.send(r);
-        }) {
-            Ok(_) => {}
-            Err(Rejected::Overloaded(overloaded)) => {
-                assert!(overloaded.capacity == 1);
-                overloaded_typed += 1;
-            }
-            Err(other) => return Err(format!("burst tripped the wrong rejection: {other}")),
-        }
-    }
-    // Each admitted job holds a sender clone until it has replied, so
-    // the channel closes once every one of them is answered.
-    drop(reply);
-    for _response in replies {}
-    if overloaded_typed == 0 {
-        return Err("backpressure check: a 16-request burst never tripped Overloaded".into());
-    }
-    drop(tiny);
-
-    // Phase 2b: typed per-client fairness. A one-token bucket must
-    // rate-limit the second immediate request from the same client —
-    // with retry advice — while other clients stay untouched.
-    let limited = Service::start(
-        ServiceConfig::builder()
-            .workers(2)
-            .rate_limit(RateLimit {
-                per_second: 1,
-                burst: 1,
-                max_in_flight: 8,
-            })
-            .build()
-            .map_err(|e| e.to_string())?,
-    );
-    let limit_request = |id: u64, client: &str| {
-        let mut request = soak_request(id, &pool);
-        request.client = Some(client.to_string());
-        request
-    };
-    if limited.call(limit_request(0, "client-a")).is_err() {
-        return Err("rate-limit check: client-a's first request was rejected".into());
-    }
-    let rate_limited_typed = match limited.call(limit_request(1, "client-a")) {
-        Err(Rejected::RateLimited(limited)) => {
-            if limited.retry_after_ms == 0 {
-                return Err("rate-limit check: rejection carries no retry advice".into());
-            }
-            1u64
-        }
-        Ok(_) => return Err("rate-limit check: burst past the bucket was admitted".into()),
-        Err(other) => return Err(format!("rate-limit check: wrong rejection: {other}")),
-    };
-    if limited.call(limit_request(2, "client-b")).is_err() {
-        return Err("rate-limit check: client-b was throttled by client-a's bucket".into());
-    }
-    drop(limited);
-
-    // Phase 3: the mixed soak, driven from `workers` client threads.
-    let ids: Vec<u64> = (0..requests).collect();
-    let errors: u64 = tpn::batch::parallel_map(&ids, workers, |_, &id| {
-        // call() blocks, so at most `workers` requests are in flight
-        // and the queue cannot overflow.
-        match service.call(soak_request(id, &pool)) {
-            Ok(response) if response.ok => 0u64,
-            _ => 1u64,
-        }
-    })
-    .into_iter()
-    .sum();
-
-    // Phase 4: telemetry. The journal ring must have recorded the soak
-    // and both observability verbs must answer in-band.
-    let journal_events = service.journal_events().map_or(0, |events| events.len());
-    if journal_events == 0 {
-        return Err("telemetry check: the soak left no journal events".into());
-    }
-    let prometheus = metrics_prometheus_response_v(&service, 9_000_001, 1);
-    if !prometheus.ok || !prometheus.line.contains("tpn_service_accepted_total") {
-        return Err(format!(
-            "telemetry check: bad exposition: {}",
-            prometheus.line
-        ));
-    }
-    let journal = journal_response_v(&service, 9_000_002, 1);
-    if !journal.ok {
-        return Err(format!(
-            "telemetry check: journal verb failed: {}",
-            journal.line
-        ));
-    }
-
-    let counters = service.counters();
-    let summary = SelfTestJson {
-        command: "serve-self-test".into(),
-        workers,
-        requests,
-        distinct_keys: pool.len(),
-        errors,
-        overloaded_typed,
-        rate_limited_typed,
-        identity_checks,
-        journal_events,
-        hit_rate: counters.cache.hit_rate(),
-        p50_micros: counters.p50_micros,
-        p99_micros: counters.p99_micros,
-    };
-    println!("{}", summary.render(OutputFormat::Json)?);
-    if errors > 0 {
-        return Err(format!("soak finished with {errors} errors"));
-    }
-    if summary.hit_rate <= 0.4 {
-        return Err(format!(
-            "soak hit rate {:.3} did not exceed 0.4",
-            summary.hit_rate
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1026,13 +689,7 @@ mod tests {
 
     #[test]
     fn stdio_connection_round_trips_requests() {
-        let service = Service::start(
-            ServiceConfig::builder()
-                .workers(2)
-                .journal(4)
-                .build()
-                .unwrap(),
-        );
+        let service = Service::start(ServiceConfig::builder().workers(2).build().unwrap());
         let input = concat!(
             "{\"id\":1,\"verb\":\"analyze\",\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}\n",
             "\n",
@@ -1041,15 +698,14 @@ mod tests {
             "{\"id\":3,\"verb\":\"cancel\",\"target\":99}\n",
             "{\"id\":4,\"verb\":\"metrics_prometheus\"}\n",
             "{\"id\":5,\"verb\":\"journal\"}\n",
-            "{\"v\":2,\"id\":6,\"verb\":\"analyze\",\"client\":\"t\",\"body\":{\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}}\n",
             "{\"v\":9,\"id\":7,\"verb\":\"analyze\",\"source\":\"x\"}\n",
         );
         let lines = serve_stdio(&service, input.as_bytes());
         let text = lines.join("\n");
         assert_eq!(
             lines.len(),
-            8,
-            "blank line skipped, eight responses: {text}"
+            7,
+            "blank line skipped, seven responses: {text}"
         );
         for line in &lines {
             protocol::parse_json(line).expect("responses are valid JSON");
@@ -1061,25 +717,13 @@ mod tests {
         assert!(text.contains("\"verb\":\"metrics_prometheus\""));
         assert!(text.contains("tpn_service_accepted_total"));
         assert!(text.contains("\"verb\":\"journal\""));
-        assert!(text.contains("\"capacity\":4"));
-        // The v2 request's response leads with "v":2 and is otherwise
-        // byte-identical to the matching v1 response.
-        let v1 = lines
-            .iter()
-            .find(|l| l.starts_with("{\"id\":1,"))
-            .expect("v1 analyze response");
-        let v2 = lines
-            .iter()
-            .find(|l| l.starts_with("{\"v\":2,\"id\":6,"))
-            .expect("v2 analyze response");
-        assert_eq!(
-            v2.replace("{\"v\":2,\"id\":6,", "{\"id\":1,"),
-            **v1,
-            "v2 payload must match v1 byte-for-byte"
-        );
-        // The unknown version gets its typed rejection.
+        assert!(text.contains("\"capacity\":256"));
+        // The unknown version gets its typed rejection, echoing the id.
         assert!(
-            text.contains("\"kind\":\"unsupported_version\""),
+            lines
+                .iter()
+                .any(|l| l.starts_with("{\"id\":7,")
+                    && l.contains("\"kind\":\"unsupported_version\"")),
             "got: {text}"
         );
     }
@@ -1091,12 +735,17 @@ mod tests {
         input.push(b'\n');
         input.extend(std::iter::repeat_n(b'x', MAX_LINE + CHUNK));
         input.push(b'\n');
+        // A line that fails after its id echoes the id, byte for byte as
+        // `tpnc route` answers it.
+        input.extend_from_slice(
+            b"{\"id\":498,\"verb\":\"analyze\",\"source\":\"x\",\"options\":{\"node_time\":0}}\n",
+        );
         // The last request ends at EOF rather than with a newline.
         input.extend_from_slice(
             b"{\"id\":3,\"verb\":\"analyze\",\"source\":\"do i from 2 to n { X[i] := X[i-1] + 1; }\"}",
         );
         let lines = serve_stdio(&service, &input);
-        assert_eq!(lines.len(), 3, "{lines:?}");
+        assert_eq!(lines.len(), 4, "{lines:?}");
         assert!(
             lines[0].contains("\"kind\":\"bad_request\""),
             "{}",
@@ -1109,10 +758,14 @@ mod tests {
             lines[1]
         );
         assert!(lines[1].contains("request line exceeds"), "{}", lines[1]);
+        assert_eq!(
+            lines[2],
+            r#"{"id":498,"ok":false,"error":{"kind":"bad_request","message":"\"node_time\" must be >= 1"}}"#
+        );
         assert!(
-            lines[2].starts_with("{\"id\":3,\"ok\":true"),
+            lines[3].starts_with("{\"id\":3,\"ok\":true"),
             "{}",
-            lines[2]
+            lines[3]
         );
     }
 
@@ -1144,16 +797,15 @@ mod tests {
             ServiceConfig::builder()
                 .workers(1)
                 .queue(8)
-                .journal(8)
                 .build()
                 .unwrap(),
         );
         let (entered, plugged) = mpsc::channel();
         let (unplug, release) = mpsc::channel();
-        assert!(service.set_journal_sink(Box::new(Gate {
+        service.set_journal_sink(Box::new(Gate {
             entered,
             release: Some(release),
-        })));
+        }));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -1322,14 +974,5 @@ mod tests {
         wire.respond("{}");
         wire.register(&mut fds);
         assert_eq!(wire.slot, Some(0), "pending output is waited for");
-    }
-
-    #[test]
-    fn self_test_passes_at_minimum_scale() {
-        let mut invocation = crate::parse_args(["serve".to_string(), "--self-test".to_string()])
-            .expect("serve parses without inputs");
-        invocation.jobs = Some(4);
-        invocation.requests = 200;
-        self_test(&invocation).expect("self-test soak succeeds");
     }
 }

@@ -4,7 +4,7 @@
 //! workers (work-stealing by atomic index claiming) and returns results
 //! **in input order**, so parallel runs are deterministic and
 //! bit-identical to sequential ones. `tpnc`'s multi-file invocations,
-//! `tpnc fuzz`, `tpnc serve --self-test` and the table binaries run on it.
+//! `tpnc fuzz` and the table binaries run on it.
 //!
 //! ```
 //! use tpn::batch::parallel_map;

@@ -40,7 +40,7 @@ pub mod store;
 pub use limiter::{RateLimit, RateLimited};
 pub use queue::Overloaded;
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -61,6 +61,10 @@ use tpn::CompiledLoop;
 /// evenly across them.
 const CACHE_SHARDS: usize = 8;
 
+/// Request-journal ring capacity: the window the `journal` verb can look
+/// back over.
+const JOURNAL_RING: usize = 256;
+
 /// Tuning knobs for one [`Service`], built with
 /// [`ServiceConfig::builder`]:
 ///
@@ -76,15 +80,14 @@ const CACHE_SHARDS: usize = 8;
 /// ```
 ///
 /// `Default` matches the historical knobs: `default_threads()` workers,
-/// a 64-deep queue, a 4096-weight cache over 8 shards, no journal, no
-/// store, no rate limit. A request's deadline comes only from its own
-/// `deadline_ms`.
+/// a 64-deep queue, a 4096-weight cache over 8 shards, no store, no rate
+/// limit. A request's deadline comes only from its own `deadline_ms`.
+/// Every service keeps the last 256 request-journal events.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     workers: usize,
     queue_capacity: usize,
     cache_capacity: u64,
-    journal_capacity: usize,
     store_path: Option<PathBuf>,
     rate_limit: Option<RateLimit>,
 }
@@ -95,7 +98,6 @@ impl Default for ServiceConfig {
             workers: tpn::batch::default_threads(),
             queue_capacity: 64,
             cache_capacity: 4096,
-            journal_capacity: 0,
             store_path: None,
             rate_limit: None,
         }
@@ -166,14 +168,6 @@ impl ServiceConfigBuilder {
     #[must_use]
     pub fn cache(mut self, capacity: u64) -> Self {
         self.config.cache_capacity = capacity;
-        self
-    }
-
-    /// Request-journal ring capacity; `0` (the default) disables
-    /// journalling entirely.
-    #[must_use]
-    pub fn journal(mut self, capacity: usize) -> Self {
-        self.config.journal_capacity = capacity;
         self
     }
 
@@ -262,9 +256,8 @@ pub struct JournalEvent {
     pub verb: String,
     /// The request's [`protocol::cache_key`] as 16 hex digits.
     pub source_digest: String,
-    /// Cache tier: `"hot"` (cache hit), `"warm"` (miss on a previously
-    /// seen key), `"miss"` (first-ever key), `"none"` (never reached the
-    /// cache).
+    /// Cache tier: `"hot"` (cache hit), `"miss"` (compiled), `"none"`
+    /// (never reached the cache).
     pub cache: String,
     /// The resolved schedule engine, once the loop compiled.
     pub engine: Option<String>,
@@ -286,42 +279,23 @@ pub struct JournalEvent {
 struct JournalState {
     seq: u64,
     ring: VecDeque<JournalEvent>,
-    seen_keys: HashSet<u64>,
     sink: Option<Box<dyn Write + Send>>,
 }
 
-/// The bounded journal: a last-N ring under one cheap lock (events are
-/// built outside it), plus an optional NDJSON sink.
+/// The bounded journal: the last [`JOURNAL_RING`] events under one cheap
+/// lock (events are built outside it), plus an optional NDJSON sink.
 struct Journal {
-    capacity: usize,
     state: Mutex<JournalState>,
 }
 
 impl Journal {
-    fn new(capacity: usize) -> Journal {
+    fn new() -> Journal {
         Journal {
-            capacity,
             state: Mutex::new(JournalState {
                 seq: 0,
-                ring: VecDeque::with_capacity(capacity),
-                seen_keys: HashSet::new(),
+                ring: VecDeque::with_capacity(JOURNAL_RING),
                 sink: None,
             }),
-        }
-    }
-
-    /// Classifies a cache lookup: `"hot"` on a hit, else `"warm"` when
-    /// the key was seen before and `"miss"` on a first-ever key (which
-    /// is recorded as seen).
-    fn tier(&self, key: u64, hit: bool) -> &'static str {
-        if hit {
-            return "hot";
-        }
-        let mut state = self.state.lock().expect("journal lock");
-        if state.seen_keys.insert(key) {
-            "miss"
-        } else {
-            "warm"
         }
     }
 
@@ -335,7 +309,7 @@ impl Journal {
             let _ = sink.write_all(line.as_bytes());
             let _ = sink.flush();
         }
-        if state.ring.len() == self.capacity {
+        if state.ring.len() == JOURNAL_RING {
             state.ring.pop_front();
         }
         state.ring.push_back(event);
@@ -490,7 +464,7 @@ struct Inner {
     cache: ShardedCache,
     counters: Counters,
     workers: usize,
-    journal: Option<Journal>,
+    journal: Journal,
     store: Option<ArtifactStore>,
     limiter: Option<ClientLimiter>,
 }
@@ -540,7 +514,7 @@ impl Service {
             cache,
             counters: Counters::new(),
             workers: config.workers.max(1),
-            journal: (config.journal_capacity > 0).then(|| Journal::new(config.journal_capacity)),
+            journal: Journal::new(),
             store,
             limiter: config.rate_limit.map(ClientLimiter::new),
         });
@@ -558,25 +532,23 @@ impl Service {
 
     /// Records an admission rejection in the journal.
     fn journal_rejection(&self, request: &Request, outcome: &str) {
-        if let Some(journal) = &self.inner.journal {
-            journal.record(JournalEvent {
-                seq: 0,
-                id: request.id,
-                verb: request.verb.as_str().into(),
-                source_digest: format!(
-                    "{:016x}",
-                    protocol::cache_key(&request.source, &request.options)
-                ),
-                cache: "none".into(),
-                engine: None,
-                engine_reason: None,
-                queue_wait_micros: 0,
-                compile_micros: 0,
-                build_micros: 0,
-                total_micros: 0,
-                outcome: outcome.into(),
-            });
-        }
+        self.inner.journal.record(JournalEvent {
+            seq: 0,
+            id: request.id,
+            verb: request.verb.as_str().into(),
+            source_digest: format!(
+                "{:016x}",
+                protocol::cache_key(&request.source, &request.options)
+            ),
+            cache: "none".into(),
+            engine: None,
+            engine_reason: None,
+            queue_wait_micros: 0,
+            compile_micros: 0,
+            build_micros: 0,
+            total_micros: 0,
+            outcome: outcome.into(),
+        });
     }
 
     /// Submits a request for asynchronous execution. A worker calls
@@ -702,37 +674,22 @@ impl Service {
         }
     }
 
-    /// The result cache's live entry count (tests and the self-test
-    /// client use it to assert eviction behaviour).
+    /// The result cache's live entry count (tests use it to assert
+    /// eviction behaviour).
     pub fn cache_len(&self) -> usize {
         self.inner.cache.len()
     }
 
-    /// The last-N journal events, oldest first; `None` when journalling
-    /// is disabled ([`ServiceConfigBuilder::journal`] was never set).
-    pub fn journal_events(&self) -> Option<Vec<JournalEvent>> {
-        self.inner.journal.as_ref().map(|j| {
-            let state = j.state.lock().expect("journal lock");
-            state.ring.iter().cloned().collect()
-        })
-    }
-
-    /// The journal ring's capacity (`0` when disabled).
-    pub fn journal_capacity(&self) -> usize {
-        self.inner.journal.as_ref().map_or(0, |j| j.capacity)
+    /// The last 256 journal events, oldest first.
+    pub fn journal_events(&self) -> Vec<JournalEvent> {
+        let state = self.inner.journal.state.lock().expect("journal lock");
+        state.ring.iter().cloned().collect()
     }
 
     /// Attaches an NDJSON sink: every journal event is also written to
-    /// it as one line (`tpnc serve --journal FILE`). Returns `false`
-    /// without installing when journalling is disabled.
-    pub fn set_journal_sink(&self, sink: Box<dyn Write + Send>) -> bool {
-        match &self.inner.journal {
-            Some(j) => {
-                j.state.lock().expect("journal lock").sink = Some(sink);
-                true
-            }
-            None => false,
-        }
+    /// it as one line (`tpnc serve --journal FILE`).
+    pub fn set_journal_sink(&self, sink: Box<dyn Write + Send>) {
+        self.inner.journal.state.lock().expect("journal lock").sink = Some(sink);
     }
 }
 
@@ -823,7 +780,6 @@ fn worker_loop(inner: &Inner) {
                 }
                 Exec::failed(
                     error_envelope(
-                        job.request.v,
                         id,
                         Some(verb),
                         "panic",
@@ -837,22 +793,20 @@ fn worker_loop(inner: &Inner) {
         };
         let nanos = admitted.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         inner.counters.latencies.record(nanos);
-        if let Some(journal) = &inner.journal {
-            journal.record(JournalEvent {
-                seq: 0,
-                id,
-                verb: verb.as_str().into(),
-                source_digest: format!("{key:016x}"),
-                cache: exec.tier.into(),
-                engine: exec.engine.clone(),
-                engine_reason: exec.engine_reason.clone(),
-                queue_wait_micros: duration_micros(started.duration_since(admitted)),
-                compile_micros: exec.compile_micros,
-                build_micros: exec.build_micros,
-                total_micros: nanos.div_ceil(1_000),
-                outcome: exec.outcome.into(),
-            });
-        }
+        inner.journal.record(JournalEvent {
+            seq: 0,
+            id,
+            verb: verb.as_str().into(),
+            source_digest: format!("{key:016x}"),
+            cache: exec.tier.into(),
+            engine: exec.engine,
+            engine_reason: exec.engine_reason,
+            queue_wait_micros: duration_micros(started.duration_since(admitted)),
+            compile_micros: exec.compile_micros,
+            build_micros: exec.build_micros,
+            total_micros: nanos.div_ceil(1_000),
+            outcome: exec.outcome.into(),
+        });
         // The rest of the job, its rate-limit slot included, drops after
         // the reply.
         (job.reply)(Response {
@@ -882,7 +836,6 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
         // table; a cancel that reaches a worker targets an unknown
         // request.
         let line = error_envelope(
-            req.v,
             id,
             Some(verb),
             "bad_request",
@@ -899,7 +852,6 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
         // These read service state the worker pool cannot see; the
         // serve front-end answers them without queueing.
         let line = error_envelope(
-            req.v,
             id,
             Some(verb),
             "bad_request",
@@ -915,12 +867,7 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
 
     let compile_start = Instant::now();
     let lookup = inner.cache.get(key);
-    // Tier (and the seen-key set behind warm/miss) is tracked only when
-    // the journal is on — disabled journalling costs nothing here.
-    let tier = inner
-        .journal
-        .as_ref()
-        .map_or("none", |j| j.tier(key, lookup.is_some()));
+    let tier = if lookup.is_some() { "hot" } else { "miss" };
     let (lp, cache_hit) = match lookup {
         Some(lp) => (lp, true),
         None => match CompiledLoop::from_source_with(&req.source, req.options.clone()) {
@@ -936,8 +883,7 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
                 (lp, false)
             }
             Err(e) => {
-                let line =
-                    error_envelope(req.v, id, Some(verb), "compile", &e.to_string(), None, None);
+                let line = error_envelope(id, Some(verb), "compile", &e.to_string(), None, None);
                 let mut exec = Exec::failed(line, "compile");
                 exec.tier = tier;
                 exec.compile_micros = duration_micros(compile_start.elapsed());
@@ -945,24 +891,15 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
             }
         },
     };
-    let (engine, engine_reason) = match &inner.journal {
-        Some(_) => {
-            let audit = lp.engine_audit();
-            (
-                Some(audit.resolved.as_str().to_string()),
-                Some(audit.reason),
-            )
-        }
-        None => (None, None),
-    };
+    let audit = lp.engine_audit();
     let mut exec = Exec {
         ok: false,
         cache_hit,
         line: String::new(),
         outcome: "ok",
         tier,
-        engine,
-        engine_reason,
+        engine: Some(audit.resolved.as_str().to_string()),
+        engine_reason: Some(audit.reason),
         compile_micros: duration_micros(compile_start.elapsed()),
         build_micros: 0,
     };
@@ -1005,11 +942,10 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
     match payload {
         Ok(json) => {
             exec.ok = true;
-            exec.line = ok_envelope(req.v, id, verb, &json);
+            exec.line = ok_envelope(id, verb, &json);
         }
         Err(e) => {
-            exec.line =
-                error_envelope(req.v, id, Some(verb), "compile", &e.to_string(), None, None);
+            exec.line = error_envelope(id, Some(verb), "compile", &e.to_string(), None, None);
             exec.outcome = "compile";
         }
     }
@@ -1019,21 +955,12 @@ fn execute(inner: &Inner, job: &Job, key: u64) -> Exec {
 /// Checks the job's cancel flag and wall-clock deadline; returns the
 /// error response line and the journal outcome when either fired.
 fn interruption(inner: &Inner, job: &Job) -> Option<(String, &'static str)> {
-    let v = job.request.v;
     let id = job.request.id;
     let verb = job.request.verb;
     if job.cancel.load(Ordering::Relaxed) {
         inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
         return Some((
-            error_envelope(
-                v,
-                id,
-                Some(verb),
-                "cancelled",
-                "request cancelled",
-                None,
-                None,
-            ),
+            error_envelope(id, Some(verb), "cancelled", "request cancelled", None, None),
             "cancelled",
         ));
     }
@@ -1045,7 +972,6 @@ fn interruption(inner: &Inner, job: &Job) -> Option<(String, &'static str)> {
                 .fetch_add(1, Ordering::Relaxed);
             return Some((
                 error_envelope(
-                    v,
                     id,
                     Some(verb),
                     "deadline",
@@ -1076,9 +1002,8 @@ fn front_end_counts(service: &Service, verb: Verb, ok: bool) {
 }
 
 /// Handles the `metrics` verb against a running service: never queued
-/// (it must succeed under overload) and never cached. `v` picks the
-/// response envelope version.
-pub fn metrics_response_v(service: &Service, id: u64, v: u8) -> Response {
+/// (it must succeed under overload) and never cached.
+pub fn metrics_response(service: &Service, id: u64) -> Response {
     front_end_counts(service, Verb::Metrics, true);
     let payload = to_json(&service.counters());
     Response {
@@ -1086,14 +1011,14 @@ pub fn metrics_response_v(service: &Service, id: u64, v: u8) -> Response {
         verb: Verb::Metrics,
         ok: true,
         cache_hit: false,
-        line: ok_envelope(v, id, Verb::Metrics, &payload),
+        line: ok_envelope(id, Verb::Metrics, &payload),
     }
 }
 
 /// Handles the `metrics_prometheus` verb: the same counters snapshot as
-/// [`metrics_response_v`], rendered as a Prometheus text exposition and
+/// [`metrics_response`], rendered as a Prometheus text exposition and
 /// wrapped in the usual NDJSON envelope.
-pub fn metrics_prometheus_response_v(service: &Service, id: u64, v: u8) -> Response {
+pub fn metrics_prometheus_response(service: &Service, id: u64) -> Response {
     #[derive(Serialize)]
     struct PrometheusJson {
         content_type: &'static str,
@@ -1109,51 +1034,29 @@ pub fn metrics_prometheus_response_v(service: &Service, id: u64, v: u8) -> Respo
         verb: Verb::MetricsPrometheus,
         ok: true,
         cache_hit: false,
-        line: ok_envelope(v, id, Verb::MetricsPrometheus, &payload),
+        line: ok_envelope(id, Verb::MetricsPrometheus, &payload),
     }
 }
 
-/// Handles the `journal` verb: the last-N journal events, oldest first.
-/// Answers `bad_request` when journalling is disabled.
-pub fn journal_response_v(service: &Service, id: u64, v: u8) -> Response {
+/// Handles the `journal` verb: the last 256 journal events, oldest
+/// first.
+pub fn journal_response(service: &Service, id: u64) -> Response {
     #[derive(Serialize)]
     struct JournalJson {
         capacity: usize,
         events: Vec<JournalEvent>,
     }
-    match service.journal_events() {
-        Some(events) => {
-            front_end_counts(service, Verb::Journal, true);
-            let payload = to_json(&JournalJson {
-                capacity: service.journal_capacity(),
-                events,
-            });
-            Response {
-                id,
-                verb: Verb::Journal,
-                ok: true,
-                cache_hit: false,
-                line: ok_envelope(v, id, Verb::Journal, &payload),
-            }
-        }
-        None => {
-            front_end_counts(service, Verb::Journal, false);
-            Response {
-                id,
-                verb: Verb::Journal,
-                ok: false,
-                cache_hit: false,
-                line: error_envelope(
-                    v,
-                    id,
-                    Some(Verb::Journal),
-                    "bad_request",
-                    "journalling is disabled (start the service with journal_capacity > 0)",
-                    None,
-                    None,
-                ),
-            }
-        }
+    front_end_counts(service, Verb::Journal, true);
+    let payload = to_json(&JournalJson {
+        capacity: JOURNAL_RING,
+        events: service.journal_events(),
+    });
+    Response {
+        id,
+        verb: Verb::Journal,
+        ok: true,
+        cache_hit: false,
+        line: ok_envelope(id, Verb::Journal, &payload),
     }
 }
 
@@ -1258,7 +1161,7 @@ mod tests {
     #[test]
     fn metrics_never_touches_the_cache() {
         let service = Service::start(ServiceConfig::default());
-        let m = metrics_response_v(&service, 5, 1);
+        let m = metrics_response(&service, 5);
         assert!(m.ok);
         assert!(m.line.contains("\"workers\""));
         assert_eq!(service.cache_len(), 0);
@@ -1302,7 +1205,7 @@ mod tests {
         let mut bad = request(3, Verb::Analyze);
         bad.source = "not a loop".into();
         assert!(!service.call(bad).unwrap().ok);
-        let m = metrics_response_v(&service, 4, 1);
+        let m = metrics_response(&service, 4);
         // Snapshot of the per-verb rows: nonzero rows only, wire order,
         // including the front-end metrics request itself.
         assert!(
@@ -1330,35 +1233,29 @@ mod tests {
                 Ok(())
             }
         }
-        let service = Service::start(
-            ServiceConfig::builder()
-                .workers(1)
-                .journal(2)
-                .build()
-                .unwrap(),
-        );
+        let service = Service::start(workers(1));
         let sink = Arc::new(Mutex::new(Vec::new()));
-        assert!(service.set_journal_sink(Box::new(SharedSink(sink.clone()))));
+        service.set_journal_sink(Box::new(SharedSink(sink.clone())));
 
-        assert!(service.call(request(1, Verb::Analyze)).unwrap().ok);
-        assert!(service.call(request(2, Verb::Analyze)).unwrap().ok);
-        assert!(service.call(request(3, Verb::Rate)).unwrap().ok);
+        let total = JOURNAL_RING as u64 + 2;
+        for id in 1..total {
+            assert!(service.call(request(id, Verb::Analyze)).unwrap().ok);
+        }
+        assert!(service.call(request(total, Verb::Rate)).unwrap().ok);
 
-        // Ring capacity 2: the first event fell off, seq keeps counting.
-        let events = service.journal_events().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!((events[0].seq, events[1].seq), (2, 3));
+        // The ring holds the last JOURNAL_RING events; seq keeps counting.
+        let events = service.journal_events();
+        assert_eq!(events.len(), JOURNAL_RING);
+        assert_eq!(events[0].seq, 3);
+        let last = events.last().unwrap();
+        assert_eq!(last.seq, total);
         assert_eq!(events[0].cache, "hot");
-        assert_eq!(events[1].verb, "rate");
+        assert_eq!(last.verb, "rate");
         // Same source and options -> same key -> hot again.
-        assert_eq!(events[1].cache, "hot");
-        assert_eq!(events[1].outcome, "ok");
-        assert_eq!(events[1].engine.as_deref(), Some("analytic"));
-        assert!(events[1]
-            .engine_reason
-            .as_deref()
-            .unwrap()
-            .starts_with("auto:"));
+        assert_eq!(last.cache, "hot");
+        assert_eq!(last.outcome, "ok");
+        assert_eq!(last.engine.as_deref(), Some("analytic"));
+        assert!(last.engine_reason.as_deref().unwrap().starts_with("auto:"));
         assert_eq!(
             events[0].source_digest,
             format!(
@@ -1367,39 +1264,28 @@ mod tests {
             )
         );
 
-        // The sink saw all three as parseable NDJSON lines; the first
-        // request was the first-ever key, so a miss.
+        // The sink saw every event as a parseable NDJSON line; the first
+        // request compiled, so a miss.
         let text = String::from_utf8(sink.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len() as u64, total);
         for line in &lines {
             assert!(protocol::parse_json(line).is_ok());
         }
         assert!(lines[0].contains("\"cache\":\"miss\""));
 
         // The journal verb returns the same ring through the envelope.
-        let r = journal_response_v(&service, 9, 1);
+        let r = journal_response(&service, 9);
         assert!(r.ok);
-        assert!(r.line.contains("\"capacity\":2"));
-        assert!(r.line.contains("\"seq\":3"));
-    }
-
-    #[test]
-    fn journal_is_disabled_by_default() {
-        let service = Service::start(ServiceConfig::default());
-        assert!(service.journal_events().is_none());
-        assert_eq!(service.journal_capacity(), 0);
-        assert!(!service.set_journal_sink(Box::new(std::io::sink())));
-        let r = journal_response_v(&service, 9, 1);
-        assert!(!r.ok);
-        assert!(r.line.contains("\"kind\":\"bad_request\""));
+        assert!(r.line.contains("\"capacity\":256"));
+        assert!(r.line.contains(&format!("\"seq\":{total}")));
     }
 
     #[test]
     fn prometheus_verb_wraps_the_exposition_in_the_envelope() {
         let service = Service::start(ServiceConfig::default());
         assert!(service.call(request(1, Verb::Analyze)).unwrap().ok);
-        let r = metrics_prometheus_response_v(&service, 2, 1);
+        let r = metrics_prometheus_response(&service, 2);
         assert!(r.ok);
         assert!(r.line.contains("tpn_service_accepted_total 1"));
         assert!(r.line.contains("text/plain; version=0.0.4"));

@@ -25,9 +25,10 @@
 //! model), `rate`, `scp` (requires `depth`), `trace` (optional `depth`),
 //! `storage`, `explain` (the self-validated scheduling witness),
 //! `metrics`, `metrics_prometheus` (the same counters as a Prometheus
-//! text exposition), `journal` (the last-N request-journal ring, when
-//! journalling is enabled), and `cancel` (the last four are handled by
-//! the serve front-end, not the worker pool).
+//! text exposition), `journal` (the last 256 request-journal events),
+//! and `cancel` (the last four are handled by the serve front-end, not
+//! the worker pool). An optional top-level `client` string keys the
+//! per-client fairness limiter (absent ⇒ the anonymous bucket).
 //!
 //! ## Response schema
 //!
@@ -42,23 +43,12 @@
 //! `retry_after_ms`), `deadline`, `cancelled`, `panic`, `compile`,
 //! `bad_request`, `unsupported_version`.
 //!
-//! ## The v2 envelope
+//! ## Versioning
 //!
-//! A request whose top level carries `"v":2` uses the versioned
-//! envelope: correlation and routing fields (`id`, `verb`, `client`)
-//! stay at the top level and everything verb-specific moves into
-//! `body`:
-//!
-//! ```json
-//! {"v":2,"id":7,"verb":"schedule","client":"ci-bot",
-//!  "body":{"source":"do i ...","depth":2,"options":{"node_time":3}}}
-//! ```
-//!
-//! Responses echo the version: `{"v":2,"id":7,"ok":true,...}`. A
-//! request without `"v"` is a v1 request and gets the exact v1 response
-//! bytes; any other version gets a typed `unsupported_version` error.
-//! `client` keys the per-client fairness limiter (absent ⇒ the
-//! anonymous bucket).
+//! This is version 1 of the protocol. A request may say so with
+//! `"v":1`; a request without `"v"` is read the same way. Any other
+//! version gets a typed `unsupported_version` error echoing the id, so
+//! a later version can be told apart from a malformed request.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -204,15 +194,12 @@ impl Verb {
 /// One parsed request line.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// The envelope version this request arrived under (1 or 2);
-    /// responses are rendered in the same version.
-    pub v: u8,
     /// Client-chosen correlation id, echoed on the response.
     pub id: u64,
     /// What to do.
     pub verb: Verb,
-    /// The client id keying per-client fairness (v2 envelope;
-    /// `None` ⇒ the anonymous bucket).
+    /// The client id keying per-client fairness (`None` ⇒ the
+    /// anonymous bucket).
     pub client: Option<String>,
     /// The loop source (empty for `metrics` / `cancel`).
     pub source: String,
@@ -228,11 +215,10 @@ pub struct Request {
 }
 
 impl Request {
-    /// A v1 request with defaulted optional fields — the in-process
+    /// A request with defaulted optional fields — the in-process
     /// construction path (tests, benches, the chaos harness).
     pub fn basic(id: u64, verb: Verb, source: impl Into<String>) -> Request {
         Request {
-            v: 1,
             id,
             verb,
             client: None,
@@ -245,71 +231,82 @@ impl Request {
     }
 }
 
-/// Why a request line failed to parse.
+/// Why a request line failed to parse. Each carries the line's integer
+/// `"id"` when it had one, so the reply can echo it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParseError {
-    /// The line carried a `"v"` this server does not speak; the serve
-    /// layer answers with a typed `unsupported_version` error. The `id`
-    /// is echoed when the line carried a usable one.
+    /// The line carried a `"v"` this server does not speak; answered
+    /// with a typed `unsupported_version` error.
     UnsupportedVersion {
         /// The request's correlation id, when present.
         id: Option<u64>,
         /// The version the client asked for.
         v: u64,
     },
-    /// Anything else — invalid JSON, a missing or mistyped field; the
-    /// serve layer answers `bad_request` with the message.
-    Bad(String),
+    /// Anything else — invalid JSON, a missing or mistyped field;
+    /// answered with `bad_request` and the message.
+    Bad {
+        /// The request's correlation id, when present.
+        id: Option<u64>,
+        /// What is wrong with the line.
+        message: String,
+    },
+}
+
+impl ParseError {
+    /// The one reply line for a request line that failed to parse, as
+    /// `tpnc serve` and `tpnc route` both send it: a typed error
+    /// echoing the line's id, or 0 when it had none.
+    pub fn reply(&self) -> String {
+        let (id, kind) = match self {
+            ParseError::UnsupportedVersion { id, .. } => (id, "unsupported_version"),
+            ParseError::Bad { id, .. } => (id, "bad_request"),
+        };
+        error_envelope(id.unwrap_or(0), None, kind, &self.to_string(), None, None)
+    }
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ParseError::UnsupportedVersion { v, .. } => {
-                write!(
-                    f,
-                    "unsupported envelope version {v} (this server speaks 1 and 2)"
-                )
+                write!(f, "unsupported envelope version {v} (this server speaks 1)")
             }
-            ParseError::Bad(message) => f.write_str(message),
+            ParseError::Bad { message, .. } => f.write_str(message),
         }
     }
 }
 
 impl std::error::Error for ParseError {}
 
-impl From<String> for ParseError {
-    fn from(message: String) -> ParseError {
-        ParseError::Bad(message)
-    }
-}
-
-impl From<&str> for ParseError {
-    fn from(message: &str) -> ParseError {
-        ParseError::Bad(message.into())
-    }
-}
-
-/// Parses one NDJSON request line (either envelope version).
+/// Parses one NDJSON request line.
 ///
 /// # Errors
 ///
-/// [`ParseError::UnsupportedVersion`] for an unknown `"v"`, otherwise
-/// [`ParseError::Bad`] with a human-readable message; the serve layer
-/// turns them into `unsupported_version` / `bad_request` responses.
+/// [`ParseError::UnsupportedVersion`] for a `"v"` other than 1,
+/// otherwise [`ParseError::Bad`] with a human-readable message; both
+/// carry the line's id when it had a valid one, and
+/// [`ParseError::reply`] renders the reply.
 pub fn parse_request(line: &str) -> Result<Request, ParseError> {
-    let value = parse_json(line)?;
-    let obj = value.as_object().ok_or("request must be a JSON object")?;
-    let v = match get_u64(obj, "v")? {
-        None => 1,
-        Some(v @ (1 | 2)) => v as u8,
-        Some(v) => {
-            return Err(ParseError::UnsupportedVersion {
-                id: get_u64(obj, "id").ok().flatten(),
-                v,
-            })
-        }
+    let value = parse_json(line).map_err(|message| ParseError::Bad { id: None, message })?;
+    let Some(obj) = value.as_object() else {
+        return Err(ParseError::Bad {
+            id: None,
+            message: "request must be a JSON object".into(),
+        });
     };
+    let id = get_u64(obj, "id").ok().flatten();
+    match get_u64(obj, "v") {
+        Ok(None | Some(1)) => {
+            request_fields(obj).map_err(|message| ParseError::Bad { id, message })
+        }
+        Ok(Some(v)) => Err(ParseError::UnsupportedVersion { id, v }),
+        Err(message) => Err(ParseError::Bad { id, message }),
+    }
+}
+
+/// Reads a request's fields from the top level of its object.
+fn request_fields(obj: &[(String, JsonValue)]) -> Result<Request, String> {
     let id = get_u64(obj, "id")?.ok_or("missing \"id\"")?;
     let verb = match obj.iter().find(|(k, _)| k == "verb") {
         Some((_, JsonValue::Str(name))) => {
@@ -323,18 +320,7 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
         Some((_, JsonValue::Null)) | None => None,
         Some(_) => return Err("\"client\" must be a string".into()),
     };
-    // The verb-specific fields live at the top level in v1 and inside
-    // "body" in v2; everything below reads from `body`.
-    let empty_body: Vec<(String, JsonValue)> = Vec::new();
-    let body: &[(String, JsonValue)] = if v == 2 {
-        match obj.iter().find(|(k, _)| k == "body") {
-            None => &empty_body,
-            Some((_, value)) => value.as_object().ok_or("\"body\" must be a JSON object")?,
-        }
-    } else {
-        obj
-    };
-    let source = match body.iter().find(|(k, _)| k == "source") {
+    let source = match obj.iter().find(|(k, _)| k == "source") {
         Some((_, JsonValue::Str(s))) => s.clone(),
         Some(_) => return Err("\"source\" must be a string".into()),
         None => String::new(),
@@ -345,31 +331,25 @@ pub fn parse_request(line: &str) -> Result<Request, ParseError> {
             Verb::Metrics | Verb::MetricsPrometheus | Verb::Journal | Verb::Cancel
         )
     {
-        return Err(format!("verb {:?} requires \"source\"", verb.as_str()).into());
+        return Err(format!("verb {:?} requires \"source\"", verb.as_str()));
     }
-    let depth = get_u64(body, "depth")?;
+    let depth = get_u64(obj, "depth")?;
     if verb == Verb::Scp && depth.is_none() {
         return Err("verb \"scp\" requires \"depth\"".into());
     }
     if depth == Some(0) {
         return Err("\"depth\" must be >= 1".into());
     }
-    let deadline_ms = get_u64(body, "deadline_ms")?;
-    let target = get_u64(body, "target")?;
+    let deadline_ms = get_u64(obj, "deadline_ms")?;
+    let target = get_u64(obj, "target")?;
     if verb == Verb::Cancel && target.is_none() {
         return Err("verb \"cancel\" requires \"target\"".into());
     }
-    let options = match body.iter().find(|(k, _)| k == "options") {
+    let options = match obj.iter().find(|(k, _)| k == "options") {
         None => CompileOptions::new(),
-        Some((_, value)) => {
-            let opts = value
-                .as_object()
-                .ok_or("\"options\" must be a JSON object")?;
-            parse_options(opts)?
-        }
+        Some((_, value)) => options_from_json(value)?,
     };
     Ok(Request {
-        v,
         id,
         verb,
         client,
@@ -425,10 +405,6 @@ pub fn options_from_json(value: &JsonValue) -> Result<CompileOptions, String> {
     let obj = value
         .as_object()
         .ok_or("\"options\" must be a JSON object")?;
-    parse_options(obj)
-}
-
-fn parse_options(obj: &[(String, JsonValue)]) -> Result<CompileOptions, String> {
     let mut options = CompileOptions::new();
     for (key, value) in obj {
         match key.as_str() {
@@ -1024,20 +1000,14 @@ pub fn explain_payload(lp: &CompiledLoop, file: Option<String>) -> Result<Explai
 // Response envelopes.
 // ---------------------------------------------------------------------------
 
-/// Renders a success envelope around an already-serialized payload, in
-/// the requested version: v1 is the bare historical form (no `"v"` key),
-/// v2 leads with `"v":2`.
-pub fn ok_envelope(v: u8, id: u64, verb: Verb, payload_json: &str) -> String {
+/// Renders a success envelope around an already-serialized payload.
+pub fn ok_envelope(id: u64, verb: Verb, payload_json: &str) -> String {
     // Payloads run to hundreds of kilobytes (`trace`), so the envelope is
     // written around one copy of the payload into one buffer.
     let mut out = String::with_capacity(payload_json.len() + 64);
-    out.push('{');
-    if v >= 2 {
-        let _ = write!(out, "\"v\":{v},");
-    }
     let _ = write!(
         out,
-        "\"id\":{id},\"ok\":true,\"verb\":\"{}\",\"payload\":",
+        "{{\"id\":{id},\"ok\":true,\"verb\":\"{}\",\"payload\":",
         verb.as_str()
     );
     out.push_str(payload_json);
@@ -1045,21 +1015,9 @@ pub fn ok_envelope(v: u8, id: u64, verb: Verb, payload_json: &str) -> String {
     out
 }
 
-/// Renders a v1 error envelope. `queue_depth` is set for `overloaded`.
-pub fn error_line(
-    id: u64,
-    verb: Option<Verb>,
-    kind: &str,
-    message: &str,
-    queue_depth: Option<usize>,
-) -> String {
-    error_envelope(1, id, verb, kind, message, queue_depth, None)
-}
-
-/// Renders an error envelope in the requested version. `queue_depth`
-/// is set for `overloaded`, `retry_after_ms` for `rate_limited`.
+/// Renders an error envelope. `queue_depth` is set for `overloaded`,
+/// `retry_after_ms` for `rate_limited` and `unavailable`.
 pub fn error_envelope(
-    v: u8,
     id: u64,
     verb: Option<Verb>,
     kind: &str,
@@ -1067,11 +1025,7 @@ pub fn error_envelope(
     queue_depth: Option<usize>,
     retry_after_ms: Option<u64>,
 ) -> String {
-    let mut out = String::from("{");
-    if v >= 2 {
-        out.push_str(&format!("\"v\":{v},"));
-    }
-    out.push_str(&format!("\"id\":{id},\"ok\":false"));
+    let mut out = format!("{{\"id\":{id},\"ok\":false");
     if let Some(verb) = verb {
         out.push_str(&format!(",\"verb\":\"{}\"", verb.as_str()));
     }
@@ -1088,15 +1042,11 @@ pub fn error_envelope(
 }
 
 /// The id of a response line that [`ok_envelope`] or [`error_envelope`]
-/// wrote, read from the envelope head (`{"id":N` or `{"v":V,"id":N`)
-/// without looking at the rest of the line, which can run to hundreds
-/// of kilobytes. `None` for a line with any other head.
+/// wrote, read from the envelope head (`{"id":N`) without looking at the
+/// rest of the line, which can run to hundreds of kilobytes. `None` for
+/// a line with any other head.
 pub fn envelope_id(line: &[u8]) -> Option<u64> {
-    let mut head = line.strip_prefix(b"{")?;
-    if let Some(version) = head.strip_prefix(b"\"v\":") {
-        head = &version[version.iter().position(|&b| b == b',')? + 1..];
-    }
-    let digits = head.strip_prefix(b"\"id\":")?;
+    let digits = line.strip_prefix(b"{\"id\":")?;
     let end = digits
         .iter()
         .position(|b| !b.is_ascii_digit())
@@ -1435,19 +1385,24 @@ mod tests {
             Some(JsonValue::Num(n)) => Some(*n as u64),
             _ => None,
         };
-        for v in [1, 2] {
-            for id in [0, 7, 1_000_042, u64::from(u32::MAX) * 1024] {
-                for line in [
-                    ok_envelope(v, id, Verb::Analyze, "{\"nodes\":[1,2]}"),
-                    error_envelope(v, id, None, "unavailable", "retry", None, Some(1_000)),
-                    error_envelope(v, id, Some(Verb::Trace), "panic", "\"id\":9", Some(3), None),
-                ] {
-                    assert_eq!(envelope_id(line.as_bytes()), Some(id), "{line}");
-                    assert_eq!(envelope_id(line.as_bytes()), parsed(&line), "{line}");
-                }
+        for id in [0, 7, 1_000_042, u64::from(u32::MAX) * 1024] {
+            for line in [
+                ok_envelope(id, Verb::Analyze, "{\"nodes\":[1,2]}"),
+                error_envelope(id, None, "unavailable", "retry", None, Some(1_000)),
+                error_envelope(id, Some(Verb::Trace), "panic", "\"id\":9", Some(3), None),
+            ] {
+                assert_eq!(envelope_id(line.as_bytes()), Some(id), "{line}");
+                assert_eq!(envelope_id(line.as_bytes()), parsed(&line), "{line}");
             }
         }
-        for other in ["", "{", "{\"ok\":true,\"id\":3}", "[1]", "{\"id\":x}"] {
+        for other in [
+            "",
+            "{",
+            "{\"ok\":true,\"id\":3}",
+            "[1]",
+            "{\"id\":x}",
+            "{\"v\":2,\"id\":3}",
+        ] {
             assert_eq!(envelope_id(other.as_bytes()), None, "{other}");
         }
     }
@@ -1526,7 +1481,10 @@ mod tests {
             "{{\"id\":1,\"verb\":\"analyze\",\"source\":{}}}",
             nest(MAX_DEPTH)
         );
-        assert!(matches!(parse_request(&line), Err(ParseError::Bad(_))));
+        assert!(matches!(
+            parse_request(&line),
+            Err(ParseError::Bad { id: None, .. })
+        ));
     }
 
     #[test]
@@ -1544,10 +1502,14 @@ mod tests {
         assert_eq!(req.options.get_node_time(), Some(3));
         assert_eq!(req.options.get_issue_policy(), IssuePolicy::Priority);
         // The removed recorder switch is unknown, like any other key.
+        let bad = |message: &str| ParseError::Bad {
+            id: Some(1),
+            message: message.into(),
+        };
         assert_eq!(
             parse_request(r#"{"id":1,"verb":"schedule","source":"x","options":{"trace":true}}"#)
                 .unwrap_err(),
-            ParseError::Bad("unknown option \"trace\"".into())
+            bad("unknown option \"trace\"")
         );
 
         // A zero node time is refused here; `CompileOptions::node_time`
@@ -1555,7 +1517,7 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"id":1,"verb":"analyze","source":"x","options":{"node_time":0}}"#)
                 .unwrap_err(),
-            ParseError::Bad("\"node_time\" must be >= 1".into())
+            bad("\"node_time\" must be >= 1")
         );
         // A step budget past the detection ceiling is refused, not run.
         let budget = |b: u64| {
@@ -1570,7 +1532,7 @@ mod tests {
         );
         assert_eq!(
             budget(ceiling + 1).unwrap_err(),
-            ParseError::Bad(format!(
+            bad(&format!(
                 "\"step_budget\" must be at most {ceiling} instants"
             ))
         );
@@ -1591,61 +1553,46 @@ mod tests {
     }
 
     #[test]
-    fn v2_envelope_parses_and_unknown_versions_are_typed() {
-        let req = parse_request(
-            r#"{"v":2,"id":7,"verb":"schedule","client":"ci-bot",
-               "body":{"source":"do i from 2 to n { X[i] := X[i-1]; }","depth":2,
-                       "options":{"node_time":3}}}"#,
-        )
-        .unwrap();
-        assert_eq!(req.v, 2);
-        assert_eq!(req.id, 7);
-        assert_eq!(req.client.as_deref(), Some("ci-bot"));
-        assert_eq!(req.depth, Some(2));
-        assert_eq!(req.options.get_node_time(), Some(3));
-
-        // v absent => v1; explicit v1 keeps the top-level field form.
-        let v1 = parse_request(r#"{"id":1,"verb":"analyze","source":"x"}"#).unwrap();
-        assert_eq!((v1.v, v1.client), (1, None));
-        let v1e = parse_request(r#"{"v":1,"id":1,"verb":"analyze","source":"x"}"#).unwrap();
-        assert_eq!(v1e.v, 1);
-
-        // v2 requires verb fields inside body, not at the top level.
-        assert!(parse_request(r#"{"v":2,"id":1,"verb":"analyze","source":"x"}"#).is_err());
-        // Unknown versions are a typed error echoing the id.
-        assert_eq!(
-            parse_request(r#"{"v":3,"id":9,"verb":"analyze","source":"x"}"#).unwrap_err(),
-            ParseError::UnsupportedVersion { id: Some(9), v: 3 }
-        );
+    fn version_one_parses_and_other_versions_are_typed() {
+        // v absent or 1 => the one protocol, fields at the top level.
+        for line in [
+            r#"{"id":7,"verb":"schedule","client":"ci-bot","source":"x","depth":2}"#,
+            r#"{"v":1,"id":7,"verb":"schedule","client":"ci-bot","source":"x","depth":2}"#,
+        ] {
+            let req = parse_request(line).unwrap();
+            assert_eq!((req.id, req.depth), (7, Some(2)));
+            assert_eq!(req.client.as_deref(), Some("ci-bot"));
+        }
+        // Every other version is a typed error echoing the id.
+        for v in [2, 3, 99] {
+            let err = parse_request(&format!(
+                r#"{{"v":{v},"id":9,"verb":"analyze","body":{{"source":"x"}}}}"#
+            ))
+            .unwrap_err();
+            assert_eq!(err, ParseError::UnsupportedVersion { id: Some(9), v });
+            assert_eq!(
+                err.reply(),
+                format!(
+                    "{{\"id\":9,\"ok\":false,\"error\":{{\"kind\":\"unsupported_version\",\
+                     \"message\":\"unsupported envelope version {v} (this server speaks 1)\"}}}}"
+                )
+            );
+        }
         assert_eq!(
             parse_request(r#"{"v":99,"verb":"analyze"}"#).unwrap_err(),
             ParseError::UnsupportedVersion { id: None, v: 99 }
         );
-        // v2 metrics needs no body at all.
-        assert!(parse_request(r#"{"v":2,"id":1,"verb":"metrics"}"#).is_ok());
-    }
-
-    #[test]
-    fn versioned_envelopes_differ_only_by_the_v_prefix() {
+        // A bad line echoes its id when it has one, 0 otherwise.
+        let zero = r#"{"id":498,"verb":"analyze","source":"x","options":{"node_time":0}}"#;
         assert_eq!(
-            ok_envelope(2, 3, Verb::Analyze, "{\"x\":1}"),
-            format!(
-                "{{\"v\":2,{}",
-                &ok_envelope(1, 3, Verb::Analyze, "{\"x\":1}")[1..]
-            )
+            parse_request(zero).unwrap_err().reply(),
+            "{\"id\":498,\"ok\":false,\"error\":{\"kind\":\"bad_request\",\
+             \"message\":\"\\\"node_time\\\" must be >= 1\"}}"
         );
-        let err = error_envelope(
-            2,
-            4,
-            Some(Verb::Schedule),
-            "rate_limited",
-            "client \"a\" rate limited",
-            None,
-            Some(12),
-        );
-        assert!(err.starts_with("{\"v\":2,\"id\":4,\"ok\":false"));
-        assert!(err.ends_with("\"retry_after_ms\":12}}"));
-        assert!(parse_json(&err).is_ok());
+        assert!(parse_request("not json")
+            .unwrap_err()
+            .reply()
+            .starts_with("{\"id\":0,\"ok\":false,\"error\":{\"kind\":\"bad_request\""));
     }
 
     #[test]
@@ -1768,17 +1715,18 @@ mod tests {
 
     #[test]
     fn envelopes_are_single_line_json() {
-        let ok = ok_envelope(1, 3, Verb::Analyze, "{\"x\":1}");
+        let ok = ok_envelope(3, Verb::Analyze, "{\"x\":1}");
         assert_eq!(
             ok,
             "{\"id\":3,\"ok\":true,\"verb\":\"analyze\",\"payload\":{\"x\":1}}"
         );
-        let err = error_line(
+        let err = error_envelope(
             9,
             Some(Verb::Schedule),
             "overloaded",
             "queue \"full\"",
             Some(8),
+            None,
         );
         assert!(!err.contains('\n'));
         assert!(parse_json(&err).is_ok());

@@ -1,14 +1,14 @@
 //! Integration tests of the compile service: concurrent cache
-//! behaviour, typed backpressure, panic isolation, deadlines,
-//! cancellation, and a cached/uncached byte-identity property across
-//! every protocol verb.
+//! behaviour, typed backpressure, per-client rate limiting, panic
+//! isolation, deadlines, cancellation, and a cached/uncached
+//! byte-identity property across every protocol verb.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use proptest::prelude::*;
 use tpn_service::protocol::{self, Request, Verb};
-use tpn_service::{Rejected, Service, ServiceConfig};
+use tpn_service::{RateLimit, Rejected, Service, ServiceConfig};
 
 fn source(nodes: usize, seed: u64) -> String {
     let body: String = (0..nodes.max(1))
@@ -165,6 +165,43 @@ fn overload_is_a_typed_rejection() {
     assert_eq!(counters.accepted + rejections, 32);
 }
 
+/// An empty token bucket turns its client away with a typed rejection
+/// and retry advice, while other clients are still admitted.
+#[test]
+fn rate_limit_is_a_typed_per_client_rejection() {
+    let service = Service::start(
+        ServiceConfig::builder()
+            .workers(1)
+            .rate_limit(RateLimit {
+                per_second: 1,
+                burst: 1,
+                max_in_flight: 8,
+            })
+            .build()
+            .unwrap(),
+    );
+    let from = |id: u64, client: &str| {
+        let mut request = request(id, Verb::Analyze, source(1, id), None);
+        request.client = Some(client.to_string());
+        request
+    };
+    assert!(
+        service
+            .call(from(0, "a"))
+            .expect("a's first is admitted")
+            .ok
+    );
+    match service.call(from(1, "a")) {
+        Err(Rejected::RateLimited(limited)) => {
+            assert_eq!(limited.client, "a");
+            assert!(limited.retry_after_ms > 0, "{limited}");
+        }
+        other => panic!("a's second request was not rate limited: {other:?}"),
+    }
+    assert!(service.call(from(2, "b")).expect("b is admitted").ok);
+    assert_eq!(service.counters().rate_limited, 1);
+}
+
 /// A panicking request (SCP depth 0 trips the documented panic) is
 /// confined: typed `panic` response, pool survives, and the poisoned
 /// cache entry is dropped so the key still works afterwards.
@@ -290,7 +327,7 @@ proptest! {
     fn cached_and_uncached_responses_are_byte_identical(
         nodes in 1usize..4,
         seed in 0u64..1000,
-        verb_idx in 0usize..9,
+        verb_idx in 0usize..10,
     ) {
         let verbs = [
             (Verb::Analyze, None),
@@ -302,6 +339,7 @@ proptest! {
             (Verb::Trace, None),
             (Verb::Trace, Some(2)),
             (Verb::Storage, None),
+            (Verb::Explain, None),
         ];
         let (verb, depth) = verbs[verb_idx];
         let service = Service::start(ServiceConfig::builder().workers(2).build().unwrap());
