@@ -176,6 +176,78 @@ fn every_kernel_scp_engine_stats_are_pinned() {
     }
 }
 
+/// Folds every recorded instant of `f` into one word: its time, its
+/// completions, its starts in start order, its digest and its policy
+/// fingerprint, then the window counts. Lists carry their lengths, so
+/// moving an event between instants or lists changes the word.
+fn step_stream_hash(f: &tpn_sched::FrustumReport) -> u64 {
+    use tpn_petri::timed::mix64;
+    let mut h = 0u64;
+    let mut fold = |word: u64| h = mix64(h ^ word);
+    for step in f.steps() {
+        fold(step.time);
+        for list in [step.completed, step.started] {
+            fold(list.len() as u64);
+            list.iter().for_each(|t| fold(t.index() as u64));
+        }
+        fold(step.digest);
+        fold(step.policy_fingerprint);
+    }
+    f.counts.iter().for_each(|&c| fold(c));
+    h
+}
+
+#[test]
+fn scp_step_streams_are_pinned() {
+    // Every instant of the FIFO and priority SCP runs, as
+    // `step_stream_hash` folds it: `(loop, depth, fifo, priority)`. A change
+    // to the engine or the policies that moves one start, one completion
+    // or one digest shows here even when the frustum and its counts agree.
+    use tpn_dataflow::to_petri::to_petri;
+    use tpn_livermore::synth::chain;
+    use tpn_sched::detect_frustum;
+    use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
+    use tpn_sched::scp::build_scp;
+    let pinned: [(&str, u64, u64, u64); 9] = [
+        ("chain/64", 1, 0x6B4E_D2E0_79E4_AA83, 0x3957_556A_892C_4184),
+        ("chain/64", 4, 0xED3B_6E29_0842_4D38, 0x2082_45D9_EFFF_23C8),
+        ("chain/64", 8, 0x5AC6_CEF2_0DDD_FAFD, 0x3575_932A_8960_D286),
+        ("chain/160", 1, 0xB5CA_BB9D_3324_12C5, 0x8116_60AA_7177_7095),
+        ("chain/160", 4, 0x441E_2DD2_4613_00FE, 0xA3B4_8916_DB0C_F9F6),
+        ("chain/160", 8, 0x1058_3DE3_B1CA_AFC4, 0xB688_E080_FC68_7E21),
+        ("loop1", 8, 0xF977_826D_2EC8_D97C, 0xF51B_D3AD_E1B8_AE51),
+        ("loop7", 8, 0xFF4C_DCCB_CFB6_2018, 0x8CD7_380C_4B10_86AD),
+        (
+            "loop9-doall",
+            8,
+            0x4575_E128_1B78_AC93,
+            0x6206_65DE_0F4E_837F,
+        ),
+    ];
+    for (name, depth, fifo, priority) in pinned {
+        let sdsp = match name.strip_prefix("chain/") {
+            Some(n) => chain(n.parse().unwrap()),
+            None => {
+                let kernel = kernels().into_iter().find(|k| k.name == name).unwrap();
+                tpn_lang::compile(kernel.source).expect(name)
+            }
+        };
+        let scp = build_scp(&to_petri(&sdsp), depth);
+        let budget = 100_000 * depth;
+        let runs = [
+            detect_frustum(&scp.net, scp.marking.clone(), FifoPolicy::new(&scp), budget),
+            detect_frustum(
+                &scp.net,
+                scp.marking.clone(),
+                PriorityPolicy::new(&scp),
+                budget,
+            ),
+        ];
+        let got = runs.map(|run| step_stream_hash(&run.expect(name)));
+        assert_eq!(got, [fifo, priority], "{name}@{depth}");
+    }
+}
+
 #[test]
 fn every_kernel_checks_liveness_on_the_arcs_of_its_named_net() {
     // The front end's liveness repair checks `to_marked_arcs`, not the
