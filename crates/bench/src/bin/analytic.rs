@@ -17,7 +17,10 @@
 //!
 //! A fourth group times the paper's own method on its heaviest served
 //! replies: checking and rendering a chain's firing trace, per event, and
-//! detecting the frustum of a chain's depth-8 SCP run, per instant.
+//! detecting the frustum of depth-8 SCP runs on chains of 64, 160 and 384
+//! nodes, per instant. About 13, 45 and 120 instructions wait on the run
+//! place per instant on those; the cost per instant should barely grow
+//! with them.
 //!
 //! Run: `cargo run --release -p tpn-bench --bin analytic [-- --json]
 //! [-- --bench-json FILE]`; `--bench-json` additionally writes the
@@ -465,7 +468,11 @@ fn main() {
         run_trace("chain", chain(128)),
         run_trace("chain", chain(512)),
     ];
-    let scp = vec![run_scp("chain", chain(160), 8)];
+    let scp = vec![
+        run_scp("chain", chain(64), 8),
+        run_scp("chain", chain(160), 8),
+        run_scp("chain", chain(384), 8),
+    ];
     emit(&rows, |rows| {
         let mut out =
             String::from("Schedule derivation: analytic construction vs frustum simulation:\n");

@@ -60,7 +60,7 @@ fn fig1() {
         pn_dot::to_dot(&pn.net, &pn.marking)
     );
     let frustum = lp.frustum().expect("frustum");
-    let bg = BehaviorGraph::build(&pn.net, &pn.marking, &frustum.steps);
+    let bg = BehaviorGraph::build(&pn.net, &pn.marking, frustum.steps());
     println!("(e) behaviour graph under the earliest firing rule:");
     println!("{}", bg.render(&pn.net));
     println!(
@@ -124,7 +124,7 @@ fn fig3() {
         "(b) run place {} with one token, input and output of every SDSP transition\n",
         run.model.run_place
     );
-    let bg = BehaviorGraph::build(&run.model.net, &run.model.marking, &run.frustum.steps);
+    let bg = BehaviorGraph::build(&run.model.net, &run.model.marking, run.frustum.steps());
     println!("(c) behaviour graph (instruction issues only):");
     for row in bg.rows() {
         let issues: Vec<String> = row
@@ -140,7 +140,6 @@ fn fig3() {
     let steady_sequence: Vec<String> = run
         .frustum
         .frustum_steps()
-        .iter()
         .flat_map(|s| {
             s.started
                 .iter()

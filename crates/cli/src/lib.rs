@@ -490,26 +490,44 @@ pub static OPTIONS: &[OptSpec] = &[
     },
 ];
 
+/// The flags `tpnc fuzz` takes, in its synopsis order; the parser
+/// rejects any other flag there.
+const FUZZ_FLAGS: &[&str] = &[
+    "--seed", "--cases", "--shape", "--chaos", "--mutate", "--dump", "--exec", "--replay",
+    "--jobs", "--format",
+];
+
 /// The usage text, generated from the subcommand list and
 /// [`static@OPTIONS`].
 pub fn usage() -> String {
     let mut s = String::from(
-        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz [--seed N] [--cases N] [--shape S] [--chaos] [--mutate M] [--exec] [--replay FILE]",
+        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz",
     );
-    for opt in OPTIONS {
+    for flag in FUZZ_FLAGS {
+        let opt = OPTIONS
+            .iter()
+            .find(|o| o.flag == *flag)
+            .expect("a fuzz flag");
         match opt.value {
             Some(v) => {
-                let _ = write!(s, " [{} {v}]", opt.flag);
+                let _ = write!(s, " [{flag} {v}]");
             }
             None => {
-                let _ = write!(s, " [{}]", opt.flag);
+                let _ = write!(s, " [{flag}]");
             }
         }
     }
+    s.push_str("\n       tpnc --help");
     for opt in OPTIONS {
         let _ = write!(s, "\n  {:<22} {}", opt.flag, opt.help);
     }
     s
+}
+
+/// Whether a command line (without the program name) asks for the usage
+/// text: `tpnc --help` or `tpnc -h`, which print it to stdout and exit 0.
+pub fn asks_for_help(args: &[String]) -> bool {
+    matches!(args.first().map(String::as_str), Some("--help" | "-h"))
 }
 
 /// Parses a command line (without the leading program name).
@@ -568,6 +586,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
     };
     while let Some(arg) = args.next() {
         if let Some(spec) = OPTIONS.iter().find(|o| o.flag == arg) {
+            if invocation.command == Command::Fuzz && !FUZZ_FLAGS.contains(&spec.flag) {
+                return Err(format!("{} does not apply to fuzz\n{}", spec.flag, usage()));
+            }
             let value = if spec.value.is_some() {
                 Some(args.next().ok_or_else(|| {
                     format!("{} needs a value ({})", spec.flag, spec.value.unwrap())
@@ -654,12 +675,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
     {
         return Err(format!(
             "--seed, --cases, --shape, --chaos, --mutate, --dump, --exec and --replay apply to fuzz only\n{}",
-            usage()
-        ));
-    }
-    if invocation.command == Command::Fuzz && !invocation.sockets.is_empty() {
-        return Err(format!(
-            "--socket applies to serve and route only\n{}",
             usage()
         ));
     }
@@ -857,7 +872,7 @@ fn execute_text(invocation: &Invocation, lp: &CompiledLoop) -> Result<String, St
         Command::Behavior => {
             let frustum = lp.frustum().map_err(|e| e.to_string())?;
             let pn = lp.petri_net();
-            let bg = BehaviorGraph::build(&pn.net, &pn.marking, &frustum.steps);
+            let bg = BehaviorGraph::build(&pn.net, &pn.marking, frustum.steps());
             out.push_str(&bg.render(&pn.net));
             let _ = writeln!(
                 out,
@@ -1116,7 +1131,7 @@ fn execute_json(
         Command::Behavior => {
             let frustum = lp.frustum().map_err(|e| e.to_string())?;
             let pn = lp.petri_net();
-            let bg = BehaviorGraph::build(&pn.net, &pn.marking, &frustum.steps);
+            let bg = BehaviorGraph::build(&pn.net, &pn.marking, frustum.steps());
             to_json_line(&BehaviorJson {
                 file,
                 command: "behavior".into(),
@@ -1258,6 +1273,42 @@ mod tests {
         assert!(parse_args(args("schedule x --scp many")).is_err());
         assert!(parse_args(args("schedule x --wat")).is_err());
         assert!(parse_args(args("analyze x --format yaml")).is_err());
+    }
+
+    #[test]
+    fn no_synopsis_repeats_a_flag_and_fuzz_lists_what_it_accepts() {
+        let text = usage();
+        let synopses = text.lines().take_while(|line| !line.starts_with("  --"));
+        for line in synopses {
+            let mut flags: Vec<&str> = line
+                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            let listed = flags.len();
+            flags.sort_unstable();
+            flags.dedup();
+            assert_eq!(flags.len(), listed, "a flag repeats in {line:?}");
+            if line.contains("tpnc fuzz") {
+                for opt in OPTIONS {
+                    let mut words = vec!["fuzz".to_string(), opt.flag.to_string()];
+                    words.extend(opt.value.map(|_| "1".to_string()));
+                    let accepted = match parse_args(words) {
+                        Ok(_) => true,
+                        Err(e) => !e.starts_with(&format!("{} does not apply", opt.flag)),
+                    };
+                    assert_eq!(flags.contains(&opt.flag), accepted, "{}", opt.flag);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn help_is_asked_for_only_as_the_first_word() {
+        assert!(asks_for_help(&args("--help")));
+        assert!(asks_for_help(&args("-h")));
+        assert!(!asks_for_help(&args("analyze --help")));
+        assert!(!asks_for_help(&[]));
+        assert!(usage().contains("tpnc --help"));
     }
 
     #[test]

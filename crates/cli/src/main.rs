@@ -4,7 +4,12 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let invocation = match tpn_cli::parse_args(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if tpn_cli::asks_for_help(&args) {
+        println!("{}", tpn_cli::usage());
+        return ExitCode::SUCCESS;
+    }
+    let invocation = match tpn_cli::parse_args(args) {
         Ok(inv) => inv,
         Err(msg) => {
             eprintln!("{msg}");

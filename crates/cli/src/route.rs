@@ -501,19 +501,28 @@ mod tests {
         assert_eq!(shard_for(&cancel, &routes, 4), 0);
     }
 
-    /// A fresh socket path under the temp directory.
-    fn socket_path(name: &str) -> String {
+    /// A fresh socket path under the temp directory, removed when the
+    /// test drops it, whether the test passes or panics.
+    struct SocketPath(String);
+
+    impl Drop for SocketPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn socket_path(name: &str) -> SocketPath {
         let path = std::env::temp_dir().join(format!("tpnc-route-{name}-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        path.to_string_lossy().into_owned()
+        SocketPath(path.to_string_lossy().into_owned())
     }
 
     /// A stand-in shard: accepts one router link, sends every line it
     /// reads to the returned channel, and answers each with itself when
     /// `echo` is set.
-    fn stand_in(name: &str, echo: bool) -> (String, mpsc::Receiver<String>) {
+    fn stand_in(name: &str, echo: bool) -> (SocketPath, mpsc::Receiver<String>) {
         let path = socket_path(name);
-        let shard = UnixListener::bind(&path).expect("bind stand-in shard");
+        let shard = UnixListener::bind(&path.0).expect("bind stand-in shard");
         let (lines, seen) = mpsc::channel();
         std::thread::spawn(move || {
             let (stream, _) = shard.accept().expect("router connects");
@@ -528,25 +537,28 @@ mod tests {
         (path, seen)
     }
 
-    /// Runs the router's loop over shards already listening at `paths`
-    /// and connects one client to its front socket.
-    fn router(name: &str, paths: Vec<String>) -> (UnixStream, BufReader<UnixStream>) {
+    /// Runs the router's loop over the stand-in `shards` and connects one
+    /// client to its front socket, whose path comes back last.
+    fn router(
+        name: &str,
+        shards: &[&SocketPath],
+    ) -> (UnixStream, BufReader<UnixStream>, SocketPath) {
         let front = socket_path(name);
-        let listener = bind_unix(&front).expect("bind front socket");
-        let invocation = crate::parse_args(["route".into(), "--socket".into(), front.clone()])
+        let listener = bind_unix(&front.0).expect("bind front socket");
+        let invocation = crate::parse_args(["route".into(), "--socket".into(), front.0.clone()])
             .expect("route parses");
         let mut fleet = Fleet {
             invocation,
-            paths,
+            paths: shards.iter().map(|shard| shard.0.clone()).collect(),
             children: Vec::new(),
         };
         std::thread::spawn(move || serve(&listener, &mut fleet));
-        let client = UnixStream::connect(&front).expect("router accepts");
+        let client = UnixStream::connect(&front.0).expect("router accepts");
         client
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let replies = BufReader::new(client.try_clone().expect("clone client"));
-        (client, replies)
+        (client, replies, front)
     }
 
     fn next(replies: &mut BufReader<UnixStream>) -> String {
@@ -558,7 +570,7 @@ mod tests {
     #[test]
     fn over_cap_lines_are_answered_before_their_newline_and_serving_continues() {
         let (shard, _) = stand_in("cap-shard", true);
-        let (mut client, mut replies) = router("cap", vec![shard]);
+        let (mut client, mut replies, _front) = router("cap", &[&shard]);
 
         // No newline yet: the cap alone triggers the reply.
         client.write_all(&vec![b'x'; MAX_LINE + 1]).unwrap();
@@ -609,7 +621,7 @@ mod tests {
             .map(|k| format!("do i from 2 to n {{ X[i] := X[i-1] + {k}; }}"))
             .find(|src| shard_for(&request(7, Verb::Analyze, src), &HashMap::new(), 2) == 1)
             .unwrap();
-        let (mut client, _replies) = router("cancel", vec![shard0, shard1]);
+        let (mut client, _replies, _front) = router("cancel", &[&shard0, &shard1]);
         let analyze = format!(r#"{{"id":7,"verb":"analyze","source":"{source}"}}"#);
         let cancel = r#"{"id":8,"verb":"cancel","target":7}"#;
         writeln!(client, "{analyze}\n{cancel}").unwrap();

@@ -336,7 +336,7 @@ pub fn agree(
             report.start_time, report.repeat_time, reference.start_time, reference.repeat_time
         ));
     }
-    for (a, b) in report.steps.iter().zip(&reference.steps) {
+    for (a, b) in report.steps().zip(&reference.steps) {
         if a.time != b.time || a.started != b.started || a.completed != b.completed {
             return Err(format!(
                 "instant {}: started {:?} completed {:?} but the reference started {:?} \
@@ -351,10 +351,10 @@ pub fn agree(
             ));
         }
     }
-    if report.steps.len() != reference.steps.len() {
+    if report.steps().len() != reference.steps.len() {
         return Err(format!(
             "{} records but the reference has {}",
-            report.steps.len(),
+            report.steps().len(),
             reference.steps.len()
         ));
     }

@@ -148,10 +148,11 @@ pub enum IssuePolicy {
 }
 
 /// The most instants one frustum detection may simulate, whatever the
-/// step budget, pipeline depth or node times ask for. A detection records
-/// every instant it simulates, so this ceiling bounds the memory and time
-/// one request can cost; a run that reaches it fails with
-/// [`SchedError::FrustumNotFound`].
+/// step budget, pipeline depth or node times ask for; a run that reaches
+/// it fails with [`SchedError::FrustumNotFound`]. It bounds instants, not
+/// work: one instant can start O(n) transitions, and a detection records
+/// every firing, so a request's time and memory still grow with the
+/// firings it simulates (about n²/4 on an n-node chain).
 pub const MAX_STEP_BUDGET: u64 = 1 << 20;
 
 /// The most characters [`Explanation::issue_words`] may hold. The words

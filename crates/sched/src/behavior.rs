@@ -4,14 +4,15 @@
 //! time step it records the newly marked places and the transitions fired
 //! at that step, with directed arcs for token consumption (place event →
 //! firing) and token production (firing → place event). This module
-//! reconstructs the graph from the engine's [`StepRecord`]s and renders it
+//! reconstructs the graph from a detection run's [`Step`]s and renders it
 //! as text (for terminal output mirroring the paper's figures) or Graphviz.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use tpn_petri::timed::StepRecord;
 use tpn_petri::{Marking, PetriNet, PlaceId, TransitionId};
+
+use crate::frustum::Step;
 
 /// An event in the behaviour graph.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -59,8 +60,13 @@ impl BehaviorGraph {
     /// Reconstructs the behaviour graph of a trace.
     ///
     /// `initial` must be the marking the trace started from; `steps` the
-    /// engine records from instant 0 on.
-    pub fn build(net: &PetriNet, initial: &Marking, steps: &[StepRecord]) -> Self {
+    /// recorded instants from 0 on, such as
+    /// [`FrustumReport::steps`](crate::FrustumReport::steps).
+    pub fn build<'a>(
+        net: &PetriNet,
+        initial: &Marking,
+        steps: impl IntoIterator<Item = Step<'a>>,
+    ) -> Self {
         let mut events = Vec::new();
         let mut edges = Vec::new();
         let mut rows: Vec<Row> = Vec::new();
@@ -94,7 +100,7 @@ impl BehaviorGraph {
                 rows.last_mut().expect("just pushed")
             };
             // Completions first: they deposit tokens.
-            for &t in &step.completed {
+            for &t in step.completed {
                 let start_ev = inflight.remove(&t);
                 for &p in net.transition(t).outputs() {
                     let ev = events.len();
@@ -110,7 +116,7 @@ impl BehaviorGraph {
                 }
             }
             // Then starts: they consume tokens.
-            for &t in &step.started {
+            for &t in step.started {
                 let ev = events.len();
                 events.push(Event::Fired {
                     time: step.time,
@@ -224,7 +230,7 @@ mod tests {
     fn rows_track_firings_and_markings() {
         let pn = chain_pn();
         let f = detect_frustum_eager(&pn.net, pn.marking.clone(), 100).unwrap();
-        let bg = BehaviorGraph::build(&pn.net, &pn.marking, &f.steps);
+        let bg = BehaviorGraph::build(&pn.net, &pn.marking, f.steps());
         // Instant 0: initial marking (ack token) + A fires.
         let row0 = &bg.rows()[0];
         assert_eq!(row0.fired.len(), 1);
@@ -239,7 +245,7 @@ mod tests {
     fn every_consumption_edge_respects_time_order() {
         let pn = chain_pn();
         let f = detect_frustum_eager(&pn.net, pn.marking.clone(), 100).unwrap();
-        let bg = BehaviorGraph::build(&pn.net, &pn.marking, &f.steps);
+        let bg = BehaviorGraph::build(&pn.net, &pn.marking, f.steps());
         let time_of = |i: usize| match bg.events()[i] {
             Event::Marked { time, .. } | Event::Fired { time, .. } => time,
         };
@@ -263,7 +269,7 @@ mod tests {
             100_000,
         )
         .unwrap();
-        let bg = BehaviorGraph::build(&scp.net, &scp.marking, &f.steps);
+        let bg = BehaviorGraph::build(&scp.net, &scp.marking, f.steps());
         // A dummy of time 3 separates its production event from its start
         // by exactly 3 instants.
         let mut saw_dummy_latency = false;
@@ -290,7 +296,7 @@ mod tests {
     fn render_contains_transition_names() {
         let pn = chain_pn();
         let f = detect_frustum_eager(&pn.net, pn.marking.clone(), 100).unwrap();
-        let bg = BehaviorGraph::build(&pn.net, &pn.marking, &f.steps);
+        let bg = BehaviorGraph::build(&pn.net, &pn.marking, f.steps());
         let text = bg.render(&pn.net);
         assert!(text.contains("A"));
         assert!(text.contains("B"));

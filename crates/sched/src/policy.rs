@@ -100,6 +100,8 @@ pub struct FifoPolicy {
     synced: Option<u64>,
     /// The queue order, hashed (see [`QueueHash`]).
     hash: QueueHash,
+    /// A sync's candidates, kept to reuse the buffer.
+    fresh: Vec<TransitionId>,
 }
 
 impl FifoPolicy {
@@ -120,6 +122,7 @@ impl FifoPolicy {
             queued: vec![false; scp.is_sdsp.len()],
             synced: None,
             hash: QueueHash::new(scp.num_sdsp_transitions()),
+            fresh: Vec::new(),
         }
     }
 
@@ -157,13 +160,15 @@ impl FifoPolicy {
         if self.synced == Some(ctx.time) {
             return;
         }
-        let mut fresh: Vec<TransitionId> = match self.synced {
-            None => (0..self.is_sdsp.len())
-                .filter(|&i| self.is_sdsp[i])
-                .map(TransitionId::from_index)
-                .collect(),
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
+        match self.synced {
+            None => fresh.extend(
+                (0..self.is_sdsp.len())
+                    .filter(|&i| self.is_sdsp[i])
+                    .map(TransitionId::from_index),
+            ),
             Some(_) => {
-                let mut fresh = Vec::new();
                 for &c in ctx.completed {
                     if self.is_sdsp[c.index()] {
                         fresh.push(c);
@@ -177,15 +182,15 @@ impl FifoPolicy {
                 }
                 fresh.sort_unstable();
                 fresh.dedup();
-                fresh
             }
-        };
+        }
         fresh.retain(|&t| !self.queued[t.index()] && self.data_ready(ctx, t));
-        for t in fresh {
+        for &t in &fresh {
             self.queued[t.index()] = true;
             self.hash.push_back(t);
             self.queue.push_back(t);
         }
+        self.fresh = fresh;
         self.synced = Some(ctx.time);
     }
 }
@@ -443,7 +448,7 @@ mod tests {
             100_000,
         )
         .unwrap();
-        for step in &f.steps {
+        for step in f.steps() {
             let issues = step
                 .started
                 .iter()
@@ -471,8 +476,8 @@ mod tests {
         // behind: run marked && something startable => contradiction.
         let mut state =
             tpn_petri::timed::InstantaneousState::initial(&scp.net, scp.marking.clone());
-        for step in &f.steps {
-            state.apply_step(&scp.net, &step.started);
+        for step in f.steps() {
+            state.apply_step(&scp.net, step.started);
             let issued = step.started.iter().any(|t| scp.is_sdsp[t.index()]);
             if !issued && state.marking.tokens(scp.run_place) > 0 {
                 let ready = state.startable(&scp.net);

@@ -123,8 +123,8 @@ impl LoopSchedule {
         }
         let mut prologue = Vec::new();
         let mut kernel = Vec::new();
-        for step in &frustum.steps {
-            for &t in &step.started {
+        for step in frustum.steps() {
+            for &t in step.started {
                 let Some(node_idx) = node_of[t.index()] else {
                     continue; // SCP dummy transition
                 };

@@ -147,7 +147,7 @@ pub fn steady_state_net(net: &PetriNet, frustum: &FrustumReport) -> SteadyStateN
     let mut edges: Vec<(Pusher, usize, u32, tpn_petri::PlaceId)> = Vec::new();
 
     for step in frustum.frustum_steps() {
-        for &t in &step.completed {
+        for &t in step.completed {
             let pusher = match attr[t.index()] {
                 Attr::Inst(i) => (Pusher::Inst(i), 0u32),
                 Attr::BoundaryBusy => (Pusher::WrapLast(t), 1u32),
@@ -163,7 +163,7 @@ pub fn steady_state_net(net: &PetriNet, frustum: &FrustumReport) -> SteadyStateN
                 });
             }
         }
-        for &t in &step.started {
+        for &t in step.started {
             let idx = instances.len();
             instances.push(Instance {
                 original: t,

@@ -7,9 +7,9 @@
 //! the detected frustum window as [`TraceSpan`]s, plus per-transition
 //! metadata (name, execution time, node-vs-dummy).
 //!
-//! The engine records each instant as a [`StepRecord`], and a
-//! [`FrustumReport`] keeps every one of them, so the event stream is a
-//! view of those records: [`FiringTrace::from_frustum`] expands them in
+//! A [`FrustumReport`] keeps every instant's completions and starts, so
+//! the event stream is a view of its [`steps`](FrustumReport::steps):
+//! [`FiringTrace::from_frustum`] expands them in
 //! engine mutation order and stamps each event's marking digest with a
 //! running [`MarkingHash`]. The trace is always complete; the
 //! independent check of its digests is
@@ -23,7 +23,6 @@
 //!
 //! [`chrome_trace_json`]: FiringTrace::chrome_trace_json
 //! [`jsonl`]: FiringTrace::jsonl
-//! [`StepRecord`]: tpn_petri::timed::StepRecord
 
 use tpn_petri::timed::MarkingHash;
 use tpn_petri::trace::{EventKind, FiringEvent};
@@ -86,12 +85,10 @@ impl FiringTrace {
     }
 
     /// Derives the complete event stream of a detection run from its
-    /// [`StepRecord`]s: per instant, one completion event per completed
-    /// transition, then one start event per started transition, each
-    /// stamped with the digest of the marking after its token movement
-    /// (tracked incrementally from `initial_marking`).
-    ///
-    /// [`StepRecord`]: tpn_petri::timed::StepRecord
+    /// [`steps`](FrustumReport::steps): per instant, one completion event
+    /// per completed transition, then one start event per started
+    /// transition, each stamped with the digest of the marking after its
+    /// token movement (tracked incrementally from `initial_marking`).
     pub fn from_frustum(
         net: &PetriNet,
         initial_marking: &Marking,
@@ -100,13 +97,12 @@ impl FiringTrace {
         let mut hash = MarkingHash::new(initial_marking);
         let mut events = Vec::with_capacity(
             frustum
-                .steps
-                .iter()
+                .steps()
                 .map(|s| s.completed.len() + s.started.len())
                 .sum(),
         );
-        for step in &frustum.steps {
-            for &t in &step.completed {
+        for step in frustum.steps() {
+            for &t in step.completed {
                 events.push(FiringEvent {
                     time: step.time,
                     transition: t,
@@ -115,7 +111,7 @@ impl FiringTrace {
                     marking_digest: hash.produce(net, t),
                 });
             }
-            for &t in &step.started {
+            for &t in step.started {
                 events.push(FiringEvent {
                     time: step.time,
                     transition: t,

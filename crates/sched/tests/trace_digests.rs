@@ -23,8 +23,8 @@ fn assert_stamps_match_replay(
 ) {
     let mut replica = initial.clone();
     let mut events = trace.events.iter();
-    for step in &frustum.steps {
-        for &t in &step.completed {
+    for step in frustum.steps() {
+        for &t in step.completed {
             let e = events.next().expect("an event per completion");
             replica.produce_outputs(net, t);
             assert_eq!(
@@ -39,7 +39,7 @@ fn assert_stamps_match_replay(
                 step.time
             );
         }
-        for &t in &step.started {
+        for &t in step.started {
             let e = events.next().expect("an event per start");
             replica.consume_inputs(net, t);
             assert_eq!(

@@ -93,11 +93,6 @@ impl ArtifactStore {
         })
     }
 
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn object_path(&self, key: u64) -> PathBuf {
         self.root.join("objects").join(format!("{key:016x}.tpnart"))
     }

@@ -36,7 +36,7 @@ fn main() -> Result<(), tpn::Error> {
     );
 
     let frustum = lp.frustum()?;
-    let bg = BehaviorGraph::build(&pn.net, &pn.marking, &frustum.steps);
+    let bg = BehaviorGraph::build(&pn.net, &pn.marking, frustum.steps());
     println!("\n(e) behaviour graph under the earliest firing rule:");
     print!("{}", bg.render(&pn.net));
     println!(

@@ -43,7 +43,6 @@ fn main() -> Result<(), tpn::Error> {
     let sequence: Vec<String> = run
         .frustum
         .frustum_steps()
-        .iter()
         .flat_map(|s| {
             s.started
                 .iter()

@@ -102,8 +102,8 @@ proptest! {
         let pn = to_petri(&generate(&config));
         let fast = detect_frustum(&pn.net, pn.marking.clone(), EagerPolicy, BUDGET).unwrap();
         let mut state = InstantaneousState::initial(&pn.net, pn.marking.clone());
-        for step in &fast.steps {
-            state.apply_step(&pn.net, &step.started);
+        for step in fast.steps() {
+            state.apply_step(&pn.net, step.started);
             prop_assert_eq!(state_digest(&state, step.policy_fingerprint), step.digest);
         }
         let engine = fast.stats.engine;
@@ -128,8 +128,8 @@ proptest! {
         while (steps.len() as u64) <= report.repeat_time {
             steps.push(engine.tick());
         }
-        prop_assert_eq!(steps.len(), report.steps.len());
-        for (a, b) in steps.iter().zip(&report.steps) {
+        prop_assert_eq!(steps.len(), report.steps().len());
+        for (a, b) in steps.iter().zip(report.steps()) {
             prop_assert_eq!(&a.started, &b.started);
             prop_assert_eq!(a.digest, b.digest);
         }

@@ -210,14 +210,14 @@ fn regression_scp_chain_depth1() {
 
     // One issue per cycle, work-conserving.
     let mut state = tpn_petri::timed::InstantaneousState::initial(&scp.net, scp.marking.clone());
-    for step in &f.steps {
+    for step in f.steps() {
         let issues = step
             .started
             .iter()
             .filter(|t| scp.is_sdsp[t.index()])
             .count();
         assert!(issues <= 1, "instant {}", step.time);
-        state.apply_step(&scp.net, &step.started);
+        state.apply_step(&scp.net, step.started);
         let issued = step.started.iter().any(|t| scp.is_sdsp[t.index()]);
         if !issued && state.marking.tokens(scp.run_place) > 0 {
             let ready = state.startable(&scp.net);

@@ -68,7 +68,7 @@ proptest! {
         let scp = build_scp(&pn, depth);
         let f = detect_frustum(&scp.net, scp.marking.clone(), FifoPolicy::new(&scp), 4_000_000)
             .unwrap();
-        for step in &f.steps {
+        for step in f.steps() {
             let issues = step
                 .started
                 .iter()
@@ -88,8 +88,8 @@ proptest! {
             .unwrap();
         let mut state =
             tpn_petri::timed::InstantaneousState::initial(&scp.net, scp.marking.clone());
-        for step in &f.steps {
-            state.apply_step(&scp.net, &step.started);
+        for step in f.steps() {
+            state.apply_step(&scp.net, step.started);
             let issued = step.started.iter().any(|t| scp.is_sdsp[t.index()]);
             if !issued && state.marking.tokens(scp.run_place) > 0 {
                 let ready = state.startable(&scp.net);
