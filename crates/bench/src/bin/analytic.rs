@@ -3,7 +3,10 @@
 //! frustum engine exactly. Compares schedule derivation cost — analytic
 //! construction versus frustum detection + read-off — on chains and
 //! whole-body recurrence rings across two decades of loop size, up to
-//! n = 50 000 where simulation is far past its budget.
+//! n = 50 000 where simulation is far past its budget. Wherever the
+//! frustum runs, a third column times what the `schedule` verb serves
+//! under the default engine: the analytic `LoopSchedule` and its
+//! rendered kernel.
 //!
 //! A second group times §6 storage minimisation against one critical-ratio
 //! solve of the same net: the greedy solves once and checks every merge
@@ -35,7 +38,7 @@ use tpn_dataflow::to_petri::to_petri;
 use tpn_dataflow::Sdsp;
 use tpn_livermore::synth::{chain, recurrence_ring};
 use tpn_petri::ratio::{critical_ratio, explain_rate};
-use tpn_sched::analytic::AnalyticSchedule;
+use tpn_sched::analytic::{analytic_schedule, AnalyticSchedule};
 use tpn_sched::frustum::{detect_frustum, detect_frustum_eager};
 use tpn_sched::policy::FifoPolicy;
 use tpn_sched::schedule::LoopSchedule;
@@ -56,6 +59,9 @@ struct Row {
     period: u64,
     rate: String,
     analytic_ns: u128,
+    /// `analytic_schedule` plus `render_kernel`, what the `schedule` verb
+    /// serves under auto (`None` where the frustum is skipped).
+    schedule_ns: Option<u128>,
     frustum_ns: Option<u128>,
     /// Instants the frustum detection simulated.
     instants: Option<u64>,
@@ -269,9 +275,9 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
 
     // The analytic artifact is the closed-form schedule: exact rate,
     // period, and O(1) start-time queries for every (node, iteration).
-    // The pipeline-fill prologue a rendered LoopSchedule would list is
-    // O(n²) instruction instances on a chain, so the explicit kernel is
-    // only materialized below, where the frustum engine renders one too.
+    // A `LoopSchedule` still records every start through the kernel
+    // window, O(n²) on a chain, so it is only built below, where the
+    // frustum engine builds one too.
     let reps = if n <= 512 {
         9
     } else if n <= FRUSTUM_LIMIT {
@@ -283,8 +289,13 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         AnalyticSchedule::for_sdsp_pn(&pn).expect("synthetic loops are marked graphs")
     });
 
-    let (frustum_ns, instants, agree) = if n <= FRUSTUM_LIMIT {
-        let schedule = analytic.loop_schedule(&sdsp, &pn);
+    let (schedule_ns, frustum_ns, instants, agree) = if n <= FRUSTUM_LIMIT {
+        let (schedule_ns, schedule) = best_of(reps, || {
+            let schedule =
+                analytic_schedule(&sdsp, &pn).expect("synthetic loops are marked graphs");
+            std::hint::black_box(schedule.render_kernel());
+            schedule
+        });
         let budget = (n as u64 * 70).max(100_000);
         // At least three runs even at n = 4096: CI compares the best ns per
         // instant across sizes, and one sample is too noisy for that.
@@ -299,9 +310,14 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         let (frustum, simulated) = simulated;
         let agree = simulated.initiation_interval() == schedule.initiation_interval()
             && frustum.rate_of(pn.transition_of[0]) == analytic.rate();
-        (Some(ns), Some(frustum.stats.instants), Some(agree))
+        (
+            Some(schedule_ns),
+            Some(ns),
+            Some(frustum.stats.instants),
+            Some(agree),
+        )
     } else {
-        (None, None, None)
+        (None, None, None, None)
     };
 
     Row {
@@ -310,6 +326,7 @@ fn run(shape: &'static str, sdsp: Sdsp) -> Row {
         period: analytic.period(),
         rate: analytic.rate().to_string(),
         analytic_ns,
+        schedule_ns,
         frustum_ns,
         instants,
         ns_per_instant: frustum_ns
@@ -336,13 +353,15 @@ fn bench_json(
         match r.frustum_ns {
             Some(before) => cases.push_str(&format!(
                 "      \"{}/{}\": {{\n        \"before_ns\": {},\n        \
-                 \"after_ns\": {},\n        \"speedup\": {:.2},\n        \
+                 \"after_ns\": {},\n        \"schedule_ns\": {},\n        \
+                 \"speedup\": {:.2},\n        \
                  \"agree\": {},\n        \"instants\": {},\n        \
                  \"ns_per_instant\": {:.1}\n      }}",
                 r.shape,
                 r.n,
                 before,
                 after,
+                r.schedule_ns.unwrap_or(0),
                 r.speedup.unwrap_or(0.0),
                 r.agree.unwrap_or(false),
                 r.instants.unwrap_or(0),
@@ -483,6 +502,7 @@ fn main() {
                 "period",
                 "rate",
                 "analytic(ns)",
+                "schedule(ns)",
                 "frustum(ns)",
                 "instants",
                 "ns/instant",
@@ -498,6 +518,7 @@ fn main() {
                         r.period.to_string(),
                         r.rate.clone(),
                         r.analytic_ns.to_string(),
+                        r.schedule_ns.map_or("-".into(), |v| v.to_string()),
                         r.frustum_ns.map_or("skipped".into(), |v| v.to_string()),
                         r.instants.map_or("-".into(), |v| v.to_string()),
                         r.ns_per_instant.map_or("-".into(), |v| format!("{v:.0}")),

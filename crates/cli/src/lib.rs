@@ -18,19 +18,21 @@
 //!                                   balanced issue words
 //! ```
 //!
-//! Every subcommand takes `--format text|json|prometheus`, `--profile` (append a
-//! pipeline profile: stage timings, engine and detection counters),
-//! `--jobs N` (worker threads for multiple inputs) and
-//! one or more inputs;
+//! Every subcommand above takes `--format text|json|prometheus`, `--profile`
+//! (append a pipeline profile: stage timings, engine and detection
+//! counters), `--jobs N` (worker threads for multiple inputs),
+//! `--engine` and one or more inputs;
 //! multiple inputs are compiled concurrently through [`tpn::batch`]. Each
 //! `<file>` is a loop in the SISAL-flavoured language — or an A-code dump
 //! produced by `tpnc acode` (recognised by its `.sdsp` header), so
 //! compiled loops can be saved and re-analysed — or `-` for stdin.
 //!
 //! Flags are described declaratively in [`static@OPTIONS`]: one table row per
-//! flag (name, value placeholder, help, setter), from which both the
-//! parser and [`usage`] are derived. All logic lives here so it can be
-//! unit-tested; `main.rs` only forwards `std::env::args` and prints.
+//! flag (name, value placeholder, help, the commands whose code reads it,
+//! setter), from which both the parser and every synopsis of [`usage`]
+//! are derived; a flag given to any other command is rejected. All logic
+//! lives here so it can be unit-tested; `main.rs` only forwards
+//! `std::env::args` and prints.
 
 #![deny(unsafe_code)]
 
@@ -90,19 +92,14 @@ pub struct Invocation {
     /// route gives each shard `DIR/shard-<i>`.
     pub store: Option<String>,
     /// `--rate-limit N` (serve/route): per-client sustained requests
-    /// per second; enables the token-bucket limiter.
+    /// per second; enables the token-bucket limiter (burst N, at most 64
+    /// in flight).
     pub rate_limit: Option<u64>,
-    /// `--burst N` (serve/route): per-client token-bucket capacity
-    /// (default: the rate).
-    pub burst: Option<u64>,
-    /// `--max-in-flight N` (serve/route): per-client in-flight cap
-    /// (default 64).
-    pub max_in_flight: Option<usize>,
     /// `--shards N` (route): serve processes to spawn and route over.
     pub shards: Option<usize>,
-    /// `--queue N` (serve): admission queue capacity.
+    /// `--queue N` (serve/route): admission queue capacity.
     pub queue: Option<usize>,
-    /// `--cache W` (serve): result-cache weight capacity.
+    /// `--cache W` (serve/route): result-cache weight capacity.
     pub cache: Option<u64>,
     /// `--journal FILE` (serve): also append every request-journal
     /// event to FILE as NDJSON.
@@ -191,9 +188,46 @@ pub enum Command {
     Fuzz,
 }
 
+/// The operands of every subcommand that compiles loop files.
+const FILES: &str = "<file|-> [<file> ...]";
+
+/// Every subcommand with its name and the operands its synopsis lists
+/// before the flags, in usage order.
+const COMMANDS: &[(Command, &str, &str)] = &[
+    (Command::Analyze, "analyze", FILES),
+    (Command::Schedule, "schedule", FILES),
+    (Command::Emit, "emit", FILES),
+    (Command::Dot, "dot", FILES),
+    (Command::Behavior, "behavior", FILES),
+    (Command::Storage, "storage", FILES),
+    (Command::Acode, "acode", FILES),
+    (Command::Trace, "trace", FILES),
+    (Command::Explain, "explain", FILES),
+    (Command::Serve, "serve", ""),
+    (Command::Route, "route", "--socket PATH"),
+    (Command::Fuzz, "fuzz", ""),
+];
+
+impl Command {
+    /// The subcommand's word on the command line.
+    fn name(self) -> &'static str {
+        COMMANDS
+            .iter()
+            .find(|c| c.0 == self)
+            .expect("every command is listed")
+            .1
+    }
+
+    /// Whether the subcommand compiles loop files: all but `serve`,
+    /// `route` and `fuzz`, which read requests or generate cases.
+    fn takes_files(self) -> bool {
+        !matches!(self, Command::Serve | Command::Route | Command::Fuzz)
+    }
+}
+
 /// One row of the option table: a flag, its value placeholder (if it
-/// takes one), its help line, and the setter applying it to an
-/// [`Invocation`].
+/// takes one), its help line, the commands that read it, and the setter
+/// applying it to an [`Invocation`].
 pub struct OptSpec {
     /// The flag, e.g. `--scp`.
     pub flag: &'static str,
@@ -201,6 +235,9 @@ pub struct OptSpec {
     pub value: Option<&'static str>,
     /// One-line description, shown in [`usage`].
     pub help: &'static str,
+    /// Whether the command's code reads the flag's value; the parser
+    /// rejects the flag everywhere else.
+    applies: fn(Command) -> bool,
     apply: fn(&mut Invocation, Option<&str>) -> Result<(), String>,
 }
 
@@ -208,13 +245,20 @@ fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse().map_err(|_| format!("bad {flag} value {v:?}"))
 }
 
-/// The declarative option table: the parser and [`usage`] are both
-/// derived from these rows, so adding a flag is one entry here.
+/// The declarative option table: the parser and every synopsis of
+/// [`usage`] are derived from these rows, so adding a flag is one entry
+/// here.
 pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--scp",
         value: Some("L"),
-        help: "run on an L-stage single-clean-pipeline machine",
+        help: "run on an L-stage single-clean-pipeline machine (behavior: its --trace only)",
+        applies: |c| {
+            matches!(
+                c,
+                Command::Schedule | Command::Emit | Command::Behavior | Command::Trace
+            )
+        },
         apply: |inv, v| {
             inv.scp_depth = Some(parse_value("--scp", v.unwrap())?);
             Ok(())
@@ -223,7 +267,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--iterations",
         value: Some("N"),
-        help: "iterations to emit (emit; default 16)",
+        help: "iterations to emit (default 16)",
+        applies: |c| c == Command::Emit,
         apply: |inv, v| {
             inv.iterations = parse_value("--iterations", v.unwrap())?;
             Ok(())
@@ -232,7 +277,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--pn",
         value: None,
-        help: "export the SDSP-PN instead of the SDSP (dot)",
+        help: "export the SDSP-PN instead of the SDSP",
+        applies: |c| c == Command::Dot,
         apply: |inv, _| {
             inv.petri_form = true;
             Ok(())
@@ -241,7 +287,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--balance",
         value: None,
-        help: "balance buffering instead of minimising storage (storage)",
+        help: "balance buffering instead of minimising storage",
+        applies: |c| c == Command::Storage,
         apply: |inv, _| {
             inv.balance = true;
             Ok(())
@@ -251,6 +298,7 @@ pub static OPTIONS: &[OptSpec] = &[
         flag: "--format",
         value: Some("text|json|prometheus"),
         help: "output format (default text; prometheus prints only the metrics exposition)",
+        applies: |c| c.takes_files() || c == Command::Fuzz,
         apply: |inv, v| {
             let v = v.unwrap();
             inv.format =
@@ -262,6 +310,7 @@ pub static OPTIONS: &[OptSpec] = &[
         flag: "--profile",
         value: None,
         help: "append a pipeline profile (stage timings, engine counters)",
+        applies: Command::takes_files,
         apply: |inv, _| {
             inv.profile = true;
             Ok(())
@@ -270,7 +319,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--trace",
         value: Some("FILE"),
-        help: "also write the Chrome trace JSON to FILE (behavior/schedule/trace)",
+        help: "also write the Chrome trace JSON to FILE (one input only)",
+        applies: |c| matches!(c, Command::Behavior | Command::Schedule | Command::Trace),
         apply: |inv, v| {
             inv.trace_path = Some(v.unwrap().to_string());
             Ok(())
@@ -280,6 +330,7 @@ pub static OPTIONS: &[OptSpec] = &[
         flag: "--jobs",
         value: Some("N"),
         help: "worker threads for multiple inputs (default: all cores)",
+        applies: |_| true,
         apply: |inv, v| {
             let n: usize = parse_value("--jobs", v.unwrap())?;
             if n == 0 {
@@ -292,7 +343,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--socket",
         value: Some("PATH"),
-        help: "listen on a Unix-domain socket instead of stdin/stdout (serve/route; repeatable)",
+        help: "listen on a Unix-domain socket instead of stdin/stdout (repeatable)",
+        applies: |c| matches!(c, Command::Serve | Command::Route),
         apply: |inv, v| {
             inv.sockets.push(v.unwrap().to_string());
             Ok(())
@@ -301,7 +353,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--tcp",
         value: Some("ADDR"),
-        help: "also listen on a TCP address, e.g. 127.0.0.1:7070 (serve; repeatable)",
+        help: "also listen on a TCP address, e.g. 127.0.0.1:7070 (repeatable)",
+        applies: |c| c == Command::Serve,
         apply: |inv, v| {
             inv.tcp.push(v.unwrap().to_string());
             Ok(())
@@ -310,7 +363,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--store",
         value: Some("DIR"),
-        help: "persistent artifact store root; warm-starts the cache on boot (serve/route)",
+        help: "persistent artifact store root; warm-starts the cache on boot",
+        applies: |c| matches!(c, Command::Serve | Command::Route),
         apply: |inv, v| {
             inv.store = Some(v.unwrap().to_string());
             Ok(())
@@ -319,7 +373,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--rate-limit",
         value: Some("N"),
-        help: "per-client sustained requests/second via a token bucket (serve/route)",
+        help: "per-client sustained requests/second via a token bucket (burst N, 64 in flight)",
+        applies: |c| matches!(c, Command::Serve | Command::Route),
         apply: |inv, v| {
             let n: u64 = parse_value("--rate-limit", v.unwrap())?;
             if n == 0 {
@@ -330,35 +385,10 @@ pub static OPTIONS: &[OptSpec] = &[
         },
     },
     OptSpec {
-        flag: "--burst",
-        value: Some("N"),
-        help: "per-client token-bucket capacity (serve/route; default: the rate)",
-        apply: |inv, v| {
-            let n: u64 = parse_value("--burst", v.unwrap())?;
-            if n == 0 {
-                return Err("--burst must be at least 1".to_string());
-            }
-            inv.burst = Some(n);
-            Ok(())
-        },
-    },
-    OptSpec {
-        flag: "--max-in-flight",
-        value: Some("N"),
-        help: "per-client in-flight request cap (serve/route; default 64)",
-        apply: |inv, v| {
-            let n: usize = parse_value("--max-in-flight", v.unwrap())?;
-            if n == 0 {
-                return Err("--max-in-flight must be at least 1".to_string());
-            }
-            inv.max_in_flight = Some(n);
-            Ok(())
-        },
-    },
-    OptSpec {
         flag: "--shards",
         value: Some("N"),
-        help: "serve shards to spawn and route over by cache-key digest (route; default 2)",
+        help: "serve shards to spawn and route over by cache-key digest (default 2)",
+        applies: |c| c == Command::Route,
         apply: |inv, v| {
             let n: usize = parse_value("--shards", v.unwrap())?;
             if n == 0 {
@@ -371,7 +401,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--queue",
         value: Some("N"),
-        help: "admission queue capacity (serve; default 64)",
+        help: "admission queue capacity (default 64)",
+        applies: |c| matches!(c, Command::Serve | Command::Route),
         apply: |inv, v| {
             let n: usize = parse_value("--queue", v.unwrap())?;
             if n == 0 {
@@ -384,7 +415,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--cache",
         value: Some("W"),
-        help: "result-cache weight capacity (serve; default 4096)",
+        help: "result-cache weight capacity (default 4096)",
+        applies: |c| matches!(c, Command::Serve | Command::Route),
         apply: |inv, v| {
             inv.cache = Some(parse_value("--cache", v.unwrap())?);
             Ok(())
@@ -393,7 +425,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--journal",
         value: Some("FILE"),
-        help: "append every request-journal event to FILE as NDJSON (serve)",
+        help: "append every request-journal event to FILE as NDJSON",
+        applies: |c| c == Command::Serve,
         apply: |inv, v| {
             inv.journal = Some(v.unwrap().to_string());
             Ok(())
@@ -402,7 +435,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--seed",
         value: Some("N"),
-        help: "base seed of the generated case stream (fuzz; default 0)",
+        help: "base seed of the generated case stream (default 0)",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             inv.seed = Some(parse_value("--seed", v.unwrap())?);
             Ok(())
@@ -411,7 +445,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--cases",
         value: Some("N"),
-        help: "cases to generate and cross-check (fuzz; default 100)",
+        help: "cases to generate and cross-check (default 100)",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             let n: u64 = parse_value("--cases", v.unwrap())?;
             if n == 0 {
@@ -424,7 +459,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--shape",
         value: Some("S"),
-        help: "generator bias: mixed|chains|rings|multi-critical|near-tie (fuzz)",
+        help: "generator bias: mixed|chains|rings|multi-critical|near-tie",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             inv.shape = Some(v.unwrap().to_string());
             Ok(())
@@ -433,7 +469,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--chaos",
         value: None,
-        help: "also run the deterministic service chaos mode (fuzz)",
+        help: "also run the deterministic service chaos mode",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, _| {
             inv.chaos = true;
             Ok(())
@@ -442,8 +479,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--mutate",
         value: Some("M"),
-        help:
-            "inject a rate bug (slow-node|extra-token) and require >= 2 oracles to catch it (fuzz)",
+        help: "inject a rate bug (slow-node|extra-token) and require >= 2 oracles to catch it",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             inv.mutate = Some(v.unwrap().to_string());
             Ok(())
@@ -452,7 +489,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--dump",
         value: Some("DIR"),
-        help: "directory for failing-case .sdsp reproducers (fuzz; default fuzz-failures)",
+        help: "directory for failing-case .sdsp reproducers (default fuzz-failures)",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             inv.dump = Some(v.unwrap().to_string());
             Ok(())
@@ -461,8 +499,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--exec",
         value: None,
-        help:
-            "also run the semantic execution oracle: emitted code vs interpreter, bit-exact (fuzz)",
+        help: "also run the semantic execution oracle: emitted code vs interpreter, bit-exact",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, _| {
             inv.exec = true;
             Ok(())
@@ -471,7 +509,8 @@ pub static OPTIONS: &[OptSpec] = &[
     OptSpec {
         flag: "--replay",
         value: Some("FILE"),
-        help: "replay a dumped .sdsp reproducer end-to-end, honouring its embedded env seed (fuzz)",
+        help: "replay a dumped .sdsp reproducer end-to-end, honouring its embedded env seed",
+        applies: |c| c == Command::Fuzz,
         apply: |inv, v| {
             inv.replay = Some(v.unwrap().to_string());
             Ok(())
@@ -481,6 +520,7 @@ pub static OPTIONS: &[OptSpec] = &[
         flag: "--engine",
         value: Some("auto|analytic|frustum"),
         help: "scheduling engine (default auto: analytic on marked graphs)",
+        applies: Command::takes_files,
         apply: |inv, v| {
             let v = v.unwrap();
             inv.engine =
@@ -490,34 +530,35 @@ pub static OPTIONS: &[OptSpec] = &[
     },
 ];
 
-/// The flags `tpnc fuzz` takes, in its synopsis order; the parser
-/// rejects any other flag there.
-const FUZZ_FLAGS: &[&str] = &[
-    "--seed", "--cases", "--shape", "--chaos", "--mutate", "--dump", "--exec", "--replay",
-    "--jobs", "--format",
-];
-
-/// The usage text, generated from the subcommand list and
-/// [`static@OPTIONS`].
+/// The usage text: one synopsis per subcommand, listing the flags its
+/// code reads, then every flag's help line, all from [`static@OPTIONS`].
 pub fn usage() -> String {
-    let mut s = String::from(
-        "usage: tpnc <analyze|schedule|emit|dot|behavior|storage|acode|trace|explain> <file|-> [<file> ...]\n       tpnc serve [--socket PATH ...] [--tcp ADDR ...] [--store DIR]\n       tpnc route --socket PATH [--shards N] [--store DIR]\n       tpnc fuzz",
-    );
-    for flag in FUZZ_FLAGS {
-        let opt = OPTIONS
+    let mut s = String::from("usage:");
+    for &(command, name, operands) in COMMANDS {
+        let _ = write!(s, " tpnc {name}");
+        if !operands.is_empty() {
+            let _ = write!(s, " {operands}");
+        }
+        let flags = OPTIONS
             .iter()
-            .find(|o| o.flag == *flag)
-            .expect("a fuzz flag");
-        match opt.value {
-            Some(v) => {
-                let _ = write!(s, " [{flag} {v}]");
-            }
-            None => {
-                let _ = write!(s, " [{flag}]");
+            .filter(|o| (o.applies)(command) && !operands.contains(o.flag));
+        for opt in flags {
+            match opt.value {
+                // Only the file commands print the metrics exposition.
+                Some(_) if opt.flag == "--format" && !command.takes_files() => {
+                    s.push_str(" [--format text|json]");
+                }
+                Some(v) => {
+                    let _ = write!(s, " [{} {v}]", opt.flag);
+                }
+                None => {
+                    let _ = write!(s, " [{}]", opt.flag);
+                }
             }
         }
+        s.push_str("\n      ");
     }
-    s.push_str("\n       tpnc --help");
+    s.push_str(" tpnc --help");
     for opt in OPTIONS {
         let _ = write!(s, "\n  {:<22} {}", opt.flag, opt.help);
     }
@@ -537,22 +578,12 @@ pub fn asks_for_help(args: &[String]) -> bool {
 /// A usage message naming the offending argument.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation, String> {
     let mut args = args.into_iter();
-    let command = match args.next().as_deref() {
-        Some("analyze") => Command::Analyze,
-        Some("schedule") => Command::Schedule,
-        Some("emit") => Command::Emit,
-        Some("dot") => Command::Dot,
-        Some("behavior") => Command::Behavior,
-        Some("storage") => Command::Storage,
-        Some("acode") => Command::Acode,
-        Some("trace") => Command::Trace,
-        Some("explain") => Command::Explain,
-        Some("serve") => Command::Serve,
-        Some("route") => Command::Route,
-        Some("fuzz") => Command::Fuzz,
-        Some(other) => return Err(format!("unknown command {other:?}\n{}", usage())),
-        None => return Err(usage()),
-    };
+    let word = args.next().ok_or_else(usage)?;
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.1 == word)
+        .ok_or_else(|| format!("unknown command {word:?}\n{}", usage()))?
+        .0;
     let mut invocation = Invocation {
         command,
         inputs: Vec::new(),
@@ -568,8 +599,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
         tcp: Vec::new(),
         store: None,
         rate_limit: None,
-        burst: None,
-        max_in_flight: None,
         shards: None,
         queue: None,
         cache: None,
@@ -586,8 +615,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
     };
     while let Some(arg) = args.next() {
         if let Some(spec) = OPTIONS.iter().find(|o| o.flag == arg) {
-            if invocation.command == Command::Fuzz && !FUZZ_FLAGS.contains(&spec.flag) {
-                return Err(format!("{} does not apply to fuzz\n{}", spec.flag, usage()));
+            if !(spec.applies)(command) {
+                return Err(format!(
+                    "{} does not apply to {}\n{}",
+                    spec.flag,
+                    command.name(),
+                    usage()
+                ));
             }
             let value = if spec.value.is_some() {
                 Some(args.next().ok_or_else(|| {
@@ -603,96 +637,29 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Invocation,
             invocation.inputs.push(arg);
         }
     }
-    match invocation.command {
-        // `serve`, `route` and `fuzz` are the zero-input subcommands:
-        // they read requests / generate cases, not loop files.
-        Command::Serve | Command::Route | Command::Fuzz => {
-            if !invocation.inputs.is_empty() {
-                let name = match invocation.command {
-                    Command::Serve => "serve",
-                    Command::Route => "route",
-                    _ => "fuzz",
-                };
-                return Err(format!("{name} takes no input files\n{}", usage()));
-            }
-        }
-        _ => {
-            if invocation.inputs.is_empty() {
-                return Err(format!("missing input file\n{}", usage()));
-            }
-            if !invocation.sockets.is_empty() {
-                return Err(format!(
-                    "--socket applies to serve and route only\n{}",
-                    usage()
-                ));
-            }
-            if invocation.store.is_some()
-                || invocation.rate_limit.is_some()
-                || invocation.burst.is_some()
-                || invocation.max_in_flight.is_some()
-            {
-                return Err(format!(
-                    "--store, --rate-limit, --burst and --max-in-flight apply to serve and \
-                     route only\n{}",
-                    usage()
-                ));
-            }
-        }
+    if !command.takes_files() && !invocation.inputs.is_empty() {
+        return Err(format!(
+            "{} takes no input files\n{}",
+            command.name(),
+            usage()
+        ));
     }
-    if !invocation.tcp.is_empty() && invocation.command != Command::Serve {
-        return Err(format!("--tcp applies to serve only\n{}", usage()));
+    if command.takes_files() && invocation.inputs.is_empty() {
+        return Err(format!("missing input file\n{}", usage()));
     }
-    if invocation.shards.is_some() && invocation.command != Command::Route {
-        return Err(format!("--shards applies to route only\n{}", usage()));
-    }
-    if invocation.command == Command::Route && invocation.sockets.is_empty() {
+    if command == Command::Route && invocation.sockets.is_empty() {
         return Err(format!("route requires --socket PATH\n{}", usage()));
     }
-    if invocation.journal.is_some() && invocation.command != Command::Serve {
-        return Err(format!("--journal applies to serve only\n{}", usage()));
-    }
-    if invocation.format == Format::Prometheus
-        && matches!(
-            invocation.command,
-            Command::Serve | Command::Route | Command::Fuzz
-        )
-    {
+    if invocation.format == Format::Prometheus && !command.takes_files() {
         return Err(format!(
-            "--format prometheus applies to file subcommands only (serve exposes the \
-             metrics_prometheus verb instead)\n{}",
+            "--format prometheus applies to file subcommands only\n{}",
             usage()
         ));
     }
-    if invocation.command != Command::Fuzz
-        && (invocation.seed.is_some()
-            || invocation.cases.is_some()
-            || invocation.shape.is_some()
-            || invocation.chaos
-            || invocation.mutate.is_some()
-            || invocation.dump.is_some()
-            || invocation.exec
-            || invocation.replay.is_some())
-    {
-        return Err(format!(
-            "--seed, --cases, --shape, --chaos, --mutate, --dump, --exec and --replay apply to fuzz only\n{}",
-            usage()
-        ));
-    }
-    if invocation.trace_path.is_some() {
-        if !matches!(
-            invocation.command,
-            Command::Behavior | Command::Schedule | Command::Trace
-        ) {
-            return Err(format!(
-                "--trace applies to behavior, schedule and trace only\n{}",
-                usage()
-            ));
-        }
-        if invocation.inputs.len() > 1 {
-            return Err(
-                "--trace takes a single input (each input would overwrite the file)".to_string(),
-            );
-        }
+    if invocation.trace_path.is_some() && invocation.inputs.len() > 1 {
+        return Err(
+            "--trace takes a single input (each input would overwrite the file)".to_string(),
+        );
     }
     Ok(invocation)
 }
@@ -1276,30 +1243,66 @@ mod tests {
     }
 
     #[test]
-    fn no_synopsis_repeats_a_flag_and_fuzz_lists_what_it_accepts() {
+    fn each_synopsis_lists_exactly_the_flags_its_command_accepts() {
         let text = usage();
-        let synopses = text.lines().take_while(|line| !line.starts_with("  --"));
-        for line in synopses {
-            let mut flags: Vec<&str> = line
-                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
-                .filter(|word| word.starts_with("--"))
-                .collect();
+        let synopses: Vec<&str> = text
+            .lines()
+            .take_while(|line| !line.starts_with("  --"))
+            .collect();
+        assert_eq!(synopses.len(), COMMANDS.len() + 1, "{text}");
+        for (line, &(command, name, _)) in synopses.iter().zip(COMMANDS) {
+            let mut words = line.split(|c: char| c.is_whitespace() || c == '[' || c == ']');
+            assert!(words.any(|w| w == "tpnc"), "{line:?}");
+            assert_eq!(words.next(), Some(name), "{line:?}");
+            let mut flags: Vec<&str> = words.filter(|word| word.starts_with("--")).collect();
             let listed = flags.len();
             flags.sort_unstable();
             flags.dedup();
             assert_eq!(flags.len(), listed, "a flag repeats in {line:?}");
-            if line.contains("tpnc fuzz") {
-                for opt in OPTIONS {
-                    let mut words = vec!["fuzz".to_string(), opt.flag.to_string()];
-                    words.extend(opt.value.map(|_| "1".to_string()));
-                    let accepted = match parse_args(words) {
-                        Ok(_) => true,
-                        Err(e) => !e.starts_with(&format!("{} does not apply", opt.flag)),
-                    };
-                    assert_eq!(flags.contains(&opt.flag), accepted, "{}", opt.flag);
-                }
+            for opt in OPTIONS {
+                let mut words = vec![name.to_string()];
+                words.extend(command.takes_files().then(|| "x".to_string()));
+                words.push(opt.flag.to_string());
+                words.extend(opt.value.map(|_| "1".to_string()));
+                let accepted = match parse_args(words) {
+                    Ok(_) => true,
+                    Err(e) => !e.starts_with(&format!("{} does not apply", opt.flag)),
+                };
+                assert_eq!(flags.contains(&opt.flag), accepted, "{name} {}", opt.flag);
             }
         }
+        // Fuzz prints no metrics exposition, so its synopsis does not
+        // offer one.
+        assert!(synopses[COMMANDS.len() - 1].contains("[--format text|json]"));
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        for line in [
+            "schedule F --queue 4 --cache 9 --pn --balance --iterations 3",
+            "schedule F --queue 4",
+            "schedule F --cache 9",
+            "schedule F --pn",
+            "schedule F --balance",
+            "schedule F --iterations 3",
+            "analyze F --scp 4",
+            "serve --format json --profile --engine frustum --scp 3",
+            "serve --format json",
+            "serve --profile",
+            "serve --engine frustum",
+            "serve --scp 3",
+            "serve --burst 3",
+            "serve --max-in-flight 8",
+        ] {
+            let err = parse_args(args(line)).unwrap_err();
+            assert!(
+                err.contains("does not apply") || err.starts_with("unknown flag"),
+                "{line}: {err}"
+            );
+        }
+        // Route forwards these to its shards.
+        let route = "route --socket s --jobs 2 --queue 8 --cache 9 --rate-limit 5 --store d";
+        assert!(parse_args(args(route)).is_ok());
     }
 
     #[test]

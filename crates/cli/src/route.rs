@@ -98,12 +98,6 @@ fn shard_command(invocation: &Invocation, index: usize, path: &str) -> Result<Co
     if let Some(rate) = invocation.rate_limit {
         cmd.arg("--rate-limit").arg(rate.to_string());
     }
-    if let Some(burst) = invocation.burst {
-        cmd.arg("--burst").arg(burst.to_string());
-    }
-    if let Some(cap) = invocation.max_in_flight {
-        cmd.arg("--max-in-flight").arg(cap.to_string());
-    }
     if let Some(store) = &invocation.store {
         cmd.arg("--store").arg(format!("{store}/shard-{index}"));
     }
@@ -654,5 +648,7 @@ mod tests {
             .windows(2)
             .any(|w| w == ["--store", "/tmp/fleet/shard-1"]));
         assert!(args.windows(2).any(|w| w == ["--rate-limit", "100"]));
+        // The shard accepts every flag the router forwards.
+        crate::parse_args(args).expect("the shard command line parses");
     }
 }

@@ -15,8 +15,9 @@
 //! never sleeps. A failed `accept` (say, out of descriptors) is logged,
 //! and the listener rests until a connection closes or a tick passes.
 //! `--store DIR` persists compiled artifacts across restarts,
-//! `--rate-limit`/`--burst`/`--max-in-flight` switch on per-client
-//! fairness, and `--journal FILE` streams the request journal.
+//! `--rate-limit N` switches on per-client fairness (a token bucket of
+//! N requests per second and burst N, and at most 64 requests in flight
+//! per client), and `--journal FILE` streams the request journal.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,7 +49,7 @@ pub(crate) const TICK: Duration = Duration::from_millis(100);
 
 /// Builds the service configuration from the invocation's flags
 /// (`--jobs` workers, `--queue` capacity, `--cache` weight, `--store`
-/// persistence, `--rate-limit`/`--burst`/`--max-in-flight` fairness).
+/// persistence, `--rate-limit` fairness).
 fn config(invocation: &Invocation) -> Result<ServiceConfig, String> {
     let mut builder = ServiceConfig::builder();
     if let Some(jobs) = invocation.jobs {
@@ -66,8 +67,8 @@ fn config(invocation: &Invocation) -> Result<ServiceConfig, String> {
     if let Some(rate) = invocation.rate_limit {
         builder = builder.rate_limit(RateLimit {
             per_second: rate,
-            burst: invocation.burst.unwrap_or(rate),
-            max_in_flight: invocation.max_in_flight.unwrap_or(64),
+            burst: rate,
+            max_in_flight: 64,
         });
     }
     builder.build().map_err(|e| e.to_string())

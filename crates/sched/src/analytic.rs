@@ -172,10 +172,10 @@ impl AnalyticSchedule {
         word
     }
 
-    /// Projects the schedule onto the loop nodes as a [`LoopSchedule`]
-    /// with the same kernel/prologue structure the frustum path builds:
-    /// the kernel is the window `[anchor, anchor + p)`, holding exactly
-    /// `q` firings of every node.
+    /// Projects the schedule onto the loop nodes as a [`LoopSchedule`],
+    /// through the constructor the frustum path uses: each node's starts
+    /// below `anchor + p`, with the window `[anchor, anchor + p)` (exactly
+    /// `q` firings of every node) as the kernel.
     pub fn loop_schedule(&self, sdsp: &Sdsp, pn: &SdspPn) -> LoopSchedule {
         let horizon = self.anchor + self.period;
         let starts: Vec<Vec<u64>> = pn
@@ -188,7 +188,7 @@ impl AnalyticSchedule {
                     .collect()
             })
             .collect();
-        LoopSchedule::from_periodic_starts(sdsp, self.period, self.iterations, self.anchor, starts)
+        LoopSchedule::from_starts(sdsp, self.period, self.iterations, self.anchor, starts)
     }
 
     /// Expands the schedule into a firing-event stream covering the fill

@@ -26,9 +26,9 @@
 //!   offsets — the brute-force ground truth the conformance suite holds
 //!   both engines against.
 //! * [`schedule`] — the **time-optimal static schedule** read off the
-//!   frustum (Figure 1(g)): a software-pipelining kernel with iteration
-//!   offsets, plus the prologue, with queries for the start time of any
-//!   (node, iteration) pair.
+//!   frustum or the analytic window (Figure 1(g)): a software-pipelining
+//!   kernel with iteration offsets, with queries for the start time of
+//!   any (node, iteration) pair, the pipeline-fill prologue included.
 //! * [`scp`] / [`policy`] — the resource-constrained SDSP-SCP-PN model of
 //!   §5.2: series expansion (a dummy transition of execution time `l − 1`
 //!   per place) plus a run place shared by all SDSP transitions, executed

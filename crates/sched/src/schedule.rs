@@ -8,6 +8,11 @@
 //! loop sustains `k` iterations every `p` cycles — an initiation interval
 //! of `p / k`, which Theorem 4.1.1 shows equals the critical-cycle bound:
 //! the schedule is time-optimal.
+//!
+//! Both engines hand [`LoopSchedule`] the same thing: each node's start
+//! times through one kernel window, and the window's first cycle. The
+//! kernel is each node's starts from that cycle on; the prologue is
+//! what [`LoopSchedule::start_time`] answers for the iterations before.
 
 use tpn_dataflow::to_petri::SdspPn;
 use tpn_dataflow::{NodeId, Sdsp};
@@ -18,17 +23,15 @@ use crate::error::SchedError;
 use crate::frustum::FrustumReport;
 use crate::scp::ScpPn;
 
-/// One kernel entry: node `node`'s `occurrence`-th firing within the
-/// kernel, at cycle `slot` of the period, executing iteration
-/// `i + offset` when the kernel instance is anchored at iteration `i`.
+/// One kernel entry: node `node` issued at cycle `slot` of the period,
+/// executing iteration `i + offset` when the kernel instance is anchored
+/// at iteration `i`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct KernelEntry {
     /// Cycle within the period, `0 .. period`.
     pub slot: u64,
     /// The loop node issued at this slot.
     pub node: NodeId,
-    /// Which of the node's `k` kernel firings this is (0-based).
-    pub occurrence: u64,
     /// Iteration offset relative to the kernel's most advanced firing
     /// (≤ 0, like the `i`, `i−1` annotations of Figure 1(g)).
     pub offset: i64,
@@ -39,11 +42,11 @@ pub struct KernelEntry {
 pub struct LoopSchedule {
     period: u64,
     iterations_per_period: u64,
+    /// Sorted by `(slot, node)`.
     kernel: Vec<KernelEntry>,
-    /// `(cycle, node, iteration)` starts before the kernel anchors.
-    prologue: Vec<(u64, NodeId, u64)>,
-    /// For each node: all recorded start times (prologue + one kernel
-    /// period), and the count recorded before the kernel window.
+    /// For each node: every start time through one kernel window, in
+    /// increasing order; the last `iterations_per_period` lie in the
+    /// window.
     recorded_starts: Vec<Vec<u64>>,
     node_times: Vec<u64>,
     node_names: Vec<String>,
@@ -70,7 +73,7 @@ impl LoopSchedule {
         pn: &SdspPn,
         frustum: &FrustumReport,
     ) -> Result<Self, SchedError> {
-        Self::build(sdsp, &pn.transition_of, frustum)
+        Self::read_frustum(sdsp, &pn.transition_of, frustum)
     }
 
     /// Derives the schedule from a frustum of the resource-constrained
@@ -85,15 +88,17 @@ impl LoopSchedule {
         scp: &ScpPn,
         frustum: &FrustumReport,
     ) -> Result<Self, SchedError> {
-        Self::build(sdsp, &scp.transition_of, frustum)
+        Self::read_frustum(sdsp, &scp.transition_of, frustum)
     }
 
-    fn build(
+    /// Collects each loop node's start times over the recorded run
+    /// (instants `0 ..= repeat_time`); the window `(start_time,
+    /// repeat_time]` is the kernel.
+    fn read_frustum(
         sdsp: &Sdsp,
         transition_of: &[TransitionId],
         frustum: &FrustumReport,
     ) -> Result<Self, SchedError> {
-        let period = frustum.period();
         // Uniform firing count over the loop nodes.
         let counts: Vec<u64> = transition_of
             .iter()
@@ -112,98 +117,63 @@ impl LoopSchedule {
                 });
             }
         }
-        let iterations_per_period = counts.first().copied().unwrap_or(0);
-
-        // Start times per node over the whole recorded trace.
-        let mut recorded_starts: Vec<Vec<u64>> = vec![Vec::new(); sdsp.num_nodes()];
         // Transition index -> node index; `None` for SCP dummies.
         let mut node_of: Vec<Option<usize>> = vec![None; frustum.counts.len()];
         for (i, &t) in transition_of.iter().enumerate() {
             node_of[t.index()] = Some(i);
         }
-        let mut prologue = Vec::new();
-        let mut kernel = Vec::new();
+        let mut starts: Vec<Vec<u64>> = vec![Vec::new(); sdsp.num_nodes()];
         for step in frustum.steps() {
             for &t in step.started {
-                let Some(node_idx) = node_of[t.index()] else {
-                    continue; // SCP dummy transition
-                };
-                let iteration = recorded_starts[node_idx].len() as u64;
-                recorded_starts[node_idx].push(step.time);
-                if step.time <= frustum.start_time {
-                    prologue.push((step.time, NodeId::from_index(node_idx), iteration));
-                } else {
-                    kernel.push(KernelEntry {
-                        slot: step.time - frustum.start_time - 1,
-                        node: NodeId::from_index(node_idx),
-                        occurrence: 0,            // fixed up below
-                        offset: iteration as i64, // temporarily absolute
-                    });
+                if let Some(node) = node_of[t.index()] {
+                    starts[node].push(step.time);
                 }
             }
         }
-        fix_up_kernel(&mut kernel, sdsp.num_nodes());
-
-        Ok(LoopSchedule {
-            period,
-            iterations_per_period,
-            kernel,
-            prologue,
-            recorded_starts,
-            node_times: sdsp.nodes().map(|(_, n)| n.time).collect(),
-            node_names: sdsp.nodes().map(|(_, n)| n.name.clone()).collect(),
-        })
+        Ok(Self::from_starts(
+            sdsp,
+            frustum.period(),
+            counts.first().copied().unwrap_or(0),
+            frustum.start_time + 1,
+            starts,
+        ))
     }
 
-    /// Builds a schedule from explicit periodic per-node start times (the
-    /// analytic engine's entry point, [`crate::analytic`]).
+    /// Builds a schedule from each node's start times (both engines'
+    /// common constructor).
     ///
-    /// `starts_per_node[n]` holds every start of node `n` strictly before
-    /// `anchor + period`, in increasing order; the window
-    /// `[anchor, anchor + period)` is the kernel (exactly
-    /// `iterations_per_period` firings of every node, by the balanced-word
-    /// construction) and everything earlier is the prologue.
-    pub(crate) fn from_periodic_starts(
+    /// `starts[n]` holds every start of node `n` before `window + period`,
+    /// in increasing order, of which exactly `iterations_per_period` fall
+    /// in the kernel window `[window, window + period)`. The kernel is
+    /// those window starts, sorted by `(slot, node)`; a start's offset is
+    /// its index in its node's list minus the largest such index.
+    pub(crate) fn from_starts(
         sdsp: &Sdsp,
         period: u64,
         iterations_per_period: u64,
-        anchor: u64,
-        starts_per_node: Vec<Vec<u64>>,
+        window: u64,
+        starts: Vec<Vec<u64>>,
     ) -> Self {
-        // (time, node, iteration) over the whole recorded horizon, in the
-        // same order the frustum path records: by time, then node.
-        let mut firings: Vec<(u64, usize, u64)> = starts_per_node
-            .iter()
-            .enumerate()
-            .flat_map(|(node, starts)| {
-                starts
-                    .iter()
-                    .enumerate()
-                    .map(move |(iter, &time)| (time, node, iter as u64))
-            })
-            .collect();
-        firings.sort_unstable();
-        let mut prologue = Vec::new();
-        let mut kernel = Vec::new();
-        for &(time, node, iteration) in &firings {
-            if time < anchor {
-                prologue.push((time, NodeId::from_index(node), iteration));
-            } else {
+        // Every node fires in the window, so the longest list ends at
+        // the most advanced kernel firing.
+        let newest = starts.iter().map(Vec::len).max().unwrap_or(0) as i64 - 1;
+        let mut kernel = Vec::with_capacity(starts.len() * iterations_per_period as usize);
+        for (node, times) in starts.iter().enumerate() {
+            let first = times.partition_point(|&t| t < window);
+            for (idx, &t) in times.iter().enumerate().skip(first) {
                 kernel.push(KernelEntry {
-                    slot: time - anchor,
+                    slot: t - window,
                     node: NodeId::from_index(node),
-                    occurrence: 0,            // fixed up below
-                    offset: iteration as i64, // temporarily absolute
+                    offset: idx as i64 - newest,
                 });
             }
         }
-        fix_up_kernel(&mut kernel, sdsp.num_nodes());
+        kernel.sort_unstable_by_key(|e| (e.slot, e.node));
         LoopSchedule {
             period,
             iterations_per_period,
             kernel,
-            prologue,
-            recorded_starts: starts_per_node,
+            recorded_starts: starts,
             node_times: sdsp.nodes().map(|(_, n)| n.time).collect(),
             node_names: sdsp.nodes().map(|(_, n)| n.name.clone()).collect(),
         }
@@ -230,14 +200,9 @@ impl LoopSchedule {
         self.initiation_interval().recip()
     }
 
-    /// The kernel entries, in slot order.
+    /// The kernel entries, sorted by `(slot, node)`.
     pub fn kernel(&self) -> &[KernelEntry] {
         &self.kernel
-    }
-
-    /// The prologue starts `(cycle, node, iteration)`, in time order.
-    pub fn prologue(&self) -> &[(u64, NodeId, u64)] {
-        &self.prologue
     }
 
     /// The cycle at which `node` starts its `iteration`-th execution
@@ -265,9 +230,8 @@ impl LoopSchedule {
         self.node_times[node.index()]
     }
 
-    /// Number of start times recorded from the trace for `node` (prologue
-    /// plus one kernel window); iterations beyond this use the periodic
-    /// extension.
+    /// Number of start times recorded for `node` (the fill plus one
+    /// kernel window); iterations beyond this use the periodic extension.
     pub fn recorded_iterations(&self, node: NodeId) -> usize {
         self.recorded_starts[node.index()].len()
     }
@@ -288,38 +252,18 @@ impl LoopSchedule {
             "kernel of {} cycles, {} iteration(s) per instance:",
             self.period, self.iterations_per_period
         );
-        for slot in 0..self.period {
-            let entries: Vec<String> = self
-                .kernel
-                .iter()
-                .filter(|e| e.slot == slot)
-                .map(|e| {
-                    let name = &self.node_names[e.node.index()];
-                    match e.offset {
-                        0 => format!("{name}(i)"),
-                        o => format!("{name}(i{o})"),
-                    }
-                })
-                .collect();
-            if !entries.is_empty() {
-                let _ = writeln!(out, "  cycle {slot}: {}", entries.join(" "));
+        for slot in self.kernel.chunk_by(|a, b| a.slot == b.slot) {
+            let _ = write!(out, "  cycle {}:", slot[0].slot);
+            for e in slot {
+                let name = &self.node_names[e.node.index()];
+                let _ = match e.offset {
+                    0 => write!(out, " {name}(i)"),
+                    o => write!(out, " {name}(i{o})"),
+                };
             }
+            out.push('\n');
         }
         out
-    }
-}
-
-/// Numbers each node's kernel entries in slot order (`occurrence`) and
-/// makes the absolute iterations held in `offset` relative to the most
-/// advanced iteration in the kernel.
-fn fix_up_kernel(kernel: &mut [KernelEntry], num_nodes: usize) {
-    let max_iter = kernel.iter().map(|e| e.offset).max().unwrap_or(0);
-    let mut occurrences = vec![0u64; num_nodes];
-    for e in kernel {
-        let c = &mut occurrences[e.node.index()];
-        e.occurrence = *c;
-        *c += 1;
-        e.offset -= max_iter;
     }
 }
 

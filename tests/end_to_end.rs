@@ -204,7 +204,6 @@ fn scp_step_streams_are_pinned() {
     // to the engine or the policies that moves one start, one completion
     // or one digest shows here even when the frustum and its counts agree.
     use tpn_dataflow::to_petri::to_petri;
-    use tpn_livermore::synth::chain;
     use tpn_sched::detect_frustum;
     use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
     use tpn_sched::scp::build_scp;
@@ -225,13 +224,7 @@ fn scp_step_streams_are_pinned() {
         ),
     ];
     for (name, depth, fifo, priority) in pinned {
-        let sdsp = match name.strip_prefix("chain/") {
-            Some(n) => chain(n.parse().unwrap()),
-            None => {
-                let kernel = kernels().into_iter().find(|k| k.name == name).unwrap();
-                tpn_lang::compile(kernel.source).expect(name)
-            }
-        };
+        let sdsp = named_loop(name);
         let scp = build_scp(&to_petri(&sdsp), depth);
         let budget = 100_000 * depth;
         let runs = [
@@ -245,6 +238,218 @@ fn scp_step_streams_are_pinned() {
         ];
         let got = runs.map(|run| step_stream_hash(&run.expect(name)));
         assert_eq!(got, [fifo, priority], "{name}@{depth}");
+    }
+}
+
+/// The loop a pin row names: `chain/N`, `ring/N` or a Livermore kernel.
+fn named_loop(name: &str) -> tpn_dataflow::Sdsp {
+    use tpn_livermore::synth::{chain, recurrence_ring};
+    if let Some(n) = name.strip_prefix("chain/") {
+        return chain(n.parse().unwrap());
+    }
+    if let Some(n) = name.strip_prefix("ring/") {
+        return recurrence_ring(n.parse().unwrap());
+    }
+    let kernel = kernels().into_iter().find(|k| k.name == name).unwrap();
+    tpn_lang::compile(kernel.source).expect(name)
+}
+
+/// Folds what a schedule answers into one word: its rendered kernel,
+/// period and iterations per period, every kernel entry's
+/// `(slot, node, offset)`, and per node the recorded start count and
+/// every start time through two kernel instances past the recording.
+fn schedule_hash(s: &tpn_sched::LoopSchedule) -> u64 {
+    use tpn_petri::timed::mix64;
+    let mut h = 0u64;
+    let mut fold = |word: u64| h = mix64(h ^ word);
+    let text = s.render_kernel();
+    fold(text.len() as u64);
+    for chunk in text.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        fold(u64::from_le_bytes(word));
+    }
+    fold(s.period());
+    fold(s.iterations_per_period());
+    fold(s.kernel().len() as u64);
+    for e in s.kernel() {
+        fold(e.slot);
+        fold(e.node.index() as u64);
+        fold(e.offset as u64);
+    }
+    let k = s.iterations_per_period();
+    for node in (0..s.num_nodes()).map(tpn_dataflow::NodeId::from_index) {
+        let recorded = s.recorded_iterations(node) as u64;
+        fold(recorded);
+        (0..recorded + 2 * k).for_each(|j| fold(s.start_time(node, j)));
+    }
+    h
+}
+
+#[test]
+fn schedule_read_offs_are_pinned() {
+    // Every schedule the engines read off, as `schedule_hash` folds it:
+    // `(loop, [analytic, frustum, FIFO SCP at depths 1, 4, 8, priority
+    // SCP at depths 1, 4, 8])`. A change to how a kernel, its offsets or
+    // the recorded starts are derived shows here even when the initiation
+    // interval stays the same.
+    use tpn_dataflow::to_petri::to_petri;
+    use tpn_sched::policy::{FifoPolicy, PriorityPolicy};
+    use tpn_sched::scp::build_scp;
+    use tpn_sched::{analytic_schedule, detect_frustum, detect_frustum_eager, LoopSchedule};
+    let pinned: [(&str, [u64; 8]); 10] = [
+        (
+            "loop1",
+            [
+                0x0498_6B3C_63F6_D9C8,
+                0x0498_6B3C_63F6_D9C8,
+                0xFAF4_A36B_D059_5D37,
+                0x344B_1327_B54C_1B1F,
+                0xECB9_B755_D3EE_DE01,
+                0x3B48_D441_8139_69AA,
+                0x344B_1327_B54C_1B1F,
+                0xECB9_B755_D3EE_DE01,
+            ],
+        ),
+        (
+            "loop7",
+            [
+                0x5727_F949_82E9_AC2F,
+                0x40FE_9147_ACBF_4163,
+                0x7B83_3DB8_BCAD_DF9D,
+                0x3798_6768_0F7F_F6DE,
+                0x5014_2EDE_2EA9_95D7,
+                0x8A56_E5DB_B66F_0305,
+                0xBFD4_8DA5_32FC_2F56,
+                0x6CF4_C212_B71B_BBC9,
+            ],
+        ),
+        (
+            "loop12",
+            [
+                0xDC21_0E6B_AE74_BA99,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+                0xC650_A13A_9A17_7B44,
+            ],
+        ),
+        (
+            "loop3",
+            [
+                0xE40F_2E18_46DC_7409,
+                0xE40F_2E18_46DC_7409,
+                0xE40F_2E18_46DC_7409,
+                0xE87D_FABB_87A7_1E12,
+                0xC45E_982F_F8BD_4B61,
+                0xE40F_2E18_46DC_7409,
+                0xE87D_FABB_87A7_1E12,
+                0xC45E_982F_F8BD_4B61,
+            ],
+        ),
+        (
+            "loop5",
+            [
+                0x4B3F_237D_A925_A49F,
+                0x4B3F_237D_A925_A49F,
+                0x4B3F_237D_A925_A49F,
+                0xE1EA_927D_2DA7_25FB,
+                0xC3CF_2364_7B03_660A,
+                0x4B3F_237D_A925_A49F,
+                0xE1EA_927D_2DA7_25FB,
+                0xC3CF_2364_7B03_660A,
+            ],
+        ),
+        (
+            "loop9",
+            [
+                0x3BDF_4B29_06F6_EC11,
+                0xAB62_ED9B_CE02_8DBD,
+                0x8C9E_DDE2_F602_7094,
+                0x12DD_87C0_FF13_F346,
+                0xC2E1_AFD3_3BFC_DD52,
+                0xA414_C09C_8855_FD04,
+                0x97F2_3B15_3B78_6666,
+                0xC2E1_AFD3_3BFC_DD52,
+            ],
+        ),
+        (
+            "loop9-doall",
+            [
+                0x47A4_50A1_968B_3A6B,
+                0xE19D_0CFE_3079_1664,
+                0x73B2_FC18_9682_074D,
+                0x9CAF_43AB_05B4_3C40,
+                0x0B23_375E_5D05_2539,
+                0xD938_1250_02FD_4985,
+                0x33B2_33DE_DB4E_D8F5,
+                0x26F1_44EA_FC5B_E146,
+            ],
+        ),
+        (
+            "chain/64",
+            [
+                0xF614_2A67_BBE2_3840,
+                0xF614_2A67_BBE2_3840,
+                0x9AFC_C0F5_A87E_115F,
+                0xC19A_0BA4_50D0_D85F,
+                0xBF25_1983_5422_A59C,
+                0x229B_2386_A666_1782,
+                0x8DA6_3AFE_F43F_ED7A,
+                0xA726_3440_4765_BECE,
+            ],
+        ),
+        (
+            "chain/160",
+            [
+                0x3D80_CD53_C46F_4995,
+                0x3D80_CD53_C46F_4995,
+                0x896A_AF1A_2755_797D,
+                0xC247_02BD_DCD5_11C2,
+                0x47B0_D2DE_995E_76FD,
+                0xDF09_DDA1_CDE3_84A2,
+                0x9FD1_1989_75C6_AEAE,
+                0xC292_C048_BC07_EF5F,
+            ],
+        ),
+        (
+            "ring/48",
+            [
+                0xE79C_0532_AB33_7CBF,
+                0x3642_1F91_5519_9856,
+                0x3642_1F91_5519_9856,
+                0xAA1A_A559_DA2D_1A1C,
+                0x914A_281D_09CA_E141,
+                0x3642_1F91_5519_9856,
+                0xAA1A_A559_DA2D_1A1C,
+                0x914A_281D_09CA_E141,
+            ],
+        ),
+    ];
+    for (name, want) in pinned {
+        let sdsp = named_loop(name);
+        let pn = to_petri(&sdsp);
+        let frustum = detect_frustum_eager(&pn.net, pn.marking.clone(), 100_000).expect(name);
+        let mut got = vec![
+            schedule_hash(&analytic_schedule(&sdsp, &pn).expect(name)),
+            schedule_hash(&LoopSchedule::from_frustum(&sdsp, &pn, &frustum).expect(name)),
+        ];
+        for priority in [false, true] {
+            for depth in [1, 4, 8] {
+                let scp = build_scp(&pn, depth);
+                let (net, marking, budget) = (&scp.net, scp.marking.clone(), 100_000 * depth);
+                let run = match priority {
+                    false => detect_frustum(net, marking, FifoPolicy::new(&scp), budget),
+                    true => detect_frustum(net, marking, PriorityPolicy::new(&scp), budget),
+                };
+                let s = LoopSchedule::from_scp_frustum(&sdsp, &scp, &run.expect(name));
+                got.push(schedule_hash(&s.expect(name)));
+            }
+        }
+        assert_eq!(got, want, "{name}");
     }
 }
 
